@@ -13,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cctype>
 #include <numeric>
 #include <string>
@@ -34,7 +35,6 @@
 #include "amperebleed/sim/signal.hpp"
 #include "amperebleed/soc/soc.hpp"
 #include "amperebleed/util/rng.hpp"
-#include "amperebleed/util/simd.hpp"
 #include "amperebleed/util/thread_pool.hpp"
 
 namespace {
@@ -265,17 +265,22 @@ const ml::RandomForest& batch_forest() {
   return forest;
 }
 
+/// The scalar arena kernel alone, over the same 16-row blocks
+/// predict_proba_many uses: this pair measures the arena layout win (SoA
+/// arena vs per-tree pointer walk) in isolation.
 void BM_ForestPredictBatch(benchmark::State& state) {
-  // Forced-scalar tier: this pair measures the PR 4 layout win (SoA arena
-  // vs per-tree pointer walk) in isolation; the dispatch win on top of it
-  // is BM_ForestPredictSimd's job.
-  util::simd::ScopedTier tier(util::simd::SimdTier::kScalar);
   const ml::Dataset& data = tree_fit_dataset();
-  const ml::RandomForest& forest = batch_forest();
+  const ml::ForestArena& arena = batch_forest().arena();
   std::vector<std::span<const double>> rows;
   for (std::size_t i = 0; i < data.size(); ++i) rows.push_back(data.row(i));
+  constexpr std::size_t kBlock = ml::RandomForest::kPredictRowBlock;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(forest.predict_proba_many(rows));
+    std::vector<std::vector<double>> out(rows.size());
+    for (std::size_t lo = 0; lo < rows.size(); lo += kBlock) {
+      arena.predict_proba_rows_scalar(
+          rows, lo, std::min(lo + kBlock, rows.size()), out);
+    }
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows.size()));
@@ -295,11 +300,10 @@ void BM_ForestPredictBatchReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredictBatchReference)->Unit(benchmark::kMicrosecond);
 
-/// PR 9 dispatch A/B: the same paper-scale batch through the best SIMD tier
-/// the host offers (branchless lockstep / AVX2 gathers) vs the retained
-/// per-tree pointer walk. forest_predict_simd_speedup = reference/simd.
+/// The same paper-scale batch through predict_proba_many, i.e. whichever
+/// kernel the CPU picks (AVX2 on hosts that have it, else scalar).
+/// forest_predict_simd_speedup = BM_ForestPredictBatchReference / this.
 void BM_ForestPredictSimd(benchmark::State& state) {
-  util::simd::ScopedTier tier(util::simd::detect_best_tier());
   const ml::Dataset& data = tree_fit_dataset();
   const ml::RandomForest& forest = batch_forest();
   std::vector<std::span<const double>> rows;
@@ -311,42 +315,6 @@ void BM_ForestPredictSimd(benchmark::State& state) {
                           static_cast<std::int64_t>(rows.size()));
 }
 BENCHMARK(BM_ForestPredictSimd)->Unit(benchmark::kMicrosecond);
-
-void BM_ForestPredictSimdReference(benchmark::State& state) {
-  const ml::Dataset& data = tree_fit_dataset();
-  const ml::RandomForest& forest = batch_forest();
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      benchmark::DoNotOptimize(forest.predict_proba_reference(data.row(i)));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_ForestPredictSimdReference)->Unit(benchmark::kMicrosecond);
-
-/// Opt-in int16 threshold quantization on top of the lockstep walk
-/// (informational _ns row; not part of a gated ratio).
-void BM_ForestPredictQuantized(benchmark::State& state) {
-  util::simd::ScopedTier tier(util::simd::detect_best_tier());
-  static const ml::RandomForest quantized = [] {
-    ml::ForestConfig config;
-    config.n_trees = 100;
-    config.quantize_thresholds = true;
-    ml::RandomForest f(config);
-    f.fit(tree_fit_dataset());
-    return f;
-  }();
-  const ml::Dataset& data = tree_fit_dataset();
-  std::vector<std::span<const double>> rows;
-  for (std::size_t i = 0; i < data.size(); ++i) rows.push_back(data.row(i));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quantized.predict_proba_many(rows));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rows.size()));
-}
-BENCHMARK(BM_ForestPredictQuantized)->Unit(benchmark::kMicrosecond);
 
 /// The attacker-side trace cleanup chain feeding the classifier: dedup the
 /// oversampled register reads, detrend thermal drift, resample to the
@@ -564,7 +532,7 @@ void write_record(const RecordingReporter& reporter, const std::string& path) {
   const double batch =
       ratio("BM_ForestPredictBatchReference", "BM_ForestPredictBatch");
   const double simd =
-      ratio("BM_ForestPredictSimdReference", "BM_ForestPredictSimd");
+      ratio("BM_ForestPredictBatchReference", "BM_ForestPredictSimd");
   const double preprocess =
       ratio("BM_PreprocessPipelineReference", "BM_PreprocessPipeline");
   if (tree_fit > 0.0) record.set_number("tree_fit_speedup", tree_fit);
@@ -581,19 +549,13 @@ void write_record(const RecordingReporter& reporter, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --record-out PATH and --simd TIER before google-benchmark parses
-  // the flags. --simd overrides the default dispatch for benches that don't
-  // pin a tier themselves (the A/B pairs above pin via ScopedTier).
+  // Strip --record-out PATH before google-benchmark parses the flags.
   std::string record_path;
   std::vector<char*> args;
   args.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--record-out" && i + 1 < argc) {
       record_path = argv[++i];
-      continue;
-    }
-    if (std::string_view(argv[i]) == "--simd" && i + 1 < argc) {
-      util::simd::set_active_tier(util::simd::tier_from_name(argv[++i]));
       continue;
     }
     args.push_back(argv[i]);

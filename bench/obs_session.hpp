@@ -27,13 +27,6 @@
 //                          flag the pool honours AMPEREBLEED_THREADS, else
 //                          hardware concurrency. Results are bit-identical
 //                          at any setting; only wall-clock changes.
-//   --simd TIER            force the SIMD dispatch tier (off|scalar|
-//                          interleaved|neon|avx2|auto). Without the flag the
-//                          process honours AMPEREBLEED_SIMD, else the best
-//                          tier the host supports. Every tier is
-//                          bit-identical (DESIGN.md §14); only wall-clock
-//                          changes. The tier lands in the run record's env
-//                          provenance and the simd.tier gauge.
 //
 // With none of the obs flags present, instrumentation stays disabled (the
 // library's default), no exporter or HTTP thread is ever started, and the
@@ -58,7 +51,6 @@
 #include "amperebleed/obs/quality.hpp"
 #include "amperebleed/obs/run_record.hpp"
 #include "amperebleed/util/cli.hpp"
-#include "amperebleed/util/simd.hpp"
 #include "amperebleed/util/thread_pool.hpp"
 
 namespace amperebleed::bench {
@@ -89,14 +81,6 @@ class ObsSession {
           "pool_threads",
           static_cast<std::int64_t>(util::ThreadPool::global().size()));
     }
-    // SIMD tier next, still ahead of any experiment code: --simd beats
-    // AMPEREBLEED_SIMD beats auto-detection (util::simd resolves the env on
-    // first use). The run record captures the tier via env provenance
-    // ("simd_tier") whether or not the flag was given.
-    if (args.has("simd")) {
-      util::simd::set_active_tier(
-          util::simd::tier_from_name(args.get_string("simd", "auto")));
-    }
     const bool want_serve = args.has("serve-port");
     const bool want_quality = args.has("quality");
     const bool want_obs = args.has("obs") || !metrics_out_.empty() ||
@@ -105,11 +89,6 @@ class ObsSession {
                           want_serve || want_quality;
     if (!want_obs) return;
     obs::init(obs::ObsConfig{.enabled = true, .quality = want_quality});
-
-    // Selected dispatch tier as a gauge (numeric SimdTier value), so live
-    // telemetry consumers can tell which kernels produced the numbers.
-    obs::gauge_set("simd.tier", static_cast<double>(static_cast<int>(
-                                    util::simd::active_tier())));
 
     // The bench root span: every stage span, parallel_for task span and
     // fault instant recorded on this thread (or captured into pool tasks)

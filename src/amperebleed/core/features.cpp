@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "amperebleed/obs/obs.hpp"
-#include "amperebleed/util/simd_kernels.hpp"
 
 namespace amperebleed::core {
 
@@ -18,9 +17,7 @@ void standardize(std::vector<double>& xs) {
   // Mean and sum-of-squares accumulate in exactly stats::summarize's order
   // (sum += x, then ss += d*d over the same sequence), so mean/stddev — and
   // hence every standardized bit — match the pre-PR9 summarize-based
-  // version; we just skip its min/max bookkeeping. The transform itself
-  // goes through the dispatched elementwise kernel (sub + div only, so all
-  // SIMD tiers agree exactly; see DESIGN.md §14).
+  // version; we just skip its min/max bookkeeping.
   double sum = 0.0;
   for (double x : xs) sum += x;
   const double mean = sum / static_cast<double>(xs.size());
@@ -34,7 +31,7 @@ void standardize(std::vector<double>& xs) {
     for (double& x : xs) x = 0.0;
     return;
   }
-  util::simd::normalize(xs.data(), xs.size(), mean, stddev);
+  for (double& x : xs) x = (x - mean) / stddev;
 }
 
 void add_trace(ml::Dataset& dataset, const Trace& trace, int label,

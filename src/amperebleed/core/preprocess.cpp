@@ -7,7 +7,6 @@
 #include "amperebleed/core/trace.hpp"
 #include "amperebleed/obs/obs.hpp"
 #include "amperebleed/obs/quality.hpp"
-#include "amperebleed/util/simd_kernels.hpp"
 
 namespace amperebleed::core {
 
@@ -75,14 +74,13 @@ std::vector<double> fill_gaps(std::span<const double> values,
 
   if (policy == GapPolicy::HoldLast) {
     for (std::size_t i = 0; i < first_valid; ++i) out[i] = out[first_valid];
-    // Branchless forward fill: a pair of selects (cmov) instead of a
-    // data-dependent branch per sample — same values, no mispredicts on
-    // random gap patterns.
     double last = out[first_valid];
     for (std::size_t i = first_valid; i < out.size(); ++i) {
-      const double v = out[i];
-      last = validity[i] != 0 ? v : last;
-      out[i] = last;
+      if (validity[i] != 0) {
+        last = out[i];
+      } else {
+        out[i] = last;
+      }
     }
     return out;
   }
@@ -154,7 +152,14 @@ void detrend(std::vector<double>& xs) {
     slope = sxy / sxx;
     intercept = my - slope * mx;
   }
-  util::simd::remove_trend(xs.data(), xs.size(), slope, intercept);
+  // Deliberately unfused mul+add: the original detrend compiled this shape
+  // for baseline x86-64, where no FMA contraction is possible. A fused
+  // trend value differs by an ulp, and the subtraction below cancels —
+  // amplifying that ulp into the residual. Keeping two roundings is what
+  // keeps this bit-identical to core::reference::detrend.
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    xs[i] -= slope * static_cast<double>(i) + intercept;
+  }
 }
 
 std::vector<double> resample(std::span<const double> xs,

@@ -1,20 +1,31 @@
 #include "amperebleed/ml/forest_arena.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "amperebleed/util/simd.hpp"
 
 namespace amperebleed::ml {
 
 namespace {
+
+void zero_rows(std::vector<std::vector<double>>& out, std::size_t lo,
+               std::size_t hi, std::size_t classes) {
+  for (std::size_t r = lo; r < hi; ++r) out[r].assign(classes, 0.0);
+}
+
+void scale_rows(std::vector<std::vector<double>>& out, std::size_t lo,
+                std::size_t hi, double inv) {
+  for (std::size_t r = lo; r < hi; ++r) {
+    for (double& v : out[r]) v *= inv;
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
 
 constexpr std::size_t kLanes = ForestArena::kInterleaveLanes;
 
 /// Pack rows [lo, hi) into a feature-major lane-strided block:
 /// block[(g * width + f) * kLanes + lane] = rows[lo + g*kLanes + lane][f].
 /// Remainder lanes of the last group replicate the final row so the
-/// fixed-width lockstep walkers can always run kLanes lanes; the caller
+/// fixed-width lockstep walker can always run kLanes lanes; the caller
 /// only accumulates the real ones.
 void pack_rowblock(std::span<const std::span<const double>> rows,
                    std::size_t lo, std::size_t hi, std::size_t width,
@@ -33,151 +44,13 @@ void pack_rowblock(std::span<const std::span<const double>> rows,
   }
 }
 
-/// Branchless lockstep walk of kLanes rows through tree `t`: every lane
-/// advances by a select (cmov / vector blend) instead of a data-dependent
-/// branch; lanes that reached a leaf self-loop until the whole group is
-/// done. Pure comparisons — identical decisions to the branchy walk.
-void walk_lockstep_generic(const ForestArena& arena, std::size_t t,
-                           const double* rowblock, std::int32_t* leaf_idx) {
-  const std::int32_t* feat = arena.feature.data();
-  const double* thr = arena.threshold.data();
-  const std::int32_t* rgt = arena.right.data();
-  std::int32_t idx[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) idx[l] = arena.roots[t];
-  for (;;) {
-    bool any_internal = false;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const std::int32_t i = idx[l];
-      const std::int32_t f = feat[i];
-      const bool internal = f >= 0;
-      // Leaves gather feature 0 / garbage threshold; the final select
-      // discards the result, so the loads are safe and branch-free.
-      const std::size_t fs = internal ? static_cast<std::size_t>(f) : 0;
-      const double v = rowblock[fs * kLanes + l];
-      const std::int32_t next = v <= thr[i] ? i + 1 : rgt[i];
-      idx[l] = internal ? next : i;
-      any_internal |= internal;
-    }
-    if (!any_internal) break;
-  }
-  for (std::size_t l = 0; l < kLanes; ++l) leaf_idx[l] = idx[l];
+/// The one kernel choice in the library: the CPU, checked once per process.
+bool host_has_avx2() {
+  static const bool has_avx2 = __builtin_cpu_supports("avx2");
+  return has_avx2;
 }
 
-/// Quantized twin of walk_lockstep_generic over an int32 lane-packed block.
-void walk_lockstep_quantized(const ForestArena& arena, std::size_t t,
-                             const std::int32_t* qblock,
-                             std::int32_t* leaf_idx) {
-  const std::int32_t* feat = arena.feature.data();
-  const std::int16_t* qthr = arena.quantized.qthreshold.data();
-  const std::int32_t* rgt = arena.right.data();
-  std::int32_t idx[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) idx[l] = arena.roots[t];
-  for (;;) {
-    bool any_internal = false;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const std::int32_t i = idx[l];
-      const std::int32_t f = feat[i];
-      const bool internal = f >= 0;
-      const std::size_t fs = internal ? static_cast<std::size_t>(f) : 0;
-      const std::int32_t v = qblock[fs * kLanes + l];
-      const std::int32_t next =
-          v <= static_cast<std::int32_t>(qthr[i]) ? i + 1 : rgt[i];
-      idx[l] = internal ? next : i;
-      any_internal |= internal;
-    }
-    if (!any_internal) break;
-  }
-  for (std::size_t l = 0; l < kLanes; ++l) leaf_idx[l] = idx[l];
-}
-
-void zero_rows(std::vector<std::vector<double>>& out, std::size_t lo,
-               std::size_t hi, std::size_t classes) {
-  for (std::size_t r = lo; r < hi; ++r) out[r].assign(classes, 0.0);
-}
-
-void scale_rows(std::vector<std::vector<double>>& out, std::size_t lo,
-                std::size_t hi, double inv) {
-  for (std::size_t r = lo; r < hi; ++r) {
-    for (double& v : out[r]) v *= inv;
-  }
-}
-
-/// Shared trees-outer / lane-groups-inner batch driver for the lockstep
-/// kernels. `use_avx2` selects the gather/blend walker (x86-64 only).
-void lockstep_batch(const ForestArena& arena,
-                    std::span<const std::span<const double>> rows,
-                    std::size_t lo, std::size_t hi,
-                    std::vector<std::vector<double>>& out, bool use_avx2) {
-  const auto classes = static_cast<std::size_t>(arena.class_count);
-  zero_rows(out, lo, hi, classes);
-  const std::size_t width = rows[lo].size();
-  const std::size_t groups = (hi - lo + kLanes - 1) / kLanes;
-  thread_local std::vector<double> block;
-  pack_rowblock(rows, lo, hi, width, block);
-  std::int32_t leaf_idx[kLanes];
-  for (std::size_t t = 0; t < arena.roots.size(); ++t) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      const double* group_block = block.data() + g * width * kLanes;
-#if defined(__x86_64__) || defined(__i386__)
-      if (use_avx2) {
-        arena.walk_lockstep_avx2(t, group_block, leaf_idx);
-      } else {
-        walk_lockstep_generic(arena, t, group_block, leaf_idx);
-      }
-#else
-      static_cast<void>(use_avx2);
-      walk_lockstep_generic(arena, t, group_block, leaf_idx);
-#endif
-      const std::size_t real =
-          std::min(kLanes, hi - (lo + g * kLanes));
-      for (std::size_t lane = 0; lane < real; ++lane) {
-        const double* d =
-            arena.dists.data() + arena.right[leaf_idx[lane]];
-        double* acc = out[lo + g * kLanes + lane].data();
-        for (std::size_t c = 0; c < classes; ++c) acc[c] += d[c];
-      }
-    }
-  }
-  scale_rows(out, lo, hi, 1.0 / static_cast<double>(arena.roots.size()));
-}
-
-/// Quantized batch driver: rows quantize once per block (int32 lane-packed),
-/// then walk with int16-threshold integer compares.
-void quantized_batch(const ForestArena& arena,
-                     std::span<const std::span<const double>> rows,
-                     std::size_t lo, std::size_t hi,
-                     std::vector<std::vector<double>>& out) {
-  const auto classes = static_cast<std::size_t>(arena.class_count);
-  zero_rows(out, lo, hi, classes);
-  const std::size_t width = arena.quantized.lo.size();
-  const std::size_t groups = (hi - lo + kLanes - 1) / kLanes;
-  thread_local std::vector<std::int32_t> qblock;
-  qblock.resize(groups * width * kLanes);
-  for (std::size_t g = 0; g < groups; ++g) {
-    std::int32_t* base = qblock.data() + g * width * kLanes;
-    for (std::size_t lane = 0; lane < kLanes; ++lane) {
-      const std::size_t r = std::min(lo + g * kLanes + lane, hi - 1);
-      const double* src = rows[r].data();
-      for (std::size_t f = 0; f < width; ++f) {
-        base[f * kLanes + lane] = arena.quantize_value(f, src[f]);
-      }
-    }
-  }
-  std::int32_t leaf_idx[kLanes];
-  for (std::size_t t = 0; t < arena.roots.size(); ++t) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      walk_lockstep_quantized(arena, t, qblock.data() + g * width * kLanes,
-                              leaf_idx);
-      const std::size_t real = std::min(kLanes, hi - (lo + g * kLanes));
-      for (std::size_t lane = 0; lane < real; ++lane) {
-        const double* d = arena.dists.data() + arena.right[leaf_idx[lane]];
-        double* acc = out[lo + g * kLanes + lane].data();
-        for (std::size_t c = 0; c < classes; ++c) acc[c] += d[c];
-      }
-    }
-  }
-  scale_rows(out, lo, hi, 1.0 / static_cast<double>(arena.roots.size()));
-}
+#endif  // x86
 
 }  // namespace
 
@@ -187,16 +60,7 @@ void ForestArena::clear() {
   right.clear();
   dists.clear();
   roots.clear();
-  quantized.qthreshold.clear();
-  quantized.lo.clear();
-  quantized.scale.clear();
   class_count = 0;
-}
-
-std::size_t ForestArena::referenced_feature_count() const {
-  std::int32_t max_feature = -1;
-  for (const std::int32_t f : feature) max_feature = std::max(max_feature, f);
-  return static_cast<std::size_t>(max_feature + 1);
 }
 
 std::size_t ForestArena::bytes() const {
@@ -204,91 +68,11 @@ std::size_t ForestArena::bytes() const {
          threshold.capacity() * sizeof(double) +
          right.capacity() * sizeof(std::int32_t) +
          dists.capacity() * sizeof(double) +
-         roots.capacity() * sizeof(std::int32_t) +
-         quantized.qthreshold.capacity() * sizeof(std::int16_t) +
-         (quantized.lo.capacity() + quantized.scale.capacity()) *
-             sizeof(double);
-}
-
-void ForestArena::build_quantized() {
-  if (quantized.built()) return;
-  const std::size_t width = referenced_feature_count();
-  quantized.lo.assign(width, 0.0);
-  std::vector<double> hi(width, 0.0);
-  std::vector<char> seen(width, 0);
-  for (std::size_t i = 0; i < feature.size(); ++i) {
-    const std::int32_t f = feature[i];
-    if (f < 0) continue;
-    const auto fs = static_cast<std::size_t>(f);
-    const double t = threshold[i];
-    if (seen[fs] == 0) {
-      quantized.lo[fs] = t;
-      hi[fs] = t;
-      seen[fs] = 1;
-    } else {
-      quantized.lo[fs] = std::min(quantized.lo[fs], t);
-      hi[fs] = std::max(hi[fs], t);
-    }
-  }
-  quantized.scale.assign(width, 0.0);
-  for (std::size_t f = 0; f < width; ++f) {
-    if (seen[f] == 0) continue;  // never split on: any constant q works
-    double range = hi[f] - quantized.lo[f];
-    if (!(range > 0.0)) {
-      // Single distinct threshold: give the bucket a width proportional to
-      // the threshold's magnitude so nearby row values still separate.
-      range = std::max(std::abs(quantized.lo[f]) * 1e-3, 1e-6);
-    }
-    quantized.scale[f] = 65534.0 / range;
-  }
-  quantized.qthreshold.assign(feature.size(), 0);
-  for (std::size_t i = 0; i < feature.size(); ++i) {
-    const std::int32_t f = feature[i];
-    if (f < 0) continue;
-    const auto fs = static_cast<std::size_t>(f);
-    const double u =
-        std::floor((threshold[i] - quantized.lo[fs]) * quantized.scale[fs]);
-    const double clamped = std::min(std::max(u, 0.0), 65534.0);
-    quantized.qthreshold[i] =
-        static_cast<std::int16_t>(static_cast<std::int32_t>(clamped) - 32767);
-  }
-}
-
-std::int32_t ForestArena::quantize_value(std::size_t f, double x) const {
-  const double u = (x - quantized.lo[f]) * quantized.scale[f];
-  std::int32_t q_unshifted;
-  if (std::isnan(u)) {
-    // NaN compares false against every threshold in the exact kernel
-    // (ordered <=), i.e. always goes right: map above every bucket.
-    q_unshifted = 65535;
-  } else {
-    const double fu = std::floor(u);
-    if (fu < 0.0) {
-      q_unshifted = -1;  // below every stored threshold (also -inf)
-    } else if (fu > 65534.0) {
-      q_unshifted = 65535;  // above every stored threshold (also +inf)
-    } else {
-      q_unshifted = static_cast<std::int32_t>(fu);
-    }
-  }
-  return q_unshifted - 32767;
+         roots.capacity() * sizeof(std::int32_t);
 }
 
 void ForestArena::accumulate(const double* row, double* acc) const {
   const auto classes = static_cast<std::size_t>(class_count);
-  if (quantized.built()) {
-    thread_local std::vector<std::int32_t> qrow;
-    const std::size_t width = quantized.lo.size();
-    qrow.resize(width);
-    for (std::size_t f = 0; f < width; ++f) {
-      qrow[f] = quantize_value(f, row[f]);
-    }
-    for (std::size_t t = 0; t < roots.size(); ++t) {
-      const double* d = leaf_dist_quantized(t, qrow.data());
-      for (std::size_t c = 0; c < classes; ++c) acc[c] += d[c];
-    }
-    return;
-  }
   for (std::size_t t = 0; t < roots.size(); ++t) {
     const double* d = leaf_dist(t, row);
     for (std::size_t c = 0; c < classes; ++c) acc[c] += d[c];
@@ -299,27 +83,13 @@ void ForestArena::predict_proba_rows(
     std::span<const std::span<const double>> rows, std::size_t lo,
     std::size_t hi, std::vector<std::vector<double>>& out) const {
   if (lo >= hi) return;
-  if (quantized.built()) {
-    // The quantized walk is integer compares either way; the lockstep form
-    // serves every tier (decisions are tier-independent by construction).
-    quantized_batch(*this, rows, lo, hi, out);
+#if defined(__x86_64__) || defined(__i386__)
+  if (host_has_avx2()) {
+    predict_proba_rows_avx2(rows, lo, hi, out);
     return;
   }
-  switch (util::simd::active_tier()) {
-    case util::simd::SimdTier::kScalar:
-      predict_proba_rows_scalar(rows, lo, hi, out);
-      return;
-    case util::simd::SimdTier::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      predict_proba_rows_avx2(rows, lo, hi, out);
-      return;
-#else
-      [[fallthrough]];
 #endif
-    case util::simd::SimdTier::kInterleaved:
-      predict_proba_rows_interleaved(rows, lo, hi, out);
-      return;
-  }
+  predict_proba_rows_scalar(rows, lo, hi, out);
 }
 
 void ForestArena::predict_proba_rows_scalar(
@@ -341,17 +111,31 @@ void ForestArena::predict_proba_rows_scalar(
   scale_rows(out, lo, hi, 1.0 / static_cast<double>(roots.size()));
 }
 
-void ForestArena::predict_proba_rows_interleaved(
-    std::span<const std::span<const double>> rows, std::size_t lo,
-    std::size_t hi, std::vector<std::vector<double>>& out) const {
-  lockstep_batch(*this, rows, lo, hi, out, /*use_avx2=*/false);
-}
-
 #if defined(__x86_64__) || defined(__i386__)
 void ForestArena::predict_proba_rows_avx2(
     std::span<const std::span<const double>> rows, std::size_t lo,
     std::size_t hi, std::vector<std::vector<double>>& out) const {
-  lockstep_batch(*this, rows, lo, hi, out, /*use_avx2=*/true);
+  // Trees outer, lane groups inner, like the scalar kernel: every row still
+  // accumulates trees in order 0..T-1.
+  const auto classes = static_cast<std::size_t>(class_count);
+  zero_rows(out, lo, hi, classes);
+  const std::size_t width = rows[lo].size();
+  const std::size_t groups = (hi - lo + kLanes - 1) / kLanes;
+  thread_local std::vector<double> block;
+  pack_rowblock(rows, lo, hi, width, block);
+  std::int32_t leaf_idx[kLanes];
+  for (std::size_t t = 0; t < roots.size(); ++t) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      walk_lockstep_avx2(t, block.data() + g * width * kLanes, leaf_idx);
+      const std::size_t real = std::min(kLanes, hi - (lo + g * kLanes));
+      for (std::size_t lane = 0; lane < real; ++lane) {
+        const double* d = dists.data() + right[leaf_idx[lane]];
+        double* acc = out[lo + g * kLanes + lane].data();
+        for (std::size_t c = 0; c < classes; ++c) acc[c] += d[c];
+      }
+    }
+  }
+  scale_rows(out, lo, hi, 1.0 / static_cast<double>(roots.size()));
 }
 #endif
 

@@ -19,22 +19,16 @@
 // kernel (`predict_proba_rows`) streams the whole arena once per block of
 // rows instead of once per row.
 //
-// Batch traversal dispatches on util::simd::active_tier() (DESIGN.md §14):
-// the scalar tier walks one row at a time with a data-dependent branch, the
-// interleaved/AVX2 tiers walk kInterleaveLanes rows per tree in lockstep
-// with branchless mask/blend selects over a feature-major packed row block.
-// Traversal is pure comparisons and the per-row accumulation order (trees
-// ascending, classes ascending) never changes, so EVERY tier is
-// bit-identical to RandomForest::predict_proba_reference by construction —
-// enforced by the exact-equality dispatch sweep in
+// Batch traversal has exactly two kernels (DESIGN.md §14). The scalar one
+// walks one row at a time with a data-dependent branch; the AVX2 one walks
+// kInterleaveLanes rows per tree in lockstep with gather/blend selects over
+// a feature-major packed row block. predict_proba_rows takes AVX2 when the
+// CPU has it (checked once per process) and scalar otherwise; nothing else
+// steers the choice. Traversal is pure comparisons and the per-row
+// accumulation order (trees ascending, classes ascending) never changes, so
+// both kernels are bit-identical to RandomForest::predict_proba_reference
+// by construction — enforced by the exact-equality checks in
 // tests/ml/simd_dispatch_test.cpp.
-//
-// An explicit opt-in (ForestConfig::quantize_thresholds) additionally packs
-// int16-quantized thresholds: rows are quantized once per block and walked
-// with integer compares, halving the hot split metadata. Quantization is
-// monotone, so decisions can differ from the exact path only inside one
-// quantization bucket; the accuracy-delta gate lives in
-// tests/ml/quantized_test.cpp.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,9 +39,8 @@ namespace amperebleed::ml {
 
 struct ForestArena {
   static constexpr std::int32_t kLeaf = -1;
-  /// Rows walked in lockstep per tree by the branchless batch kernels. The
-  /// packed row block is always laid out with this stride
-  /// (block[f * kInterleaveLanes + lane]).
+  /// Rows walked in lockstep per tree by the AVX2 kernel. The packed row
+  /// block is laid out with this stride (block[f * kInterleaveLanes + lane]).
   static constexpr std::size_t kInterleaveLanes = 8;
 
   std::vector<std::int32_t> feature;   // kLeaf marks leaves
@@ -57,36 +50,13 @@ struct ForestArena {
   std::vector<std::int32_t> roots;     // arena index of each tree's root
   int class_count = 0;
 
-  /// Opt-in int16 threshold quantization (empty until build_quantized()).
-  /// Thresholds map per feature through the monotone affine transform
-  /// q(x) = clamp(floor((x - lo[f]) * scale[f]), 0, 65534) - 32767; row
-  /// values quantize through the same transform widened to int32 with
-  /// sentinels -32768 (below range / -inf) and +32768 (above range / NaN /
-  /// +inf), so q preserves <=-ordering against every stored threshold.
-  struct QuantizedThresholds {
-    std::vector<std::int16_t> qthreshold;  // per node; 0 at leaves
-    std::vector<double> lo;                // per feature
-    std::vector<double> scale;             // per feature
-    [[nodiscard]] bool built() const { return !qthreshold.empty(); }
-  };
-  QuantizedThresholds quantized;
-
   void clear();
   [[nodiscard]] bool empty() const { return roots.empty(); }
   [[nodiscard]] std::size_t tree_count() const { return roots.size(); }
   [[nodiscard]] std::size_t node_count() const { return feature.size(); }
-  /// 1 + the largest feature index referenced by any split (0 for a forest
-  /// of pure leaves).
-  [[nodiscard]] std::size_t referenced_feature_count() const;
   /// Total heap footprint of the packed arrays (the ml.forest.arena_bytes
   /// obs gauge).
   [[nodiscard]] std::size_t bytes() const;
-
-  /// Build the int16 quantized threshold table (per-feature affine range
-  /// from the thresholds actually present). Idempotent.
-  void build_quantized();
-  /// Quantize one row value for feature `f` (int32-widened transform above).
-  [[nodiscard]] std::int32_t quantize_value(std::size_t f, double x) const;
 
   /// Leaf class distribution (class_count doubles) reached by `row` in tree
   /// `t`. `row` must span at least the max feature index + 1.
@@ -101,47 +71,31 @@ struct ForestArena {
     return dists.data() + rgt[i];
   }
 
-  /// Quantized twin of leaf_dist: `qrow` holds quantize_value() per feature.
-  [[nodiscard]] const double* leaf_dist_quantized(
-      std::size_t t, const std::int32_t* qrow) const {
-    const std::int32_t* feat = feature.data();
-    const std::int16_t* qthr = quantized.qthreshold.data();
-    const std::int32_t* rgt = right.data();
-    std::int32_t i = roots[t];
-    while (feat[i] >= 0) {
-      i = qrow[feat[i]] <= static_cast<std::int32_t>(qthr[i]) ? i + 1 : rgt[i];
-    }
-    return dists.data() + rgt[i];
-  }
-
   /// Sum the leaf distributions of every tree (in tree order 0..T-1) into
   /// `acc` (class_count doubles, caller-zeroed) — the same accumulation
-  /// order as the naive per-tree loop, hence bit-identical sums. Uses the
-  /// quantized walk when build_quantized() ran.
+  /// order as the naive per-tree loop, hence bit-identical sums.
   void accumulate(const double* row, double* acc) const;
 
   /// Rows-outer, cache-blocked batch kernel: averages the per-tree leaf
   /// distributions of rows [lo, hi) into out[lo..hi). Within the block the
   /// tree loop is outer, so each tree's nodes stay cache-hot across the
   /// whole block while every row still accumulates trees in order 0..T-1.
-  /// Dispatches on util::simd::active_tier(); all tiers are bit-identical.
+  /// Runs the AVX2 kernel when the CPU has it, else the scalar one; both
+  /// are bit-identical.
   void predict_proba_rows(std::span<const std::span<const double>> rows,
                           std::size_t lo, std::size_t hi,
                           std::vector<std::vector<double>>& out) const;
 
-  // -- Per-tier kernel entry points (public so the dispatch-sweep and
-  //    property tests can pit them against each other directly; prefer
-  //    predict_proba_rows). All share the contract of predict_proba_rows.
+  // -- The two kernels (public so tests and micro benches can call each
+  //    one directly; prefer predict_proba_rows). Both share the contract
+  //    of predict_proba_rows.
   void predict_proba_rows_scalar(std::span<const std::span<const double>> rows,
                                  std::size_t lo, std::size_t hi,
                                  std::vector<std::vector<double>>& out) const;
-  void predict_proba_rows_interleaved(
-      std::span<const std::span<const double>> rows, std::size_t lo,
-      std::size_t hi, std::vector<std::vector<double>>& out) const;
 
 #if defined(__x86_64__) || defined(__i386__)
-  /// AVX2 gather/blend lockstep kernel (forest_arena_simd.cpp). Only call
-  /// when util::simd reports the avx2 tier available.
+  /// AVX2 gather/blend lockstep kernel. Only call when the CPU has AVX2
+  /// (__builtin_cpu_supports("avx2")).
   void predict_proba_rows_avx2(std::span<const std::span<const double>> rows,
                                std::size_t lo, std::size_t hi,
                                std::vector<std::vector<double>>& out) const;
@@ -149,7 +103,7 @@ struct ForestArena {
   /// Walk kInterleaveLanes rows (feature-major packed `rowblock`) through
   /// tree `t` in lockstep with AVX2 gathers; writes the reached leaf node
   /// index per lane. Implementation detail of predict_proba_rows_avx2,
-  /// exposed for the kernel-level tests.
+  /// compiled with target("avx2") in forest_arena_simd.cpp.
   void walk_lockstep_avx2(std::size_t t, const double* rowblock,
                           std::int32_t* leaf_idx) const;
 #endif

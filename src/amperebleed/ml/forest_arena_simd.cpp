@@ -1,11 +1,11 @@
 // AVX2 lockstep traversal kernel for ForestArena (DESIGN.md §14).
 //
 // Compiled for the baseline ISA with a per-function target("avx2")
-// attribute, so the binary still runs on non-AVX2 x86 hosts — util::simd
-// only selects the kAvx2 tier after a cpuid check. The kernel makes the
-// exact same comparisons as the scalar walk (`row[f] <= threshold` with
-// ordered semantics, so NaN always goes right), hence bit-identical
-// probabilities across tiers.
+// attribute, so the binary still runs on non-AVX2 x86 hosts —
+// ForestArena::predict_proba_rows only calls it after a cpuid check. The
+// kernel makes the exact same comparisons as the scalar walk
+// (`row[f] <= threshold` with ordered semantics, so NaN always goes right),
+// hence bit-identical probabilities to the scalar kernel.
 
 #if defined(__x86_64__) || defined(__i386__)
 

@@ -9,16 +9,6 @@
 
 namespace amperebleed::ml {
 
-namespace {
-
-/// Rows per block of the batched arena kernel: 16 rows of a few hundred
-/// features (~tens of KB) fit L1/L2 alongside one tree's nodes, and a block
-/// is also the parallel_for work item — large enough to amortize
-/// scheduling, small enough to load-balance across the pool.
-constexpr std::size_t kPredictRowBlock = 16;
-
-}  // namespace
-
 void RandomForest::fit(const Dataset& data) {
   if (data.empty()) throw std::invalid_argument("RandomForest::fit: empty data");
   if (config_.n_trees == 0) {
@@ -93,7 +83,6 @@ void RandomForest::fit(const Dataset& data) {
   arena_.dists.reserve(total_dists);
   arena_.roots.reserve(trees_.size());
   for (const auto& tree : trees_) tree.append_to(arena_);
-  if (config_.quantize_thresholds) arena_.build_quantized();
   obs::gauge_set("ml.forest.arena_bytes", static_cast<double>(arena_.bytes()));
 }
 
@@ -104,12 +93,6 @@ RandomForest RandomForest::from_arena(ForestConfig config, ForestArena arena) {
   RandomForest forest(config);
   forest.class_count_ = arena.class_count;
   forest.arena_ = std::move(arena);
-  // The quantized table is not persisted (pure function of the exact
-  // thresholds) — rebuild it so restored and fitted forests take the same
-  // predict path.
-  if (config.quantize_thresholds && !forest.arena_.quantized.built()) {
-    forest.arena_.build_quantized();
-  }
   obs::gauge_set("ml.forest.arena_bytes",
                  static_cast<double>(forest.arena_.bytes()));
   return forest;

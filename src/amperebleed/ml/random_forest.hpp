@@ -27,18 +27,17 @@ struct ForestConfig {
   TreeConfig tree{};
   bool bootstrap = true;
   std::uint64_t seed = 0x5eed;
-  /// Explicit opt-in: additionally pack int16-quantized split thresholds
-  /// into the arena and walk them with integer compares (halves the hot
-  /// split metadata). Quantization is monotone but lossy — predictions may
-  /// differ from the exact walk inside one quantization bucket — so this is
-  /// OFF by default and gated by the accuracy-delta test in
-  /// tests/ml/quantized_test.cpp. predict_proba_reference always stays
-  /// exact.
-  bool quantize_thresholds = false;
 };
 
 class RandomForest {
  public:
+  /// Rows per block of the batched arena kernel in predict_proba_many: 16
+  /// rows of a few hundred features (~tens of KB) fit L1/L2 alongside one
+  /// tree's nodes, and a block is also the parallel_for work item — large
+  /// enough to amortize scheduling, small enough to load-balance across the
+  /// pool.
+  static constexpr std::size_t kPredictRowBlock = 16;
+
   explicit RandomForest(ForestConfig config = {}) : config_(config) {}
 
   /// Fit on the full dataset. Throws on an empty dataset.
@@ -46,8 +45,7 @@ class RandomForest {
 
   /// Rebuild a forest from a persisted arena (persist/state.hpp): the
   /// arena-walk predict paths work exactly as on a freshly fitted forest —
-  /// bit-identical probabilities — and the quantized table is rebuilt when
-  /// the config asks for it. The per-tree pointer representation is NOT
+  /// bit-identical probabilities. The per-tree pointer representation is NOT
   /// restored, so predict_proba_reference throws std::logic_error on a
   /// restored forest (the arena paths are the production surface).
   /// Throws std::invalid_argument on an empty arena.

@@ -170,9 +170,7 @@ std::string env_value(const BenchRecord& record, const char* key) {
 
 void check_env(const BenchRecord& baseline, const BenchRecord& current,
                CompareReport& report) {
-  // simd_tier: numbers from different dispatch tiers (e.g. a forced-scalar
-  // leg vs auto) measure the kernel selection, not the code under test.
-  for (const char* key : {"hostname", "build_type", "simd_tier"}) {
+  for (const char* key : {"hostname", "build_type"}) {
     const std::string b = env_value(baseline, key);
     const std::string c = env_value(current, key);
     if (b != c && b != "unknown" && c != "unknown") {

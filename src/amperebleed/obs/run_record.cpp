@@ -7,8 +7,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "amperebleed/util/simd.hpp"
-
 namespace amperebleed::obs {
 
 const RunEnvironment& RunEnvironment::current() {
@@ -112,11 +110,6 @@ util::Json RunRecord::to_json() const {
   env.set("git_sha", util::Json::string(environment.git_sha));
   env.set("hostname", util::Json::string(environment.hostname));
   env.set("build_type", util::Json::string(environment.build_type));
-  // Read live (not cached in RunEnvironment): the tier may be overridden by
-  // --simd after static init, and cross-tier numbers must never compare as
-  // same-environment (bench_compare refuses on mismatch).
-  env.set("simd_tier",
-          util::Json::string(std::string(util::simd::active_tier_name())));
   root.set("env", std::move(env));
 
   auto numbers = util::Json::object();

@@ -36,8 +36,6 @@ inline constexpr std::uint16_t kKindProfile = 4;
 
 void encode_arena(Encoder& enc, const ml::ForestArena& arena);
 /// Decodes and structurally validates; the returned arena is safe to walk.
-/// The quantized threshold table is not serialized — callers rebuild it
-/// (build_quantized() is a pure function of the exact thresholds).
 [[nodiscard]] ml::ForestArena decode_arena(Decoder& dec);
 
 void encode_dataset(Encoder& enc, const ml::Dataset& data);

@@ -14,9 +14,18 @@ namespace {
 /// owns the pool), which also makes nested regions deadlock-free.
 thread_local int t_task_depth = 0;
 
+/// Cancellation flag of the region whose task this thread is executing
+/// (nullptr outside execute()).
+thread_local const std::atomic<bool>* t_cancelled = nullptr;
+
 }  // namespace
 
 bool ThreadPool::in_worker() { return t_task_depth > 0; }
+
+bool ThreadPool::cancellation_requested() {
+  return t_cancelled != nullptr &&
+         t_cancelled->load(std::memory_order_relaxed);
+}
 
 std::size_t ThreadPool::default_size() {
   if (const char* env = std::getenv("AMPEREBLEED_THREADS")) {
@@ -183,6 +192,8 @@ void ThreadPool::run(std::size_t n,
 
 void ThreadPool::execute(Region& region, bool instrumented, bool is_caller) {
   ++t_task_depth;
+  const std::atomic<bool>* const outer_cancelled = t_cancelled;
+  t_cancelled = &region.cancelled;
   if (instrumented) {
     const int occupied = occupancy_.fetch_add(1, std::memory_order_relaxed);
     obs::gauge_set("pool.active_workers", static_cast<double>(occupied + 1));
@@ -236,6 +247,7 @@ void ThreadPool::execute(Region& region, bool instrumented, bool is_caller) {
     const int occupied = occupancy_.fetch_sub(1, std::memory_order_relaxed);
     obs::gauge_set("pool.active_workers", static_cast<double>(occupied - 1));
   }
+  t_cancelled = outer_cancelled;
   --t_task_depth;
 }
 

@@ -75,6 +75,11 @@ class ThreadPool {
   /// True while the calling thread is executing inside a run() task.
   [[nodiscard]] static bool in_worker();
 
+  /// True when the calling thread is executing a run() task whose region
+  /// an exception has already cancelled. Long tasks may poll it to stop
+  /// early; it is false outside pooled tasks and in the serial fallback.
+  [[nodiscard]] static bool cancellation_requested();
+
   /// The process-wide pool used by util::parallel_for. Constructed on first
   /// use at default_size(); never re-created.
   static ThreadPool& global();

@@ -1,8 +1,7 @@
 // Property tests pitting the PR 9 rewritten preprocess/feature kernels
 // against their retained naive references (core::reference) over
 // adversarial inputs — NaN, ±Inf, denormals, constants, lengths
-// 0/1/non-multiple-of-lane-width — at every SIMD dispatch tier available
-// on the host (DESIGN.md §14).
+// 0/1/non-multiple-of-4.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +19,10 @@
 #include "amperebleed/core/preprocess_reference.hpp"
 #include "amperebleed/core/trace.hpp"
 #include "amperebleed/util/rng.hpp"
-#include "amperebleed/util/simd.hpp"
 
 namespace {
 
 using namespace amperebleed;
-namespace simd = util::simd;
 
 void expect_bitwise_equal(const std::vector<double>& got,
                           const std::vector<double>& want) {
@@ -38,8 +35,8 @@ void expect_bitwise_equal(const std::vector<double>& got,
   }
 }
 
-/// Adversarial vectors: the length set covers empty, single, sub-lane,
-/// exact-lane and lane+1 shapes for 4-wide AVX2 loops.
+/// Adversarial vectors: the length set covers empty, single, and lengths
+/// below, at and just past multiples of 4.
 std::vector<std::vector<double>> adversarial_inputs() {
   util::Rng rng(0xbad);
   std::vector<std::vector<double>> inputs;
@@ -69,35 +66,27 @@ std::vector<std::vector<double>> adversarial_inputs() {
   return inputs;
 }
 
-TEST(PreprocessSimd, StandardizeMatchesReferenceAtAllTiers) {
+TEST(PreprocessSimd, StandardizeMatchesReference) {
   for (const auto& input : adversarial_inputs()) {
     auto want = input;
     core::reference::standardize(want);
-    for (const simd::SimdTier tier : simd::available_tiers()) {
-      simd::ScopedTier scoped(tier);
-      auto got = input;
-      core::standardize(got);
-      SCOPED_TRACE(std::string("tier=") + std::string(simd::tier_name(tier)) +
-                   " n=" + std::to_string(input.size()));
-      expect_bitwise_equal(got, want);
-    }
+    auto got = input;
+    core::standardize(got);
+    SCOPED_TRACE("n=" + std::to_string(input.size()));
+    expect_bitwise_equal(got, want);
   }
 }
 
-TEST(PreprocessSimd, DetrendMatchesReferenceAtAllTiers) {
+TEST(PreprocessSimd, DetrendMatchesReference) {
   for (const auto& input : adversarial_inputs()) {
     auto want = input;
     core::reference::detrend(want);
-    for (const simd::SimdTier tier : simd::available_tiers()) {
-      simd::ScopedTier scoped(tier);
-      auto got = input;
-      core::detrend(got);
-      SCOPED_TRACE(std::string("tier=") + std::string(simd::tier_name(tier)) +
-                   " n=" + std::to_string(input.size()));
-      // Bit-identical: the fit replicates linear_fit's accumulation order
-      // and remove_trend keeps the apply unfused in every tier.
-      expect_bitwise_equal(got, want);
-    }
+    auto got = input;
+    core::detrend(got);
+    SCOPED_TRACE("n=" + std::to_string(input.size()));
+    // Bit-identical: the fit replicates linear_fit's accumulation order
+    // and the trend is applied unfused.
+    expect_bitwise_equal(got, want);
   }
 }
 

@@ -6,13 +6,15 @@
 #include <cstdio>
 #include <fstream>
 
+#include "support/temp_path.hpp"
+
 namespace amperebleed::core {
 namespace {
 
 class TraceIoTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "trace_io_test.csv";
+  std::string path_ = test::temp_path("trace.csv");
 };
 
 Trace make_trace() {

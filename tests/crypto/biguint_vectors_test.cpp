@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 #include "amperebleed/crypto/biguint.hpp"
 
 namespace amperebleed::crypto {
@@ -28,6 +31,13 @@ constexpr Vector kVectors[] = {
 {"c7154f271fb661b44669165f4bb19d02701861c0d092e07f84eb1e73c7f3c8a0bbc9a6e0708963bb2b833e28e1ae6a00984c6df8d13d74f3dec4ac46", "d72f9ed454f1e81a644d9287a0eabff0689ae11e956a7dc4e145896fa19d466a94427d2f84ea0f", "a757ede7aa5fce0b5ab43393a9752e7319aacb80d740c4185bb621462f7622edb26d65bb97e6d228a4abd6fc83d6dfd7563ec87dc0e78159263a3f3d233bffde26f4fea5ad4cad77ce1df3bed87e9e0ce1b38e843c8d62ff8d49ae920fe7218116141a", "ecd7d111fa1faf2ce55dc172003d8373f535c50785", "b6da6b5ce8dfb2d2cabdf5757b1d748aaa598acadcb470fb7e57d4061a8cadc733aa8553c5a97b"},
 };
 // clang-format on
+
+// Names each case by the leading hex digits of `a` (distinct across the
+// table). Without it gtest prints the struct's raw pointer bytes, which
+// change from run to run and so give the discovered tests unstable names.
+void PrintTo(const Vector& v, std::ostream* os) {
+  *os << std::string_view(v.a).substr(0, 16);
+}
 
 class BigUIntVectors : public ::testing::TestWithParam<Vector> {};
 

@@ -1,30 +1,29 @@
-// Exact-equality dispatch sweep for the ForestArena SIMD tiers (DESIGN.md
-// §14): every tier available on the host must produce BIT-IDENTICAL
+// Exact-equality checks for the two ForestArena kernels (DESIGN.md §14):
+// the scalar kernel, the AVX2 kernel when the CPU has it, and the
+// dispatched predict_proba_many must all produce BIT-IDENTICAL
 // probabilities to the retained per-tree pointer walk
 // (predict_proba_reference), over adversarial rows (NaN, ±Inf, denormals,
 // constants), every block-remainder shape, and multiple pool sizes.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "amperebleed/ml/dataset.hpp"
 #include "amperebleed/ml/forest_arena.hpp"
 #include "amperebleed/ml/random_forest.hpp"
 #include "amperebleed/util/rng.hpp"
-#include "amperebleed/util/simd.hpp"
 #include "amperebleed/util/thread_pool.hpp"
 
 namespace {
 
 using namespace amperebleed;
-namespace simd = util::simd;
 
 constexpr std::size_t kFeatures = 40;
 
@@ -55,7 +54,7 @@ const ml::RandomForest& forest() {
 }
 
 /// Prediction rows including every adversarial shape the kernels must agree
-/// on: NaN (compares false -> go right in all tiers), ±Inf, denormals,
+/// on: NaN (compares false -> go right in both kernels), ±Inf, denormals,
 /// constant rows, and ordinary Gaussian rows.
 std::vector<std::vector<double>> adversarial_rows(std::size_t count) {
   util::Rng rng(0xad5e);
@@ -123,29 +122,49 @@ class PoolSizeGuard {
   std::size_t before_;
 };
 
-// Every available tier, every remainder shape (row counts around the
-// 8-lane / 16-row block sizes), bit-identical to predict_proba_reference.
+using Kernel = void (ml::ForestArena::*)(
+    std::span<const std::span<const double>>, std::size_t, std::size_t,
+    std::vector<std::vector<double>>&) const;
+
+/// The kernels this host can run, by name: scalar always, AVX2 when the CPU
+/// has it.
+std::vector<std::pair<std::string, Kernel>> host_kernels() {
+  std::vector<std::pair<std::string, Kernel>> kernels{
+      {"scalar", &ml::ForestArena::predict_proba_rows_scalar}};
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) {
+    kernels.emplace_back("avx2", &ml::ForestArena::predict_proba_rows_avx2);
+  }
+#endif
+  return kernels;
+}
+
+std::vector<std::vector<double>> reference_probas(
+    const std::vector<std::vector<double>>& rows) {
+  std::vector<std::vector<double>> expected;
+  expected.reserve(rows.size());
+  for (const auto& row : rows) {
+    expected.push_back(forest().predict_proba_reference(row));
+  }
+  return expected;
+}
+
+// Both kernels, every remainder shape (row counts around the 8-lane /
+// 16-row block sizes), bit-identical to predict_proba_reference.
 TEST(SimdDispatch, AllTiersMatchReferenceExactly) {
-  const auto& f = forest();
+  const auto& arena = forest().arena();
   for (const std::size_t count : {std::size_t{1}, std::size_t{7},
                                   std::size_t{8}, std::size_t{9},
                                   std::size_t{16}, std::size_t{17},
                                   std::size_t{48}}) {
     const auto rows = adversarial_rows(count);
     const auto spans = as_spans(rows);
-    std::vector<std::vector<double>> expected;
-    expected.reserve(count);
-    for (const auto& row : rows) {
-      expected.push_back(f.predict_proba_reference(row));
-    }
-    for (const simd::SimdTier tier : simd::available_tiers()) {
-      simd::ScopedTier scoped(tier);
-      const auto got = f.predict_proba_many(spans);
-      ASSERT_EQ(got.size(), expected.size());
-      for (std::size_t r = 0; r < got.size(); ++r) {
-        SCOPED_TRACE(std::string("tier=") +
-                     std::string(simd::tier_name(tier)) +
-                     " rows=" + std::to_string(count) +
+    const auto expected = reference_probas(rows);
+    for (const auto& [name, kernel] : host_kernels()) {
+      std::vector<std::vector<double>> got(count);
+      (arena.*kernel)(spans, 0, count, got);
+      for (std::size_t r = 0; r < count; ++r) {
+        SCOPED_TRACE(name + " rows=" + std::to_string(count) +
                      " row=" + std::to_string(r));
         expect_bitwise_equal(got[r], expected[r]);
       }
@@ -153,74 +172,50 @@ TEST(SimdDispatch, AllTiersMatchReferenceExactly) {
   }
 }
 
-// Empty batch: every tier returns an empty result without touching rows.
+// Empty batch: the dispatched path returns an empty result without
+// touching rows.
 TEST(SimdDispatch, EmptyBatch) {
-  const auto& f = forest();
-  for (const simd::SimdTier tier : simd::available_tiers()) {
-    simd::ScopedTier scoped(tier);
-    EXPECT_TRUE(f.predict_proba_many({}).empty());
-  }
+  EXPECT_TRUE(forest().predict_proba_many({}).empty());
 }
 
-// Kernel-level pit: the per-tier arena entry points against each other on
-// the same pre-sized output, bypassing predict_proba_many's dispatch.
+// Sub-range contract: each kernel fills exactly out[lo, hi), matching the
+// reference there, and leaves every other slot untouched.
 TEST(SimdDispatch, KernelEntryPointsAgree) {
   const auto& arena = forest().arena();
   const auto rows = adversarial_rows(21);
   const auto spans = as_spans(rows);
-
-  std::vector<std::vector<double>> scalar_out(rows.size());
-  arena.predict_proba_rows_scalar(spans, 0, rows.size(), scalar_out);
-
-  std::vector<std::vector<double>> inter_out(rows.size());
-  arena.predict_proba_rows_interleaved(spans, 0, rows.size(), inter_out);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    SCOPED_TRACE("interleaved row=" + std::to_string(r));
-    expect_bitwise_equal(inter_out[r], scalar_out[r]);
-  }
-
-#if defined(__x86_64__) || defined(__i386__)
-  const auto tiers = simd::available_tiers();
-  if (std::find(tiers.begin(), tiers.end(), simd::SimdTier::kAvx2) !=
-      tiers.end()) {
-    std::vector<std::vector<double>> avx2_out(rows.size());
-    arena.predict_proba_rows_avx2(spans, 0, rows.size(), avx2_out);
+  const auto expected = reference_probas(rows);
+  for (const auto& [name, kernel] : host_kernels()) {
+    std::vector<std::vector<double>> partial(rows.size());
+    (arena.*kernel)(spans, 3, 11, partial);
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      SCOPED_TRACE("avx2 row=" + std::to_string(r));
-      expect_bitwise_equal(avx2_out[r], scalar_out[r]);
+      SCOPED_TRACE(name + " row=" + std::to_string(r));
+      if (r >= 3 && r < 11) {
+        expect_bitwise_equal(partial[r], expected[r]);
+      } else {
+        EXPECT_TRUE(partial[r].empty());
+      }
     }
   }
-#endif
-
-  // Sub-range contract: kernels only touch out[lo, hi).
-  std::vector<std::vector<double>> partial(rows.size());
-  arena.predict_proba_rows_interleaved(spans, 3, 11, partial);
-  for (std::size_t r = 3; r < 11; ++r) {
-    expect_bitwise_equal(partial[r], scalar_out[r]);
-  }
-  EXPECT_TRUE(partial[0].empty());
-  EXPECT_TRUE(partial[11].empty());
 }
 
-// Pool-size sweep at the best tier: batched inference is bit-identical at
-// any thread count (blocks are independent; within a block nothing changes).
+// Pool-size sweep through the dispatched predict_proba_many: bit-identical
+// to the reference at 1/4/8 threads (blocks are independent; within a block
+// nothing changes).
 TEST(SimdDispatch, PoolSizesBitIdentical) {
   PoolSizeGuard guard;
-  const auto& f = forest();
   const auto rows = adversarial_rows(33);
   const auto spans = as_spans(rows);
-  simd::ScopedTier scoped(simd::detect_best_tier());
-
-  util::ThreadPool::set_global_threads(1);
-  const auto serial = f.predict_proba_many(spans);
-  for (const std::size_t threads : {std::size_t{4}, std::size_t{8}}) {
+  const auto expected = reference_probas(rows);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     util::ThreadPool::set_global_threads(threads);
-    const auto parallel = f.predict_proba_many(spans);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t r = 0; r < serial.size(); ++r) {
+    const auto got = forest().predict_proba_many(spans);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t r = 0; r < expected.size(); ++r) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " row=" + std::to_string(r));
-      expect_bitwise_equal(parallel[r], serial[r]);
+      expect_bitwise_equal(got[r], expected[r]);
     }
   }
 }

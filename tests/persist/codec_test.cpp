@@ -156,12 +156,10 @@ ml::Dataset make_dataset(std::size_t features = 12, std::size_t rows = 24,
   return data;
 }
 
-ml::RandomForest make_forest(const ml::Dataset& data,
-                             bool quantize = false) {
+ml::RandomForest make_forest(const ml::Dataset& data) {
   ml::ForestConfig config;
   config.n_trees = 8;
   config.seed = 0x5eed;
-  config.quantize_thresholds = quantize;
   ml::RandomForest forest(config);
   forest.fit(data);
   return forest;
@@ -212,23 +210,6 @@ TEST(StateCodec, ForestRoundTripPredictsBitIdentically) {
           << "proba differs at row " << r << " class " << c;
     }
   }
-}
-
-TEST(StateCodec, QuantizedTableIsRebuiltOnRestore) {
-  const ml::Dataset data = make_dataset();
-  const ml::RandomForest forest = make_forest(data, /*quantize=*/true);
-  ASSERT_TRUE(forest.arena().quantized.built());
-
-  // The quantized table never travels; from_arena rebuilds it on demand.
-  const ml::ForestArena arena =
-      decode_forest_file(encode_forest_file(forest.arena()), "forest.bin");
-  EXPECT_FALSE(arena.quantized.built());
-  const ml::RandomForest restored =
-      ml::RandomForest::from_arena(forest.config(), arena);
-  EXPECT_TRUE(restored.arena().quantized.built());
-
-  const auto row = data.row(0);
-  EXPECT_EQ(restored.predict_proba(row), forest.predict_proba(row));
 }
 
 TEST(StateCodec, ReferenceWalkIsUnavailableOnRestoredForest) {

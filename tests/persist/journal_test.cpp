@@ -9,6 +9,7 @@
 #include "amperebleed/faults/faults.hpp"
 #include "amperebleed/persist/state.hpp"
 #include "amperebleed/util/fs.hpp"
+#include "support/temp_path.hpp"
 
 namespace amperebleed::persist {
 namespace {
@@ -20,7 +21,7 @@ class JournalTest : public ::testing::Test {
     faults::storage_points_reset();
     std::remove(path_.c_str());
   }
-  std::string path_ = ::testing::TempDir() + "journal_test.bin";
+  std::string path_ = test::temp_path("journal.bin");
 };
 
 JournalRecord make_record(std::uint64_t seq, JournalOp op = JournalOp::Enroll,

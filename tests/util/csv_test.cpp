@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/temp_path.hpp"
+
 namespace amperebleed::util {
 namespace {
 
@@ -19,7 +21,7 @@ std::string read_all(const std::string& path) {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "csv_test_out.csv";
+  std::string path_ = test::temp_path("out.csv");
 };
 
 TEST_F(CsvTest, WritesPlainRows) {

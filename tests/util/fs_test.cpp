@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hpp"
+
 namespace amperebleed::util {
 namespace {
 
@@ -17,7 +19,7 @@ class FsTest : public ::testing::Test {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
   }
-  std::string path_ = ::testing::TempDir() + "fs_test_out.bin";
+  std::string path_ = test::temp_path("out.bin");
 };
 
 TEST_F(FsTest, AtomicWriteThenReadRoundTrips) {

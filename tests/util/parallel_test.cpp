@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace amperebleed::util {
@@ -61,22 +63,34 @@ TEST(ParallelFor, FailFastCancelsRemainingSweep) {
   // host's core count, then restore the previous size.
   const std::size_t before = ThreadPool::global().size();
   ThreadPool::set_global_threads(4);
-  std::atomic<bool> thrown{false};
-  std::atomic<int> started_after_throw{0};
+  // Index 0 throws only once all 4 executors hold a task, and those tasks
+  // wait for the cancellation, so the count does not depend on thread
+  // timing or on how long the throw takes to unwind. The deadline turns a
+  // missing cancellation into a failure rather than a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<int> executed{0};
   EXPECT_THROW(
       parallel_for(2000,
                    [&](std::size_t i) {
+                     ++executed;
                      if (i == 0) {
-                       thrown = true;
+                       while (executed.load() < 4 &&
+                              std::chrono::steady_clock::now() < deadline) {
+                         std::this_thread::yield();
+                       }
                        throw std::invalid_argument("stop");
                      }
-                     if (thrown) ++started_after_throw;
+                     while (!ThreadPool::cancellation_requested() &&
+                            std::chrono::steady_clock::now() < deadline) {
+                       std::this_thread::yield();
+                     }
                    }),
       std::invalid_argument);
-  // With 4 participants, at most the 3 non-throwing executors can have a
-  // task in flight when the cancellation flag flips; everything else must
-  // be skipped, not executed.
-  EXPECT_LE(started_after_throw.load(), 3);
+  // With 4 participants, only the 3 non-throwing executors' in-flight tasks
+  // may run besides the thrower; everything else must be skipped, not
+  // executed.
+  EXPECT_EQ(executed.load(), 4);
   ThreadPool::set_global_threads(before);
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "amperebleed/obs/obs.hpp"
@@ -88,22 +91,45 @@ TEST(ThreadPool, ExceptionIsRethrownOnCaller) {
 }
 
 TEST(ThreadPool, CancellationStopsTasksAfterTheThrow) {
-  // Fail-fast contract: once a task has thrown, at most the tasks already
-  // in flight (one per other participant) may still start.
+  // Fail-fast contract: once a task has thrown, only the tasks already in
+  // flight (one per other participant) may finish; nothing else starts.
+  // Task 0 throws only once all 4 participants hold a task, and those tasks
+  // wait for the cancellation, so the count does not depend on thread
+  // timing or on how long the throw takes to unwind. The deadline turns a
+  // pool that never cancels into a failure rather than a hang.
   ThreadPool pool(4);
-  std::atomic<bool> thrown{false};
-  std::atomic<int> started_after_throw{0};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<int> executed{0};
   const std::function<void(std::size_t)> fn = [&](std::size_t i) {
+    ++executed;
     if (i == 0) {
-      thrown = true;
+      while (executed.load() < 4 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
       throw std::runtime_error("cancel the sweep");
     }
-    if (thrown) ++started_after_throw;
+    while (!ThreadPool::cancellation_requested() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
   };
   EXPECT_THROW(pool.run(2000, fn), std::runtime_error);
-  // 4 participants: the thrower plus at most 3 tasks that had already
-  // passed their cancellation check when the flag flipped.
-  EXPECT_LE(started_after_throw.load(), 3);
+  // The thrower plus the 3 tasks in flight when the flag flipped.
+  EXPECT_EQ(executed.load(), 4);
+}
+
+TEST(ThreadPool, CancellationRequestedIsFalseOutsideACancelledRegion) {
+  EXPECT_FALSE(ThreadPool::cancellation_requested());
+  ThreadPool pool(4);
+  std::atomic<int> seen{0};
+  const std::function<void(std::size_t)> fn = [&](std::size_t) {
+    if (ThreadPool::cancellation_requested()) ++seen;
+  };
+  pool.run(256, fn);
+  EXPECT_EQ(seen.load(), 0);
+  EXPECT_FALSE(ThreadPool::cancellation_requested());
 }
 
 TEST(ThreadPool, ResizeChangesExecutorCount) {
