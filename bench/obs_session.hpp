@@ -17,9 +17,10 @@
 //                          the bench runs: GET /metrics (Prometheus text),
 //                          /healthz, /runrecord, /flamegraph, /slo. N=0
 //                          picks a free port (printed to stderr).
-//   --snapshot-out PATH    enable obs; periodically write a JSON telemetry
-//                          snapshot to PATH (atomic rename) while running
-//   --flush-interval-ms N  exporter flush/snapshot cadence (default 500)
+//   --snapshot-out PATH    enable obs; rewrite the metrics snapshot (the
+//                          --metrics-out JSON) to PATH every 500 ms while
+//                          running and once at finish (atomic rename). A
+//                          bad PATH fails at start-up.
 //   --record-out PATH      run-record path (default BENCH_<name>.json)
 //   --no-record            skip the run record entirely
 //   --threads N            size the global util::ThreadPool to N executors
@@ -29,7 +30,7 @@
 //                          at any setting; only wall-clock changes.
 //
 // With none of the obs flags present, instrumentation stays disabled (the
-// library's default), no exporter or HTTP thread is ever started, and the
+// library's default), no snapshot or HTTP thread is ever started, and the
 // bench's stdout/CSV output is bit-identical to an uninstrumented build;
 // only the small BENCH_<name>.json run record is written. Usage:
 //
@@ -39,13 +40,18 @@
 //   session.finish();   // also runs from the destructor
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <utility>
 
-#include "amperebleed/obs/exporter.hpp"
 #include "amperebleed/obs/http_exporter.hpp"
 #include "amperebleed/obs/obs.hpp"
 #include "amperebleed/obs/quality.hpp"
@@ -108,19 +114,14 @@ class ObsSession {
                      .threshold = 5.0e7,   // 50 ms wall per classify unit
                      .target = 0.95});
 
-    // Live export layer: only spun up when explicitly requested, so the
-    // default path never starts a thread.
-    if (want_serve || !snapshot_out_.empty()) {
-      obs::ExporterConfig config;
-      config.flush_interval_ms =
-          static_cast<int>(args.get_int("flush-interval-ms", 500));
-      exporter_ =
-          std::make_unique<obs::Exporter>(obs::metrics(), config);
-      if (!snapshot_out_.empty()) {
-        exporter_->add_sink(
-            std::make_unique<obs::SnapshotSink>(snapshot_out_));
-      }
-      exporter_->start();
+    // Live export: threads only when explicitly requested, so the default
+    // path never starts one. The first snapshot is written here, on the
+    // main thread, so a bad --snapshot-out path throws before the
+    // experiment runs.
+    if (!snapshot_out_.empty()) {
+      obs::metrics().write_snapshot(snapshot_out_);
+      snapshot_thread_ = std::jthread(
+          [this](const std::stop_token& stop) { snapshot_loop(stop); });
     }
     if (want_serve) {
       obs::HttpExporter::Config http_config;
@@ -139,10 +140,8 @@ class ObsSession {
       // stderr so bench stdout stays exactly the experiment's output.
       std::fprintf(stderr,
                    "obs: serving /metrics /healthz /runrecord /flamegraph "
-                   "/slo /quality on http://127.0.0.1:%d (flush every %d "
-                   "ms)\n",
-                   http_->port(),
-                   exporter_ ? exporter_->config().flush_interval_ms : 0);
+                   "/slo /quality on http://127.0.0.1:%d\n",
+                   http_->port());
     }
   }
 
@@ -160,10 +159,13 @@ class ObsSession {
   void finish() {
     if (finished_) return;
     finished_ = true;
-    // Stop serving before tearing down data: the exporter drains its ring
-    // (graceful shutdown), then the final snapshots are written.
+    // Stop the live readers first, so the final snapshots below are the
+    // last writes.
     if (http_) http_->stop();
-    if (exporter_) exporter_->stop();
+    if (snapshot_thread_.joinable()) {
+      snapshot_thread_.request_stop();
+      snapshot_thread_.join();
+    }
     // Close the bench root span before any trace-derived output: the
     // collapsed-stack folder and the Chrome trace only see finished spans.
     root_span_.finish();
@@ -229,6 +231,7 @@ class ObsSession {
           static_cast<std::int64_t>(dq.gap_filled_total()));
     }
     if (!metrics_out_.empty()) obs::metrics().write_snapshot(metrics_out_);
+    if (!snapshot_out_.empty()) obs::metrics().write_snapshot(snapshot_out_);
     if (!trace_out_.empty()) obs::tracer().write_chrome_trace(trace_out_);
     if (!audit_out_.empty()) obs::audit_log().write_json(audit_out_);
     if (!profile_out_.empty()) {
@@ -242,6 +245,27 @@ class ObsSession {
   }
 
  private:
+  static constexpr std::chrono::milliseconds kSnapshotInterval{500};
+
+  /// Rewrites --snapshot-out every kSnapshotInterval until stopped. A
+  /// failed write is reported once and ends the periodic writes; the
+  /// final write in finish() then throws like --metrics-out does.
+  void snapshot_loop(const std::stop_token& stop) {
+    std::mutex mu;
+    std::condition_variable_any wake;  // only a stop request notifies it
+    std::unique_lock lock(mu);
+    while (!wake.wait_for(lock, stop, kSnapshotInterval,
+                          [&stop] { return stop.stop_requested(); })) {
+      try {
+        obs::metrics().write_snapshot(snapshot_out_);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "obs: periodic --snapshot-out stopped: %s\n",
+                     e.what());
+        return;
+      }
+    }
+  }
+
   /// Median estimate from the timeline's latency buckets: the upper bound
   /// of the bucket holding the count midpoint (0 when empty).
   [[nodiscard]] static double approx_p50_ns(
@@ -267,11 +291,13 @@ class ObsSession {
   std::string profile_out_;
   std::string snapshot_out_;
   std::string record_out_;
-  std::unique_ptr<obs::Exporter> exporter_;
   std::unique_ptr<obs::HttpExporter> http_;
   obs::ScopedSpan root_span_;  // inert unless obs was enabled
   bool write_record_ = true;
   bool finished_ = false;
+  // Last member: destroyed (stopped and joined) first if the constructor
+  // throws after starting it, while snapshot_out_ is still alive.
+  std::jthread snapshot_thread_;
 };
 
 }  // namespace amperebleed::bench

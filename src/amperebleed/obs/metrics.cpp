@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 
+#include "amperebleed/util/fs.hpp"
 #include "amperebleed/util/strings.hpp"
 
 namespace amperebleed::obs {
@@ -341,13 +341,9 @@ std::string MetricsRegistry::to_csv() const {
 }
 
 void MetricsRegistry::write_snapshot(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("MetricsRegistry: cannot open '" + path + "'");
-  }
   const bool csv =
       path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  out << (csv ? to_csv() : to_json().dump(2) + "\n");
+  util::atomic_write_file(path, csv ? to_csv() : to_json().dump(2) + "\n");
 }
 
 void MetricsRegistry::reset() {

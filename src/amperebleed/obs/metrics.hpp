@@ -160,7 +160,9 @@ class MetricsRegistry {
   /// Flat CSV: kind,name,field,value — one row per exported scalar.
   [[nodiscard]] std::string to_csv() const;
 
-  /// Write to_json() (pretty-printed) or to_csv() if `path` ends in ".csv".
+  /// Write to_json() (pretty-printed) or to_csv() if `path` ends in ".csv",
+  /// through util::atomic_write_file: readers see the old file or the new
+  /// one, never a torn one. Throws std::runtime_error on any IO failure.
   void write_snapshot(const std::string& path) const;
 
   /// Drop every instrument. Invalidates previously returned references.

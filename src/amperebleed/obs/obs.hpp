@@ -21,7 +21,6 @@
 
 #include "amperebleed/obs/audit.hpp"
 #include "amperebleed/obs/context.hpp"
-#include "amperebleed/obs/exporter.hpp"
 #include "amperebleed/obs/metrics.hpp"
 #include "amperebleed/obs/profile.hpp"
 #include "amperebleed/obs/slo.hpp"
@@ -91,19 +90,16 @@ AccessAuditLog& audit_log();
 inline void count(const char* name, std::uint64_t n = 1) {
   if (!metrics_enabled()) return;
   metrics().counter(name).inc(n);
-  export_event(ExportEvent::Kind::CounterAdd, name, static_cast<double>(n));
 }
 
 inline void gauge_set(const char* name, double v) {
   if (!metrics_enabled()) return;
   metrics().gauge(name).set(v);
-  export_event(ExportEvent::Kind::GaugeSet, name, v);
 }
 
 inline void observe(const char* name, double v) {
   if (!metrics_enabled()) return;
   metrics().histogram(name).observe(v);
-  export_event(ExportEvent::Kind::HistogramObserve, name, v);
 }
 
 /// A wall-clock span against the global tracer; inert when tracing is off.

@@ -4,8 +4,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "amperebleed/obs/exporter.hpp"
-
 namespace amperebleed::obs {
 
 namespace {
@@ -36,8 +34,6 @@ void SpanTracer::add_event(TraceEvent event) {
 void SpanTracer::add_virtual_span(
     std::string name, std::string category, sim::TimeNs start,
     sim::TimeNs duration, std::vector<std::pair<std::string, double>> args) {
-  export_event(ExportEvent::Kind::SpanEnd, name.c_str(),
-               static_cast<double>(duration.ns) * 1e-3);
   TraceEvent e;
   e.name = std::move(name);
   e.category = std::move(category);
@@ -250,10 +246,6 @@ void ScopedSpan::finish() {
     installed_ = false;
   }
   TraceEvent e;
-  // Feed the live exporter (no-op unless an Exporter is attached) before
-  // name_ is moved into the trace event.
-  export_event(ExportEvent::Kind::SpanEnd, name_.c_str(),
-               tracer_->wall_now_us() - start_us_);
   e.name = std::move(name_);
   e.category = std::move(category_);
   e.clock = SpanClock::Wall;

@@ -1,6 +1,6 @@
 #pragma once
-// Small filesystem helpers shared by the obs snapshot sink and the persist
-// durability layer. The centerpiece is atomic_write_file: write-temp +
+// Small filesystem helpers shared by the obs metrics snapshots and the
+// persist durability layer. The centerpiece is atomic_write_file: write-temp +
 // fsync + rename, so a reader (or a crash-recovery scan) either sees the
 // previous complete file or the new complete file, never a torn one.
 

@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "amperebleed/obs/obs.hpp"
+#include "amperebleed/util/fs.hpp"
 #include "amperebleed/util/json.hpp"
 #include "amperebleed/util/rng.hpp"
+#include "support/temp_path.hpp"
 
 namespace amperebleed::obs {
 namespace {
@@ -157,7 +161,10 @@ TEST(MetricsRegistry, JsonSnapshotParsesBack) {
   reg.counter("reads").inc(7);
   reg.gauge("temp").set(42.5);
   reg.histogram("lat").observe(150.0);
-  const auto parsed = util::Json::parse(reg.to_json().dump());
+  const std::string path = test::temp_path("metrics.json");
+  reg.write_snapshot(path);
+  EXPECT_FALSE(util::path_exists(path + ".tmp"));
+  const auto parsed = util::Json::parse(util::read_file(path));
   ASSERT_TRUE(parsed.is_object());
   const auto* counters = parsed.find("counters");
   ASSERT_NE(counters, nullptr);
@@ -173,12 +180,19 @@ TEST(MetricsRegistry, JsonSnapshotParsesBack) {
   ASSERT_TRUE(buckets->is_array());
   ASSERT_GT(buckets->size(), 0u);
   EXPECT_NE(buckets->at(0).find("le"), nullptr);
+  // A failed write throws rather than reporting success with no file.
+  EXPECT_THROW(
+      reg.write_snapshot(test::temp_path("no-such-dir") + "/metrics.json"),
+      std::runtime_error);
 }
 
 TEST(MetricsRegistry, CsvSnapshotHasHeaderAndRows) {
   MetricsRegistry reg;
   reg.counter("reads").inc(2);
-  const std::string csv = reg.to_csv();
+  const std::string path = test::temp_path("metrics.csv");
+  reg.write_snapshot(path);
+  EXPECT_FALSE(util::path_exists(path + ".tmp"));
+  const std::string csv = util::read_file(path);
   EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
   EXPECT_NE(csv.find("counter,reads,value,2"), std::string::npos);
 }
