@@ -29,7 +29,10 @@
 //                          hardware concurrency. Results are bit-identical
 //                          at any setting; only wall-clock changes.
 //
-// With none of the obs flags present, instrumentation stays disabled (the
+// Every -out file is written through util::atomic_write_file once at
+// start-up, so a bad PATH fails before the experiment runs, and again at
+// finish. --serve-port also serves /quality (drift + data quality). With
+// none of the obs flags present, instrumentation stays disabled (the
 // library's default), no snapshot or HTTP thread is ever started, and the
 // bench's stdout/CSV output is bit-identical to an uninstrumented build;
 // only the small BENCH_<name>.json run record is written. Usage:
@@ -41,22 +44,24 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <stop_token>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "amperebleed/obs/http_exporter.hpp"
 #include "amperebleed/obs/obs.hpp"
 #include "amperebleed/obs/quality.hpp"
 #include "amperebleed/obs/run_record.hpp"
 #include "amperebleed/util/cli.hpp"
+#include "amperebleed/util/fs.hpp"
 #include "amperebleed/util/thread_pool.hpp"
 
 namespace amperebleed::bench {
@@ -65,11 +70,6 @@ class ObsSession {
  public:
   ObsSession(const util::CliArgs& args, std::string bench_name)
       : record_(std::move(bench_name)),
-        metrics_out_(args.get_string("metrics-out", "")),
-        trace_out_(args.get_string("trace-out", "")),
-        audit_out_(args.get_string("audit-out", "")),
-        profile_out_(args.get_string("profile-out", "")),
-        snapshot_out_(args.get_string("snapshot-out", "")),
         record_out_(args.get_string("record-out", "")),
         write_record_(!args.has("no-record")) {
     // Pool sizing first, before any experiment code can touch the pool:
@@ -87,12 +87,24 @@ class ObsSession {
           "pool_threads",
           static_cast<std::int64_t>(util::ThreadPool::global().size()));
     }
+    // The artifact table: one {path, render} row per -out flag given.
+    const auto metrics_row = [&args](const char* flag) {
+      const std::string path = args.get_string(flag, "");
+      return Output{path,
+                    [path] { return obs::metrics().snapshot_text(path); }};
+    };
+    const Output snapshot = metrics_row("snapshot-out");
+    outputs_ = {metrics_row("metrics-out"),
+                snapshot,
+                {args.get_string("trace-out", ""), trace_text},
+                {args.get_string("audit-out", ""), audit_text},
+                {args.get_string("profile-out", ""), profile_text}};
+    std::erase_if(outputs_, [](const Output& row) { return row.path.empty(); });
+
     const bool want_serve = args.has("serve-port");
     const bool want_quality = args.has("quality");
-    const bool want_obs = args.has("obs") || !metrics_out_.empty() ||
-                          !trace_out_.empty() || !audit_out_.empty() ||
-                          !profile_out_.empty() || !snapshot_out_.empty() ||
-                          want_serve || want_quality;
+    const bool want_obs =
+        args.has("obs") || !outputs_.empty() || want_serve || want_quality;
     if (!want_obs) return;
     obs::init(obs::ObsConfig{.enabled = true, .quality = want_quality});
 
@@ -114,28 +126,31 @@ class ObsSession {
                      .threshold = 5.0e7,   // 50 ms wall per classify unit
                      .target = 0.95});
 
+    // First write of every artifact, on the main thread, so a bad path
+    // throws before the experiment runs.
+    write_outputs();
+
     // Live export: threads only when explicitly requested, so the default
-    // path never starts one. The first snapshot is written here, on the
-    // main thread, so a bad --snapshot-out path throws before the
-    // experiment runs.
-    if (!snapshot_out_.empty()) {
-      obs::metrics().write_snapshot(snapshot_out_);
+    // path never starts one.
+    if (!snapshot.path.empty()) {
       snapshot_thread_ = std::jthread(
-          [this](const std::stop_token& stop) { snapshot_loop(stop); });
+          [snapshot](const std::stop_token& stop) {
+            snapshot_loop(stop, snapshot);
+          });
     }
     if (want_serve) {
       obs::HttpExporter::Config http_config;
       http_config.port = static_cast<int>(args.get_int("serve-port", 0));
       http_ = std::make_unique<obs::HttpExporter>(obs::metrics(),
                                                   http_config);
-      http_->set_runrecord_provider(
-          [this]() { return record_.to_json(); });
-      http_->set_flamegraph_provider(
-          []() { return obs::collapsed_stacks_text(obs::tracer()); });
-      http_->set_slo_provider(
-          []() { return obs::slos().to_json(obs::metrics()); });
-      http_->set_quality_provider(
-          []() { return obs::quality_hub().to_json(); });
+      http_->route("/runrecord", kJson,
+                   [this] { return json_text(record_.to_json()); });
+      http_->route("/flamegraph", "text/plain; charset=utf-8", profile_text);
+      http_->route("/slo", kJson, [] {
+        return json_text(obs::slos().to_json(obs::metrics()));
+      });
+      http_->route("/quality", kJson,
+                   [] { return json_text(obs::quality_hub().to_json()); });
       http_->start();
       // stderr so bench stdout stays exactly the experiment's output.
       std::fprintf(stderr,
@@ -155,7 +170,8 @@ class ObsSession {
   /// The live HTTP endpoint, when --serve-port was given (else nullptr).
   [[nodiscard]] obs::HttpExporter* http() { return http_.get(); }
 
-  /// Write all requested outputs exactly once, then disable obs again.
+  /// Write every artifact row a last time and the run record once, then
+  /// disable obs again.
   void finish() {
     if (finished_) return;
     finished_ = true;
@@ -184,20 +200,24 @@ class ObsSession {
           "obs_sampler_reads",
           static_cast<std::int64_t>(m.counter_value("sampler.reads")));
 
-      // Per-stage pipeline attribution: informational keys (prefixed
-      // stage_ / slo_), excluded from the bench_compare perf gate.
+      // Per-stage pipeline attribution from the stage histograms:
+      // informational keys (prefixed stage_ / slo_), excluded from the
+      // bench_compare perf gate. A stage that never ran reports zeros.
       static constexpr obs::Stage kStages[] = {
           obs::Stage::Acquire, obs::Stage::Preprocess, obs::Stage::Features,
           obs::Stage::Classify};
       for (const obs::Stage stage : kStages) {
-        const auto stats = obs::timeline().stage_stats(stage);
-        const std::string prefix =
-            std::string("stage_") + obs::stage_name(stage);
-        record_.set_integer(prefix + "_count",
-                            static_cast<std::int64_t>(stats.count));
-        record_.set_number(prefix + "_total_ms", stats.total_ns / 1e6);
+        const std::string name = obs::stage_name(stage);
+        const obs::Histogram* h =
+            m.find_histogram("pipeline.stage." + name + "_ns");
+        const std::string prefix = "stage_" + name;
+        record_.set_integer(
+            prefix + "_count",
+            h == nullptr ? 0 : static_cast<std::int64_t>(h->count()));
+        record_.set_number(prefix + "_total_ms",
+                           h == nullptr ? 0.0 : h->sum() / 1e6);
         record_.set_number(prefix + "_p50_ms",
-                           approx_p50_ns(stats) / 1e6);
+                           h == nullptr ? 0.0 : h->quantile(0.5) / 1e6);
       }
       // Final SLO evaluation at the end of the virtual timeline.
       for (const auto& status : obs::slos().evaluate_all(obs::metrics())) {
@@ -230,13 +250,7 @@ class ObsSession {
           "quality_gap_filled_total",
           static_cast<std::int64_t>(dq.gap_filled_total()));
     }
-    if (!metrics_out_.empty()) obs::metrics().write_snapshot(metrics_out_);
-    if (!snapshot_out_.empty()) obs::metrics().write_snapshot(snapshot_out_);
-    if (!trace_out_.empty()) obs::tracer().write_chrome_trace(trace_out_);
-    if (!audit_out_.empty()) obs::audit_log().write_json(audit_out_);
-    if (!profile_out_.empty()) {
-      obs::write_collapsed_stacks(obs::tracer(), profile_out_);
-    }
+    write_outputs();
     if (write_record_) {
       record_.write(record_out_.empty() ? record_.default_path()
                                         : record_out_);
@@ -245,19 +259,45 @@ class ObsSession {
   }
 
  private:
-  static constexpr std::chrono::milliseconds kSnapshotInterval{500};
+  /// One artifact file: where it goes and what goes in it.
+  struct Output {
+    std::string path;
+    std::function<std::string()> render;
+    void write() const { util::atomic_write_file(path, render()); }
+  };
 
-  /// Rewrites --snapshot-out every kSnapshotInterval until stopped. A
-  /// failed write is reported once and ends the periodic writes; the
-  /// final write in finish() then throws like --metrics-out does.
-  void snapshot_loop(const std::stop_token& stop) {
+  static constexpr std::chrono::milliseconds kSnapshotInterval{500};
+  static constexpr const char* kJson = "application/json";
+
+  // Renderers shared by the artifact files and the HTTP routes.
+  static std::string json_text(const util::Json& doc) {
+    return doc.dump(2) + "\n";
+  }
+  static std::string trace_text() {
+    return obs::tracer().to_chrome_json().dump(1) + "\n";
+  }
+  static std::string audit_text() {
+    return json_text(obs::audit_log().to_json());
+  }
+  static std::string profile_text() {
+    return obs::collapsed_stacks_text(obs::tracer());
+  }
+
+  void write_outputs() const {
+    for (const Output& row : outputs_) row.write();
+  }
+
+  /// Rewrites the --snapshot-out row every kSnapshotInterval until
+  /// stopped. A failed write is reported once and ends the periodic
+  /// writes; the final write in finish() then throws like the other rows.
+  static void snapshot_loop(const std::stop_token& stop, const Output& row) {
     std::mutex mu;
     std::condition_variable_any wake;  // only a stop request notifies it
     std::unique_lock lock(mu);
     while (!wake.wait_for(lock, stop, kSnapshotInterval,
                           [&stop] { return stop.stop_requested(); })) {
       try {
-        obs::metrics().write_snapshot(snapshot_out_);
+        row.write();
       } catch (const std::exception& e) {
         std::fprintf(stderr, "obs: periodic --snapshot-out stopped: %s\n",
                      e.what());
@@ -266,37 +306,15 @@ class ObsSession {
     }
   }
 
-  /// Median estimate from the timeline's latency buckets: the upper bound
-  /// of the bucket holding the count midpoint (0 when empty).
-  [[nodiscard]] static double approx_p50_ns(
-      const obs::PipelineTimeline::StageStats& stats) {
-    if (stats.count == 0) return 0.0;
-    const std::uint64_t midpoint = (stats.count + 1) / 2;
-    std::uint64_t cumulative = 0;
-    for (const auto& bucket : stats.buckets) {
-      cumulative += bucket.count;
-      if (cumulative >= midpoint) {
-        // The overflow bucket has an infinite bound; report the stage max.
-        return std::isfinite(bucket.upper_ns) ? bucket.upper_ns
-                                              : stats.max_ns;
-      }
-    }
-    return stats.max_ns;
-  }
-
   obs::RunRecord record_;
-  std::string metrics_out_;
-  std::string trace_out_;
-  std::string audit_out_;
-  std::string profile_out_;
-  std::string snapshot_out_;
+  std::vector<Output> outputs_;
   std::string record_out_;
   std::unique_ptr<obs::HttpExporter> http_;
   obs::ScopedSpan root_span_;  // inert unless obs was enabled
   bool write_record_ = true;
   bool finished_ = false;
   // Last member: destroyed (stopped and joined) first if the constructor
-  // throws after starting it, while snapshot_out_ is still alive.
+  // throws after starting it.
   std::jthread snapshot_thread_;
 };
 

@@ -206,9 +206,11 @@ void FaultInjector::note_injected(FaultKind k, std::string_view path,
   }
   // Every injected fault leaves an audit record under its own principal,
   // so a chaos run's fault schedule can be reconstructed from the audit
-  // trail alongside the attacker's accesses.
+  // trail alongside the attacker's accesses. The attached tree's clock
+  // stamps it; a bus-only injector has no platform clock to read.
   if (obs::audit_enabled()) {
-    obs::audit_log().record(path, privileged, obs::AccessOutcome::Error,
+    obs::audit_log().record(fs_ != nullptr ? fs_->now() : sim::TimeNs{-1},
+                            path, privileged, obs::AccessOutcome::Error,
                             "fault-injector");
   }
 }

@@ -55,9 +55,9 @@ long long HwmonSubsystem::harden(const std::string& path, long long raw,
 
   // Rate limiting: serve the cached (already-degraded) value while fresh,
   // so tight polling cannot average the injected noise away.
-  if (policy_.min_read_interval.ns > 0 && now_fn_) {
+  if (policy_.min_read_interval.ns > 0 && fs_.has_clock()) {
     auto& entry = read_cache_[path];
-    const sim::TimeNs now = now_fn_();
+    const sim::TimeNs now = fs_.now();
     if (entry.valid && now < entry.at + policy_.min_read_interval) {
       obs::count("hwmon.defense.rate_limited_hits");
       return entry.value;

@@ -75,10 +75,10 @@ class HwmonSubsystem {
   /// Apply a new policy; re-chmods every registered measurement attribute.
   void set_policy(HwmonPolicy policy);
 
-  /// Provide the virtual clock used by the rate-limiting defense (the SoC
-  /// wires this to its own now()).
+  /// Provide the virtual clock used by the rate-limiting defense and the
+  /// access-audit timestamps (the SoC wires this to its own now()).
   void set_clock(std::function<sim::TimeNs()> now_fn) {
-    now_fn_ = std::move(now_fn);
+    fs_.set_clock(std::move(now_fn));
   }
 
  private:
@@ -92,7 +92,6 @@ class HwmonSubsystem {
                                  double lsb_units);
 
   HwmonPolicy policy_;
-  std::function<sim::TimeNs()> now_fn_;
   util::Rng defense_rng_{0xdef};
   struct CachedRead {
     sim::TimeNs at{-1'000'000'000};

@@ -13,9 +13,10 @@ namespace {
 /// Observability tap on the permission gate itself. Every read/write result
 /// — success or any distinct failure branch — increments its own counter
 /// ("hwmon.vfs.read.permission-denied", ...) and lands in the access-audit
-/// log. No-ops (one relaxed atomic load) when observability is disabled.
-void note_access(const char* op, std::string_view path, bool privileged,
-                 VfsStatus status) {
+/// log, stamped with the tree's own virtual clock. No-ops (one relaxed
+/// atomic load per layer) when observability is disabled.
+void note_access(const VirtualFs& fs, const char* op, std::string_view path,
+                 bool privileged, VfsStatus status) {
   if (obs::metrics_enabled()) {
     obs::metrics()
         .counter(util::format("hwmon.vfs.%s.%s", op,
@@ -29,7 +30,7 @@ void note_access(const char* op, std::string_view path, bool privileged,
     } else if (status == VfsStatus::PermissionDenied) {
       outcome = obs::AccessOutcome::Denied;
     }
-    obs::audit_log().record(path, privileged, outcome);
+    obs::audit_log().record(fs.now(), path, privileged, outcome);
   }
 }
 
@@ -162,7 +163,7 @@ VfsResult VirtualFs::read(std::string_view path, bool privileged) const {
   if (read_fault_hook_) {
     result = read_fault_hook_(path, privileged, std::move(result));
   }
-  note_access("read", path, privileged, result.status);
+  note_access(*this, "read", path, privileged, result.status);
   return result;
 }
 
@@ -187,7 +188,7 @@ VfsResult VirtualFs::write(std::string_view path, std::string_view data,
     if (!node->writer(data)) return {VfsStatus::InvalidArgument, {}};
     return {VfsStatus::Ok, {}};
   }();
-  note_access("write", path, privileged, result.status);
+  note_access(*this, "write", path, privileged, result.status);
   return result;
 }
 

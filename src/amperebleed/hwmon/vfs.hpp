@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "amperebleed/sim/time.hpp"
+
 namespace amperebleed::hwmon {
 
 enum class VfsStatus {
@@ -98,6 +100,19 @@ class VirtualFs {
     return static_cast<bool>(read_fault_hook_);
   }
 
+  /// Install the virtual clock of the platform this tree belongs to (the
+  /// owning SoC wires its now() through HwmonSubsystem::set_clock). It
+  /// timestamps this tree's access-audit records and is read only while
+  /// audit is on.
+  void set_clock(std::function<sim::TimeNs()> now_fn) {
+    now_fn_ = std::move(now_fn);
+  }
+  [[nodiscard]] bool has_clock() const { return static_cast<bool>(now_fn_); }
+  /// The clock's current time; -1 (untimestamped) without a clock.
+  [[nodiscard]] sim::TimeNs now() const {
+    return now_fn_ ? now_fn_() : sim::TimeNs{-1};
+  }
+
   /// Write a file.
   VfsResult write(std::string_view path, std::string_view data,
                   bool privileged);
@@ -125,6 +140,7 @@ class VirtualFs {
 
   std::unique_ptr<Node> root_;
   ReadFaultHook read_fault_hook_;
+  std::function<sim::TimeNs()> now_fn_;
 };
 
 }  // namespace amperebleed::hwmon

@@ -1,7 +1,6 @@
 #include "amperebleed/obs/audit.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 
@@ -43,16 +42,6 @@ const std::string& PrincipalScope::current() { return t_current_principal; }
 AccessAuditLog::AccessAuditLog(std::size_t max_events)
     : max_events_(max_events) {}
 
-void AccessAuditLog::set_clock(std::function<sim::TimeNs()> now_fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  now_fn_ = std::move(now_fn);
-}
-
-void AccessAuditLog::clear_clock() {
-  std::lock_guard<std::mutex> lock(mu_);
-  now_fn_ = nullptr;
-}
-
 std::uint32_t AccessAuditLog::intern(
     std::vector<std::string>& names, std::map<std::string, std::uint32_t>& ids,
     std::string_view name) {
@@ -64,8 +53,8 @@ std::uint32_t AccessAuditLog::intern(
   return id;
 }
 
-void AccessAuditLog::record(std::string_view path, bool privileged,
-                            AccessOutcome outcome,
+void AccessAuditLog::record(sim::TimeNs t, std::string_view path,
+                            bool privileged, AccessOutcome outcome,
                             std::string_view principal) {
   std::string_view who = principal;
   if (who.empty()) {
@@ -77,7 +66,7 @@ void AccessAuditLog::record(std::string_view path, bool privileged,
 
   std::lock_guard<std::mutex> lock(mu_);
   Event e;
-  e.t = now_fn_ ? now_fn_() : sim::TimeNs{-1};
+  e.t = t;
   e.path_id = intern(path_names_, path_ids_, path);
   e.principal_id = intern(principal_names_, principal_ids_, who);
   e.outcome = outcome;
@@ -175,14 +164,6 @@ util::Json AccessAuditLog::to_json() const {
   root.set("recorded_events",
            util::Json::integer(static_cast<std::int64_t>(events().size())));
   return root;
-}
-
-void AccessAuditLog::write_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("AccessAuditLog: cannot open '" + path + "'");
-  }
-  out << to_json().dump(2) << "\n";
 }
 
 void AccessAuditLog::clear() {

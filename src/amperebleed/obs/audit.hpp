@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -53,15 +52,11 @@ class AccessAuditLog {
  public:
   explicit AccessAuditLog(std::size_t max_events = 1 << 22);
 
-  /// Virtual clock used to timestamp records (the owning SoC wires its
-  /// now()). Without a clock, records carry t = -1.
-  void set_clock(std::function<sim::TimeNs()> now_fn);
-  void clear_clock();
-
-  /// Record one access. `principal` may be empty, in which case the active
-  /// PrincipalScope (or "user"/"root") is used.
-  void record(std::string_view path, bool privileged, AccessOutcome outcome,
-              std::string_view principal = {});
+  /// Record one access at virtual time `t` (the reading platform's clock;
+  /// t < 0 marks an untimestamped access). `principal` may be empty, in
+  /// which case the active PrincipalScope (or "user"/"root") is used.
+  void record(sim::TimeNs t, std::string_view path, bool privileged,
+              AccessOutcome outcome, std::string_view principal = {});
 
   struct Event {
     sim::TimeNs t{-1};
@@ -93,7 +88,6 @@ class AccessAuditLog {
 
   /// {"totals": {...}, "by_principal": [...], "events": n}
   [[nodiscard]] util::Json to_json() const;
-  void write_json(const std::string& path) const;
 
   void clear();
 
@@ -104,7 +98,6 @@ class AccessAuditLog {
 
   std::size_t max_events_;
   mutable std::mutex mu_;
-  std::function<sim::TimeNs()> now_fn_;
   std::vector<std::string> path_names_;
   std::map<std::string, std::uint32_t> path_ids_;
   std::vector<std::string> principal_names_;

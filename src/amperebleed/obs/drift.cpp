@@ -113,45 +113,6 @@ std::vector<double> StreamingSketch::fractions(double epsilon) const {
   return out;
 }
 
-util::Json StreamingSketch::to_json() const {
-  auto doc = util::Json::object();
-  doc.set("lo", util::Json::number(lo_));
-  doc.set("hi", util::Json::number(hi_));
-  auto counts = util::Json::array();
-  for (std::uint64_t c : counts_) {
-    counts.push_back(util::Json::integer(static_cast<std::int64_t>(c)));
-  }
-  doc.set("counts", std::move(counts));
-  doc.set("n", util::Json::integer(static_cast<std::int64_t>(n_)));
-  doc.set("sum", util::Json::number(sum_));
-  doc.set("sum_sq", util::Json::number(sum_sq_));
-  doc.set("min", util::Json::number(min_));
-  doc.set("max", util::Json::number(max_));
-  return doc;
-}
-
-StreamingSketch StreamingSketch::from_json(const util::Json& doc) {
-  const auto* counts = doc.find("counts");
-  if (counts == nullptr || !counts->is_array() || counts->size() == 0) {
-    throw std::runtime_error("StreamingSketch::from_json: bad counts");
-  }
-  StreamingSketch s(doc.find("lo")->as_number(), doc.find("hi")->as_number(),
-                    counts->size());
-  // The padded-range constructor path must not fire for serialized sketches:
-  // lo/hi round-trip verbatim, so restore them explicitly.
-  s.lo_ = doc.find("lo")->as_number();
-  s.hi_ = doc.find("hi")->as_number();
-  for (std::size_t i = 0; i < counts->size(); ++i) {
-    s.counts_[i] = static_cast<std::uint64_t>(counts->at(i).as_integer());
-  }
-  s.n_ = static_cast<std::uint64_t>(doc.find("n")->as_integer());
-  s.sum_ = doc.find("sum")->as_number();
-  s.sum_sq_ = doc.find("sum_sq")->as_number();
-  s.min_ = doc.find("min")->as_number();
-  s.max_ = doc.find("max")->as_number();
-  return s;
-}
-
 StreamingSketch::Raw StreamingSketch::raw() const {
   Raw raw;
   raw.lo = lo_;
@@ -243,53 +204,6 @@ ReferenceProfile ReferenceProfile::from_dataset(const ml::Dataset& data,
   profile.class_counts.assign(static_cast<std::size_t>(data.class_count()), 0);
   for (int label : data.labels()) {
     ++profile.class_counts[static_cast<std::size_t>(label)];
-  }
-  return profile;
-}
-
-util::Json ReferenceProfile::to_json() const {
-  auto doc = util::Json::object();
-  doc.set("rows", util::Json::integer(static_cast<std::int64_t>(rows)));
-  auto sketches = util::Json::array();
-  for (const auto& s : feature_sketches) sketches.push_back(s.to_json());
-  doc.set("feature_sketches", std::move(sketches));
-  auto samples = util::Json::array();
-  for (const auto& dim : feature_samples) {
-    auto values = util::Json::array();
-    for (double v : dim) values.push_back(util::Json::number(v));
-    samples.push_back(std::move(values));
-  }
-  doc.set("feature_samples", std::move(samples));
-  auto classes = util::Json::array();
-  for (std::uint64_t c : class_counts) {
-    classes.push_back(util::Json::integer(static_cast<std::int64_t>(c)));
-  }
-  doc.set("class_counts", std::move(classes));
-  return doc;
-}
-
-ReferenceProfile ReferenceProfile::from_json(const util::Json& doc) {
-  ReferenceProfile profile;
-  profile.rows = static_cast<std::uint64_t>(doc.find("rows")->as_integer());
-  const auto* sketches = doc.find("feature_sketches");
-  for (std::size_t i = 0; i < sketches->size(); ++i) {
-    profile.feature_sketches.push_back(
-        StreamingSketch::from_json(sketches->at(i)));
-  }
-  const auto* samples = doc.find("feature_samples");
-  for (std::size_t i = 0; i < samples->size(); ++i) {
-    const auto& dim = samples->at(i);
-    std::vector<double> values;
-    values.reserve(dim.size());
-    for (std::size_t j = 0; j < dim.size(); ++j) {
-      values.push_back(dim.at(j).as_number());
-    }
-    profile.feature_samples.push_back(std::move(values));
-  }
-  const auto* classes = doc.find("class_counts");
-  for (std::size_t i = 0; i < classes->size(); ++i) {
-    profile.class_counts.push_back(
-        static_cast<std::uint64_t>(classes->at(i).as_integer()));
   }
   return profile;
 }

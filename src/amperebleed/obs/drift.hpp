@@ -75,13 +75,9 @@ class StreamingSketch {
   /// (n + bins * epsilon). Defined (uniform) even for an empty sketch.
   [[nodiscard]] std::vector<double> fractions(double epsilon = 0.5) const;
 
-  [[nodiscard]] util::Json to_json() const;
-  static StreamingSketch from_json(const util::Json& doc);
-
-  /// Exact internal state for the binary persistence codec (persist::).
-  /// Unlike to_json (whose %.12g number formatting is lossy), raw() /
-  /// from_raw round-trip the moment accumulators bit-for-bit, so a sketch
-  /// restored from a snapshot is operator== to the original.
+  /// Exact internal state for the binary persistence codec (persist::):
+  /// raw() / from_raw round-trip the moment accumulators bit-for-bit, so a
+  /// sketch restored from a snapshot is operator== to the original.
   struct Raw {
     double lo = 0.0;
     double hi = 1.0;
@@ -121,8 +117,8 @@ double population_stability_index(const StreamingSketch& reference,
 /// Everything the drift monitor needs to remember about enrollment:
 /// per-dimension sketches + deterministic value subsamples (row-stride
 /// sampling, so the subsample is a pure function of the dataset), and the
-/// class priors. Serializable, so an enrollment-time profile can ship in a
-/// run record or sidecar and be re-hydrated by a serving process.
+/// class priors. The persist:: snapshot codec stores it exactly, so a
+/// recovered serving process re-hydrates the enrollment-time profile.
 struct ReferenceProfile {
   /// Cap on retained raw values per dimension (feeds the KS test).
   static constexpr std::size_t kMaxSubsample = 128;
@@ -140,9 +136,6 @@ struct ReferenceProfile {
   /// alias into the overflow bins on clean data.
   static ReferenceProfile from_dataset(
       const ml::Dataset& data, std::size_t bins = StreamingSketch::kDefaultBins);
-
-  [[nodiscard]] util::Json to_json() const;
-  static ReferenceProfile from_json(const util::Json& doc);
 
   friend bool operator==(const ReferenceProfile&,
                          const ReferenceProfile&) = default;

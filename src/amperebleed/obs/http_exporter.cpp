@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "amperebleed/obs/prometheus.hpp"
+#include "amperebleed/util/json.hpp"
 #include "amperebleed/util/strings.hpp"
 
 namespace amperebleed::obs {
@@ -58,26 +59,10 @@ HttpExporter::HttpExporter(MetricsRegistry& registry, Config config)
 
 HttpExporter::~HttpExporter() { stop(); }
 
-void HttpExporter::set_runrecord_provider(
-    std::function<util::Json()> provider) {
-  std::lock_guard<std::mutex> lock(provider_mu_);
-  runrecord_provider_ = std::move(provider);
-}
-
-void HttpExporter::set_flamegraph_provider(
-    std::function<std::string()> provider) {
-  std::lock_guard<std::mutex> lock(provider_mu_);
-  flamegraph_provider_ = std::move(provider);
-}
-
-void HttpExporter::set_slo_provider(std::function<util::Json()> provider) {
-  std::lock_guard<std::mutex> lock(provider_mu_);
-  slo_provider_ = std::move(provider);
-}
-
-void HttpExporter::set_quality_provider(std::function<util::Json()> provider) {
-  std::lock_guard<std::mutex> lock(provider_mu_);
-  quality_provider_ = std::move(provider);
+void HttpExporter::route(const std::string& path, std::string content_type,
+                         std::function<std::string()> render) {
+  std::lock_guard<std::mutex> lock(routes_mu_);
+  routes_[path] = Route{std::move(content_type), std::move(render)};
 }
 
 void HttpExporter::start() {
@@ -280,61 +265,23 @@ std::string HttpExporter::build_get_response(const std::string& path) {
     return make_response(200, "OK", "application/json",
                          body.dump(2) + "\n");
   }
-  if (path == "/flamegraph") {
-    std::function<std::string()> provider;
-    {
-      std::lock_guard<std::mutex> lock(provider_mu_);
-      provider = flamegraph_provider_;
+  Route route;
+  std::string served = "/metrics /healthz";
+  {
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    const auto it = routes_.find(path);
+    if (it != routes_.end()) {
+      route = it->second;
+    } else {
+      for (const auto& entry : routes_) served += " " + entry.first;
     }
-    if (!provider) {
-      return make_response(503, "Service Unavailable", "text/plain",
-                           "no flamegraph provider wired\n");
-    }
-    return make_response(200, "OK", "text/plain; charset=utf-8", provider());
   }
-  if (path == "/slo") {
-    std::function<util::Json()> provider;
-    {
-      std::lock_guard<std::mutex> lock(provider_mu_);
-      provider = slo_provider_;
-    }
-    if (!provider) {
-      return make_response(503, "Service Unavailable", "application/json",
-                           "{\"error\":\"no SLO registry wired\"}\n");
-    }
-    return make_response(200, "OK", "application/json",
-                         provider().dump(2) + "\n");
+  if (route.render) {
+    return make_response(200, "OK", route.content_type.c_str(),
+                         route.render());
   }
-  if (path == "/quality") {
-    std::function<util::Json()> provider;
-    {
-      std::lock_guard<std::mutex> lock(provider_mu_);
-      provider = quality_provider_;
-    }
-    if (!provider) {
-      return make_response(503, "Service Unavailable", "application/json",
-                           "{\"error\":\"no quality hub wired\"}\n");
-    }
-    return make_response(200, "OK", "application/json",
-                         provider().dump(2) + "\n");
-  }
-  if (path == "/runrecord") {
-    std::function<util::Json()> provider;
-    {
-      std::lock_guard<std::mutex> lock(provider_mu_);
-      provider = runrecord_provider_;
-    }
-    if (!provider) {
-      return make_response(503, "Service Unavailable", "application/json",
-                           "{\"error\":\"no run record wired\"}\n");
-    }
-    return make_response(200, "OK", "application/json",
-                         provider().dump(2) + "\n");
-  }
-  return make_response(
-      404, "Not Found", "text/plain",
-      "unknown path; try /metrics /healthz /runrecord /flamegraph /slo "
-      "/quality\n");
+  return make_response(404, "Not Found", "text/plain",
+                       "unknown path; try " + served + "\n");
 }
 
 }  // namespace amperebleed::obs

@@ -5,10 +5,10 @@
 //
 //   GET /metrics     text/plain  — Prometheus text exposition of the registry
 //   GET /healthz     application/json — status + per-channel health counts
-//   GET /runrecord   application/json — the current RunRecord (when wired)
-//   GET /flamegraph  text/plain  — collapsed-stack profile (when wired)
-//   GET /slo         application/json — SLO compliance + burn rates (wired)
-//   GET /quality     application/json — drift + data-quality snapshot (wired)
+//   GET <route>      whatever route() registered; the benches register
+//                    /runrecord, /flamegraph, /slo and /quality with the
+//                    renderers that also write their files. Any other path
+//                    is a 404 listing the served paths.
 //
 // HEAD on any route answers with the same status line and headers a GET
 // would produce (Content-Length included) and no body.
@@ -19,7 +19,7 @@
 //
 // One accept thread, one request at a time, loopback bind by default. Scrape
 // handling never touches the instrumentation hot path — it reads the
-// thread-safe registry the same way write_snapshot() does. Serving is
+// thread-safe registry the same way snapshot_text() does. Serving is
 // bounded: request lines over 8 KiB are rejected, sockets get short
 // timeouts, so a stuck scraper cannot wedge shutdown.
 
@@ -27,12 +27,12 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "amperebleed/obs/metrics.hpp"
-#include "amperebleed/util/json.hpp"
 
 namespace amperebleed::obs {
 
@@ -53,20 +53,10 @@ class HttpExporter {
   HttpExporter(const HttpExporter&) = delete;
   HttpExporter& operator=(const HttpExporter&) = delete;
 
-  /// Provider for /runrecord (e.g. the bench's RunRecord::to_json). Without
-  /// one the endpoint answers 503.
-  void set_runrecord_provider(std::function<util::Json()> provider);
-
-  /// Provider for /flamegraph: collapsed-stack text folded from completed
-  /// spans (see obs::collapsed_stacks_text). Without one: 503.
-  void set_flamegraph_provider(std::function<std::string()> provider);
-
-  /// Provider for /slo: the SLO registry's JSON evaluation. Without one: 503.
-  void set_slo_provider(std::function<util::Json()> provider);
-
-  /// Provider for /quality: the QualityHub snapshot (drift monitors +
-  /// per-channel data quality, see obs/quality.hpp). Without one: 503.
-  void set_quality_provider(std::function<util::Json()> provider);
+  /// Serve `render()` on GET `path` as `content_type`. Registering a path
+  /// again replaces its route; /metrics and /healthz are built in.
+  void route(const std::string& path, std::string content_type,
+             std::function<std::string()> render);
 
   /// Bind + listen + spawn the serve thread. Throws std::runtime_error when
   /// the port cannot be bound. Idempotent.
@@ -95,11 +85,12 @@ class HttpExporter {
 
   MetricsRegistry& registry_;
   Config config_;
-  std::function<util::Json()> runrecord_provider_;
-  std::function<std::string()> flamegraph_provider_;
-  std::function<util::Json()> slo_provider_;
-  std::function<util::Json()> quality_provider_;
-  std::mutex provider_mu_;
+  struct Route {
+    std::string content_type;
+    std::function<std::string()> render;
+  };
+  std::map<std::string, Route> routes_;
+  std::mutex routes_mu_;
 
   int listen_fd_ = -1;
   int port_ = 0;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "amperebleed/util/fs.hpp"
 #include "amperebleed/util/strings.hpp"
 
 namespace amperebleed::obs {
@@ -340,10 +339,8 @@ std::string MetricsRegistry::to_csv() const {
   return out;
 }
 
-void MetricsRegistry::write_snapshot(const std::string& path) const {
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  util::atomic_write_file(path, csv ? to_csv() : to_json().dump(2) + "\n");
+std::string MetricsRegistry::snapshot_text(const std::string& path) const {
+  return path.ends_with(".csv") ? to_csv() : to_json().dump(2) + "\n";
 }
 
 void MetricsRegistry::reset() {

@@ -160,10 +160,10 @@ class MetricsRegistry {
   /// Flat CSV: kind,name,field,value — one row per exported scalar.
   [[nodiscard]] std::string to_csv() const;
 
-  /// Write to_json() (pretty-printed) or to_csv() if `path` ends in ".csv",
-  /// through util::atomic_write_file: readers see the old file or the new
-  /// one, never a torn one. Throws std::runtime_error on any IO failure.
-  void write_snapshot(const std::string& path) const;
+  /// The snapshot file for `path`: to_csv() if it ends in ".csv", else
+  /// to_json() pretty-printed. Callers write it through
+  /// util::atomic_write_file, so readers never see a torn file.
+  [[nodiscard]] std::string snapshot_text(const std::string& path) const;
 
   /// Drop every instrument. Invalidates previously returned references.
   void reset();

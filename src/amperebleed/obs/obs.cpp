@@ -43,7 +43,6 @@ void reset_data() {
   metrics().reset();
   tracer().clear();
   audit_log().clear();
-  timeline().reset();
   slos().reset();
   quality_hub().reset();
 }

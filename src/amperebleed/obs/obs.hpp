@@ -6,9 +6,9 @@
 //
 //   obs::init();                               // or init(config)
 //   ... run experiment ...
-//   obs::metrics().write_snapshot("m.json");
-//   obs::tracer().write_chrome_trace("t.json");
-//   obs::audit_log().write_json("audit.json");
+//   util::atomic_write_file("m.json", obs::metrics().snapshot_text("m.json"));
+//   util::atomic_write_file("t.json", obs::tracer().to_chrome_json().dump(1));
+//   util::atomic_write_file("a.json", obs::audit_log().to_json().dump(2));
 //   obs::shutdown();
 //
 // The registries themselves always exist (so tests can poke them directly);
@@ -135,11 +135,11 @@ inline void virtual_span(
                             duration, std::move(args));
 }
 
-/// Audit one sensor-interface access (used by hwmon::VirtualFs).
-inline void audit_access(std::string_view path, bool privileged,
-                         AccessOutcome outcome) {
+/// Audit one sensor-interface access at virtual time `t`.
+inline void audit_access(sim::TimeNs t, std::string_view path,
+                         bool privileged, AccessOutcome outcome) {
   if (!audit_enabled()) return;
-  audit_log().record(path, privileged, outcome);
+  audit_log().record(t, path, privileged, outcome);
 }
 
 }  // namespace amperebleed::obs

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <limits>
 #include <map>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "amperebleed/obs/obs.hpp"
@@ -13,17 +10,6 @@
 namespace amperebleed::obs {
 
 namespace {
-
-// Bucket bounds shared by every stage: 1 µs .. ~4 s, factor 8 (wall ns).
-std::vector<double> stage_bucket_bounds() {
-  std::vector<double> bounds;
-  double b = 1e3;
-  for (int i = 0; i < 8; ++i) {
-    bounds.push_back(b);
-    b *= 8.0;
-  }
-  return bounds;
-}
 
 const char* kStageNames[kStageCount] = {"acquire", "preprocess", "features",
                                         "classify"};
@@ -33,94 +19,6 @@ const char* kStageNames[kStageCount] = {"acquire", "preprocess", "features",
 const char* stage_name(Stage stage) {
   const auto i = static_cast<std::size_t>(stage);
   return i < kStageCount ? kStageNames[i] : "unknown";
-}
-
-PipelineTimeline::PipelineTimeline() { reset(); }
-
-void PipelineTimeline::record(Stage stage, double wall_ns,
-                              std::uint64_t exemplar_span_id) {
-  const auto s = static_cast<std::size_t>(stage);
-  if (s >= kStageCount) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  StageStats& st = stages_[s];
-  if (st.count == 0) {
-    st.min_ns = wall_ns;
-    st.max_ns = wall_ns;
-  } else {
-    st.min_ns = std::min(st.min_ns, wall_ns);
-    st.max_ns = std::max(st.max_ns, wall_ns);
-  }
-  ++st.count;
-  st.total_ns += wall_ns;
-  for (Bucket& bucket : st.buckets) {
-    if (wall_ns <= bucket.upper_ns) {
-      ++bucket.count;
-      if (exemplar_span_id != 0) {
-        bucket.exemplar_span_id = exemplar_span_id;
-        bucket.exemplar_ns = wall_ns;
-      }
-      break;
-    }
-  }
-}
-
-PipelineTimeline::StageStats PipelineTimeline::stage_stats(Stage stage) const {
-  const auto s = static_cast<std::size_t>(stage);
-  std::lock_guard<std::mutex> lock(mu_);
-  return s < kStageCount ? stages_[s] : StageStats{};
-}
-
-util::Json PipelineTimeline::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto root = util::Json::object();
-  for (std::size_t s = 0; s < kStageCount; ++s) {
-    const StageStats& st = stages_[s];
-    auto entry = util::Json::object();
-    entry.set("count",
-              util::Json::integer(static_cast<std::int64_t>(st.count)));
-    entry.set("total_ns", util::Json::number(st.total_ns));
-    entry.set("min_ns", util::Json::number(st.min_ns));
-    entry.set("max_ns", util::Json::number(st.max_ns));
-    auto buckets = util::Json::array();
-    for (const Bucket& bucket : st.buckets) {
-      auto b = util::Json::object();
-      if (std::isfinite(bucket.upper_ns)) {
-        b.set("le", util::Json::number(bucket.upper_ns));
-      } else {
-        b.set("le", util::Json::string("+Inf"));
-      }
-      b.set("count",
-            util::Json::integer(static_cast<std::int64_t>(bucket.count)));
-      if (bucket.exemplar_span_id != 0) {
-        b.set("exemplar_span_id",
-              util::Json::integer(
-                  static_cast<std::int64_t>(bucket.exemplar_span_id)));
-        b.set("exemplar_ns", util::Json::number(bucket.exemplar_ns));
-      }
-      buckets.push_back(std::move(b));
-    }
-    entry.set("buckets", std::move(buckets));
-    root.set(kStageNames[s], std::move(entry));
-  }
-  return root;
-}
-
-void PipelineTimeline::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto bounds = stage_bucket_bounds();
-  for (StageStats& st : stages_) {
-    st = StageStats{};
-    for (const double bound : bounds) {
-      st.buckets.push_back(Bucket{bound, 0, 0, 0.0});
-    }
-    st.buckets.push_back(
-        Bucket{std::numeric_limits<double>::infinity(), 0, 0, 0.0});
-  }
-}
-
-PipelineTimeline& timeline() {
-  static PipelineTimeline* t = new PipelineTimeline();
-  return *t;
 }
 
 // ---------------------------------------------------------------------------
@@ -138,10 +36,8 @@ void StageSpan::finish() {
   measuring_ = false;
   const double wall_ns =
       static_cast<double>(tracer().wall_now_ns() - t0_ns_);
-  const std::uint64_t exemplar = span_.context().span_id;
   span_.finish();
   if (metrics_enabled()) {
-    timeline().record(stage_, wall_ns, exemplar);
     observe((std::string("pipeline.stage.") + stage_name(stage_) + "_ns")
                 .c_str(),
             wall_ns);
@@ -201,16 +97,6 @@ std::string collapsed_stacks_text(const SpanTracer& tracer) {
     out += stack + " " + std::to_string(rounded) + "\n";
   }
   return out;
-}
-
-void write_collapsed_stacks(const SpanTracer& tracer,
-                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("write_collapsed_stacks: cannot open '" + path +
-                             "'");
-  }
-  out << collapsed_stacks_text(tracer);
 }
 
 }  // namespace amperebleed::obs

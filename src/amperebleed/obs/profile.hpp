@@ -6,10 +6,8 @@
 // features (dataset assembly) → classify (forest fit / predict). StageSpan
 // instruments one unit of stage work: it opens a causal trace span named
 // `pipeline.<stage>` (when tracing is on) and folds the wall duration into
-// both the global PipelineTimeline and a `pipeline.stage.<stage>_ns`
-// histogram (when metrics are on). PipelineTimeline keeps per-stage latency
-// buckets with an exemplar span_id per bucket — the trace span that last
-// landed there — so a slow bucket links straight to the causal trace.
+// a `pipeline.stage.<stage>_ns` histogram (when metrics are on) — the one
+// copy of stage latency that the run record, /metrics and the SLOs read.
 //
 // The profiler half turns a SpanTracer's completed wall spans into
 // collapsed-stack lines ("root;ml.rf.fit;ml.tree_fit 450"), the input format
@@ -20,14 +18,10 @@
 // not additive across threads, which is exactly what the flame graph should
 // show.
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "amperebleed/obs/span.hpp"
-#include "amperebleed/util/json.hpp"
 
 namespace amperebleed::obs {
 
@@ -37,47 +31,9 @@ inline constexpr std::size_t kStageCount = 4;
 /// Lowercase stage name ("acquire", "preprocess", "features", "classify").
 const char* stage_name(Stage stage);
 
-/// Fixed-bucket per-stage latency distribution with one exemplar span per
-/// bucket. Thread-safe; pure observation (never read by experiment code).
-class PipelineTimeline {
- public:
-  struct Bucket {
-    double upper_ns = 0.0;  // +inf on the overflow bucket
-    std::uint64_t count = 0;
-    std::uint64_t exemplar_span_id = 0;  // 0 = no exemplar recorded yet
-    double exemplar_ns = 0.0;
-  };
-  struct StageStats {
-    std::uint64_t count = 0;
-    double total_ns = 0.0;
-    double min_ns = 0.0;  // 0 when empty
-    double max_ns = 0.0;
-    std::vector<Bucket> buckets;
-  };
-
-  PipelineTimeline();
-
-  /// Fold one completed stage unit. `exemplar_span_id` may be 0 (tracing
-  /// off); the bucket then keeps its previous exemplar.
-  void record(Stage stage, double wall_ns, std::uint64_t exemplar_span_id);
-
-  [[nodiscard]] StageStats stage_stats(Stage stage) const;
-  /// {"acquire": {"count":..,"total_ns":..,"buckets":[{le,count,
-  ///  exemplar_span_id},..]}, ...} — stages with zero observations included.
-  [[nodiscard]] util::Json to_json() const;
-  void reset();
-
- private:
-  mutable std::mutex mu_;
-  std::array<StageStats, kStageCount> stages_;
-};
-
-/// Process-wide timeline, recorded into by StageSpan when metrics are on.
-PipelineTimeline& timeline();
-
 /// RAII instrumentation for one unit of pipeline-stage work. Inert when the
-/// whole obs layer is off; otherwise traces a `pipeline.<stage>` span (the
-/// timeline exemplar) and records the duration at scope exit.
+/// whole obs layer is off; otherwise traces a `pipeline.<stage>` span and
+/// records the duration at scope exit.
 class StageSpan {
  public:
   explicit StageSpan(Stage stage);
@@ -106,9 +62,5 @@ class StageSpan {
 /// deterministic diffs. Root-less spans (parent not in the buffer) start
 /// their own stack. Flow events and virtual-time spans are ignored.
 std::string collapsed_stacks_text(const SpanTracer& tracer);
-
-/// collapsed_stacks_text() to a file; throws std::runtime_error on I/O
-/// failure.
-void write_collapsed_stacks(const SpanTracer& tracer, const std::string& path);
 
 }  // namespace amperebleed::obs

@@ -4,8 +4,8 @@
 
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
-#include <stdexcept>
+
+#include "amperebleed/util/fs.hpp"
 
 namespace amperebleed::obs {
 
@@ -137,11 +137,7 @@ std::string RunRecord::default_path() const {
 }
 
 void RunRecord::write(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("RunRecord: cannot open '" + path + "'");
-  }
-  out << to_json().dump(2) << "\n";
+  util::atomic_write_file(path, to_json().dump(2) + "\n");
 }
 
 }  // namespace amperebleed::obs

@@ -61,6 +61,8 @@ class RunRecord {
 
   /// Default output filename: BENCH_<name>.json.
   [[nodiscard]] std::string default_path() const;
+  /// to_json() through util::atomic_write_file; throws std::runtime_error
+  /// on any IO failure.
   void write(const std::string& path) const;
 
  private:

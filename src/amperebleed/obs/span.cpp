@@ -1,8 +1,6 @@
 #include "amperebleed/obs/span.hpp"
 
 #include <atomic>
-#include <fstream>
-#include <stdexcept>
 
 namespace amperebleed::obs {
 
@@ -154,14 +152,6 @@ util::Json SpanTracer::to_chrome_json() const {
              util::Json::integer(static_cast<std::int64_t>(dropped_)));
   }
   return root;
-}
-
-void SpanTracer::write_chrome_trace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("SpanTracer: cannot open '" + path + "'");
-  }
-  out << to_chrome_json().dump(1) << "\n";
 }
 
 void SpanTracer::clear() {

@@ -92,7 +92,6 @@ class SpanTracer {
   /// The whole trace as a Chrome trace_event JSON document:
   /// {"traceEvents": [...], "displayTimeUnit": "ms"}.
   [[nodiscard]] util::Json to_chrome_json() const;
-  void write_chrome_trace(const std::string& path) const;
 
   void clear();
 

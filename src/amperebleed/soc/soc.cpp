@@ -1,20 +1,11 @@
 #include "amperebleed/soc/soc.hpp"
 
-#include <atomic>
 #include <stdexcept>
 
-#include "amperebleed/obs/obs.hpp"
 #include "amperebleed/sensors/board.hpp"
 #include "amperebleed/util/rng.hpp"
 
 namespace amperebleed::soc {
-
-namespace {
-// The obs audit log timestamps events on the platform's virtual clock. The
-// most recently finalized SoC owns the clock; its destructor releases it so
-// the audit log never calls into a destroyed platform.
-std::atomic<Soc*> g_audit_clock_owner{nullptr};
-}  // namespace
 
 SocConfig zcu102_config(std::uint64_t seed) {
   SocConfig c;
@@ -85,22 +76,13 @@ void Soc::add_activity(const power::RailActivity& activity) {
   has_pending_ = true;
 }
 
-Soc::~Soc() {
-  Soc* self = this;
-  if (g_audit_clock_owner.compare_exchange_strong(self, nullptr)) {
-    obs::audit_log().clear_clock();
-  }
-}
-
 void Soc::finalize() {
   if (finalized_) throw std::logic_error("Soc::finalize: already finalized");
 
-  // The rate-limiting defense needs the platform clock.
+  // The rate-limiting defense needs the platform clock, and so do the
+  // access-audit records of this platform's reads: their virtual
+  // timestamps are what make the read-rate detector's windows meaningful.
   hwmon_->set_clock([this]() { return now_; });
-  // So does the obs access-audit log: audit events carry virtual timestamps,
-  // which is what makes the read-rate detector's windows meaningful.
-  g_audit_clock_owner.store(this);
-  obs::audit_log().set_clock([this]() { return now_; });
 
   for (std::size_t i = 0; i < power::kRailCount; ++i) {
     // Total rail current = board baseline + workload activity.

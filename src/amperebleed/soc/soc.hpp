@@ -59,9 +59,6 @@ SocConfig vck190_config(std::uint64_t seed = 1);
 class Soc {
  public:
   explicit Soc(SocConfig config);
-  /// Releases the obs audit-log clock if this SoC installed it (the most
-  /// recently finalized SoC owns the virtual timestamp source).
-  ~Soc();
 
   // The sensors and hwmon callbacks hold pointers into this object, so it
   // must stay at a fixed address for its lifetime.

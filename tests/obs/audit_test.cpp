@@ -14,15 +14,15 @@ namespace amperebleed::obs {
 namespace {
 
 constexpr const char* kPath = "/sys/class/hwmon/hwmon0/curr1_input";
+constexpr sim::TimeNs kUntimed{-1};
 
 /// Script `n` accesses for `principal` at a fixed period starting at `start`.
-void replay(AccessAuditLog& log, sim::TimeNs& clock, sim::TimeNs start,
-            sim::TimeNs period, int n, const std::string& principal,
-            const char* path = kPath,
+void replay(AccessAuditLog& log, sim::TimeNs start, sim::TimeNs period, int n,
+            const std::string& principal, const char* path = kPath,
             AccessOutcome outcome = AccessOutcome::Ok) {
   for (int i = 0; i < n; ++i) {
-    clock = sim::TimeNs{start.ns + period.ns * i};
-    log.record(path, false, outcome, principal);
+    log.record(sim::TimeNs{start.ns + period.ns * i}, path, false, outcome,
+               principal);
   }
 }
 
@@ -57,10 +57,10 @@ TEST(PrincipalScope, IsThreadLocal) {
 
 TEST(AccessAuditLog, AggregatesPerPrincipalAndPath) {
   AccessAuditLog log;
-  log.record("a", false, AccessOutcome::Ok, "u1");
-  log.record("a", false, AccessOutcome::Ok, "u1");
-  log.record("a", false, AccessOutcome::Denied, "u1");
-  log.record("b", true, AccessOutcome::Error, "u2");
+  log.record(kUntimed, "a", false, AccessOutcome::Ok, "u1");
+  log.record(kUntimed, "a", false, AccessOutcome::Ok, "u1");
+  log.record(kUntimed, "a", false, AccessOutcome::Denied, "u1");
+  log.record(kUntimed, "b", true, AccessOutcome::Error, "u2");
   EXPECT_EQ(log.total_accesses(), 4u);
   EXPECT_EQ(log.total_denials(), 1u);
 
@@ -77,11 +77,12 @@ TEST(AccessAuditLog, AggregatesPerPrincipalAndPath) {
 
 TEST(AccessAuditLog, FallsBackToPrivilegeDerivedPrincipal) {
   AccessAuditLog log;
-  log.record("p", false, AccessOutcome::Ok);  // no scope active -> "user"
-  log.record("p", true, AccessOutcome::Ok);   // -> "root"
+  // No scope active: "user", or "root" for a privileged access.
+  log.record(kUntimed, "p", false, AccessOutcome::Ok);
+  log.record(kUntimed, "p", true, AccessOutcome::Ok);
   {
     PrincipalScope scope("governor");
-    log.record("p", false, AccessOutcome::Ok);
+    log.record(kUntimed, "p", false, AccessOutcome::Ok);
   }
   std::set<std::string> principals;
   for (const auto& s : log.stats()) principals.insert(s.principal);
@@ -90,13 +91,9 @@ TEST(AccessAuditLog, FallsBackToPrivilegeDerivedPrincipal) {
 
 TEST(AccessAuditLog, TimestampsComeFromInjectedClock) {
   AccessAuditLog log;
-  sim::TimeNs clock{0};
-  log.record("p", false, AccessOutcome::Ok);  // before clock: t = -1
-  log.set_clock([&clock]() { return clock; });
-  clock = sim::milliseconds(35);
-  log.record("p", false, AccessOutcome::Ok);
-  log.clear_clock();
-  log.record("p", false, AccessOutcome::Ok);
+  log.record(kUntimed, "p", false, AccessOutcome::Ok);
+  log.record(sim::milliseconds(35), "p", false, AccessOutcome::Ok);
+  log.record(kUntimed, "p", false, AccessOutcome::Ok);
 
   const auto events = log.events();
   ASSERT_EQ(events.size(), 3u);
@@ -108,7 +105,9 @@ TEST(AccessAuditLog, TimestampsComeFromInjectedClock) {
 
 TEST(AccessAuditLog, BoundedEventStreamKeepsAggregates) {
   AccessAuditLog log(2);
-  for (int i = 0; i < 5; ++i) log.record("p", false, AccessOutcome::Ok, "u");
+  for (int i = 0; i < 5; ++i) {
+    log.record(kUntimed, "p", false, AccessOutcome::Ok, "u");
+  }
   EXPECT_EQ(log.events().size(), 2u);
   EXPECT_EQ(log.dropped(), 3u);
   // Aggregation still sees every access even after the ring fills.
@@ -119,8 +118,8 @@ TEST(AccessAuditLog, BoundedEventStreamKeepsAggregates) {
 
 TEST(AccessAuditLog, JsonSnapshotParsesBack) {
   AccessAuditLog log;
-  log.record("a", false, AccessOutcome::Ok, "u1");
-  log.record("a", false, AccessOutcome::Denied, "u1");
+  log.record(kUntimed, "a", false, AccessOutcome::Ok, "u1");
+  log.record(kUntimed, "a", false, AccessOutcome::Denied, "u1");
   const auto doc = util::Json::parse(log.to_json().dump());
   ASSERT_TRUE(doc.is_object());
   const auto* totals = doc.find("totals");
@@ -140,7 +139,7 @@ TEST(AccessAuditLog, JsonSnapshotParsesBack) {
 
 TEST(AccessAuditLog, ClearResetsEverything) {
   AccessAuditLog log;
-  log.record("a", false, AccessOutcome::Denied, "u");
+  log.record(kUntimed, "a", false, AccessOutcome::Denied, "u");
   log.clear();
   EXPECT_EQ(log.total_accesses(), 0u);
   EXPECT_EQ(log.total_denials(), 0u);
@@ -157,7 +156,7 @@ TEST(AccessAuditLog, ConcurrentRecordsAreLossless) {
     workers.emplace_back([&log, t]() {
       const std::string principal = "u" + std::to_string(t);
       for (int i = 0; i < kPerThread; ++i) {
-        log.record("p", false, AccessOutcome::Ok, principal);
+        log.record(kUntimed, "p", false, AccessOutcome::Ok, principal);
       }
     });
   }
@@ -172,12 +171,10 @@ TEST(AccessAuditLog, ConcurrentRecordsAreLossless) {
 
 TEST(RateDetector, FlagsFastPollerNotSlowDaemon) {
   AccessAuditLog log;
-  sim::TimeNs clock{0};
-  log.set_clock([&clock]() { return clock; });
 
   // Benign daemon: 1 Hz for 10 s. Attacker: 35 ms cadence (28.6 Hz) for 10 s.
-  replay(log, clock, sim::TimeNs{0}, sim::seconds(1), 10, "daemon");
-  replay(log, clock, sim::TimeNs{0}, sim::milliseconds(35), 286, "attacker");
+  replay(log, sim::TimeNs{0}, sim::seconds(1), 10, "daemon");
+  replay(log, sim::TimeNs{0}, sim::milliseconds(35), 286, "attacker");
 
   RateDetectorConfig config;  // 10 r/s over 3 consecutive 1 s windows
   const auto report = detect_rate_anomalies(log, config);
@@ -201,14 +198,12 @@ TEST(RateDetector, FlagsFastPollerNotSlowDaemon) {
 
 TEST(RateDetector, RequiresConsecutiveHotWindows) {
   AccessAuditLog log;
-  sim::TimeNs clock{0};
-  log.set_clock([&clock]() { return clock; });
 
   // One hot 1 s burst (20 reads), then silence: below the 3-window rule.
-  replay(log, clock, sim::TimeNs{0}, sim::milliseconds(50), 20, "bursty");
+  replay(log, sim::TimeNs{0}, sim::milliseconds(50), 20, "bursty");
   // Hot in windows 0,1 then cold in 2, hot in 3,4 — never 3 in a row.
-  replay(log, clock, sim::seconds(10), sim::milliseconds(50), 40, "gappy");
-  replay(log, clock, sim::seconds(13), sim::milliseconds(50), 40, "gappy");
+  replay(log, sim::seconds(10), sim::milliseconds(50), 40, "gappy");
+  replay(log, sim::seconds(13), sim::milliseconds(50), 40, "gappy");
 
   RateDetectorConfig config;
   const auto report = detect_rate_anomalies(log, config);
@@ -228,12 +223,10 @@ TEST(RateDetector, RequiresConsecutiveHotWindows) {
 
 TEST(RateDetector, PerPathRatesDoNotSumAcrossPaths) {
   AccessAuditLog log;
-  sim::TimeNs clock{0};
-  log.set_clock([&clock]() { return clock; });
   // 4 paths at 4 r/s each: 16 r/s aggregate, but no single path above 10.
   for (int p = 0; p < 4; ++p) {
     const std::string path = "rail" + std::to_string(p);
-    replay(log, clock, sim::milliseconds(10 * p), sim::milliseconds(250), 20,
+    replay(log, sim::milliseconds(10 * p), sim::milliseconds(250), 20,
            "health", path.c_str());
   }
   RateDetectorConfig config;
@@ -245,9 +238,9 @@ TEST(RateDetector, PerPathRatesDoNotSumAcrossPaths) {
 }
 
 TEST(RateDetector, IgnoresUntimestampedEvents) {
-  AccessAuditLog log;  // no clock: every event carries t = -1
+  AccessAuditLog log;  // every event carries t = -1
   for (int i = 0; i < 1'000; ++i) {
-    log.record("p", false, AccessOutcome::Ok, "u");
+    log.record(kUntimed, "p", false, AccessOutcome::Ok, "u");
   }
   const auto report = detect_rate_anomalies(log, RateDetectorConfig{});
   EXPECT_TRUE(report.principals.empty());
@@ -255,14 +248,12 @@ TEST(RateDetector, IgnoresUntimestampedEvents) {
 
 TEST(RateDetector, EvaluationSeparatesScriptedActors) {
   AccessAuditLog log;
-  sim::TimeNs clock{0};
-  log.set_clock([&clock]() { return clock; });
-  replay(log, clock, sim::TimeNs{0}, sim::seconds(1), 30, "daemon");
-  replay(log, clock, sim::milliseconds(3), sim::milliseconds(500), 60,
+  replay(log, sim::TimeNs{0}, sim::seconds(1), 30, "daemon");
+  replay(log, sim::milliseconds(3), sim::milliseconds(500), 60,
          "governor");
-  replay(log, clock, sim::milliseconds(7), sim::milliseconds(35), 857,
+  replay(log, sim::milliseconds(7), sim::milliseconds(35), 857,
          "attacker-35ms");
-  replay(log, clock, sim::milliseconds(11), sim::milliseconds(1), 30'000,
+  replay(log, sim::milliseconds(11), sim::milliseconds(1), 30'000,
          "attacker-1khz");
 
   RateDetectorConfig config;
@@ -284,19 +275,19 @@ TEST(RateDetector, EvaluationSeparatesScriptedActors) {
 
 TEST(ObsAudit, GlobalHelperRespectsAuditSwitch) {
   shutdown();
-  audit_access("p", false, AccessOutcome::Ok);
+  audit_access(kUntimed, "p", false, AccessOutcome::Ok);
   EXPECT_EQ(audit_log().total_accesses(), 0u);
 
   ObsConfig config;
   config.enabled = true;
   config.audit = false;
   init(config);
-  audit_access("p", false, AccessOutcome::Ok);
+  audit_access(kUntimed, "p", false, AccessOutcome::Ok);
   EXPECT_EQ(audit_log().total_accesses(), 0u);
   shutdown();
 
   init();
-  audit_access("p", false, AccessOutcome::Denied);
+  audit_access(kUntimed, "p", false, AccessOutcome::Denied);
   EXPECT_EQ(audit_log().total_accesses(), 1u);
   EXPECT_EQ(audit_log().total_denials(), 1u);
   shutdown();

@@ -102,13 +102,14 @@ TEST_F(HttpExporterTest, HealthzAndScrapeCounting) {
 TEST_F(HttpExporterTest, RunRecordEndpoint) {
   HttpExporter server(registry_);
   server.start();
-  // Without a provider: 503.
-  EXPECT_NE(http_get(server.port(), "/runrecord").find("503"),
+  // Before the route is registered: 404.
+  EXPECT_NE(http_get(server.port(), "/runrecord").find("404"),
             std::string::npos);
 
   RunRecord record("http_test_bench");
   record.set_number("accuracy", 0.93);
-  server.set_runrecord_provider([&record]() { return record.to_json(); });
+  server.route("/runrecord", "application/json",
+               [&record]() { return record.to_json().dump(2); });
   const std::string body = body_of(http_get(server.port(), "/runrecord"));
   const util::Json doc = util::Json::parse(body);
   EXPECT_EQ(doc.find("bench")->as_string(), "http_test_bench");
@@ -155,11 +156,11 @@ TEST_F(HttpExporterTest, HealthzDegradesWhenAllChannelsQuarantined) {
 TEST_F(HttpExporterTest, FlamegraphEndpoint) {
   HttpExporter server(registry_);
   server.start();
-  // Without a provider: 503.
-  EXPECT_NE(http_get(server.port(), "/flamegraph").find("503"),
+  // Before the route is registered: 404.
+  EXPECT_NE(http_get(server.port(), "/flamegraph").find("404"),
             std::string::npos);
-  server.set_flamegraph_provider(
-      []() { return std::string("root;child 42\n"); });
+  server.route("/flamegraph", "text/plain; charset=utf-8",
+               []() { return std::string("root;child 42\n"); });
   const std::string response = http_get(server.port(), "/flamegraph");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
   EXPECT_NE(response.find("text/plain"), std::string::npos);
@@ -170,12 +171,12 @@ TEST_F(HttpExporterTest, FlamegraphEndpoint) {
 TEST_F(HttpExporterTest, SloEndpoint) {
   HttpExporter server(registry_);
   server.start();
-  EXPECT_NE(http_get(server.port(), "/slo").find("503"), std::string::npos);
-  server.set_slo_provider([]() {
+  EXPECT_NE(http_get(server.port(), "/slo").find("404"), std::string::npos);
+  server.route("/slo", "application/json", []() {
     auto j = util::Json::object();
     j.set("now_s", util::Json::number(12.0));
     j.set("objectives", util::Json::array());
-    return j;
+    return j.dump(2);
   });
   const std::string response = http_get(server.port(), "/slo");
   EXPECT_NE(response.find("200 OK"), std::string::npos);
@@ -188,7 +189,12 @@ TEST_F(HttpExporterTest, SloEndpoint) {
 TEST_F(HttpExporterTest, UnknownPathAndMethod) {
   HttpExporter server(registry_);
   server.start();
-  EXPECT_NE(http_get(server.port(), "/nope").find("404"), std::string::npos);
+  server.route("/slo", "application/json", []() { return std::string("{}"); });
+  const std::string missing = http_get(server.port(), "/nope");
+  EXPECT_NE(missing.find("404"), std::string::npos);
+  // The 404 body lists the built-in and the registered routes.
+  EXPECT_NE(body_of(missing).find("/metrics /healthz /slo"),
+            std::string::npos);
   EXPECT_NE(http_get(server.port(), "/metrics", "POST").find("405"),
             std::string::npos);
   // Query strings are stripped before routing.

@@ -162,7 +162,7 @@ TEST(MetricsRegistry, JsonSnapshotParsesBack) {
   reg.gauge("temp").set(42.5);
   reg.histogram("lat").observe(150.0);
   const std::string path = test::temp_path("metrics.json");
-  reg.write_snapshot(path);
+  util::atomic_write_file(path, reg.snapshot_text(path));
   EXPECT_FALSE(util::path_exists(path + ".tmp"));
   const auto parsed = util::Json::parse(util::read_file(path));
   ASSERT_TRUE(parsed.is_object());
@@ -181,16 +181,16 @@ TEST(MetricsRegistry, JsonSnapshotParsesBack) {
   ASSERT_GT(buckets->size(), 0u);
   EXPECT_NE(buckets->at(0).find("le"), nullptr);
   // A failed write throws rather than reporting success with no file.
-  EXPECT_THROW(
-      reg.write_snapshot(test::temp_path("no-such-dir") + "/metrics.json"),
-      std::runtime_error);
+  const std::string bad = test::temp_path("no-such-dir") + "/metrics.json";
+  EXPECT_THROW(util::atomic_write_file(bad, reg.snapshot_text(bad)),
+               std::runtime_error);
 }
 
 TEST(MetricsRegistry, CsvSnapshotHasHeaderAndRows) {
   MetricsRegistry reg;
   reg.counter("reads").inc(2);
   const std::string path = test::temp_path("metrics.csv");
-  reg.write_snapshot(path);
+  util::atomic_write_file(path, reg.snapshot_text(path));
   EXPECT_FALSE(util::path_exists(path + ".tmp"));
   const std::string csv = util::read_file(path);
   EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);

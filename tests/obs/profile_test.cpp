@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "amperebleed/obs/obs.hpp"
@@ -31,58 +27,6 @@ TEST(StageName, CoversEveryStage) {
   EXPECT_STREQ(stage_name(Stage::Preprocess), "preprocess");
   EXPECT_STREQ(stage_name(Stage::Features), "features");
   EXPECT_STREQ(stage_name(Stage::Classify), "classify");
-}
-
-TEST(PipelineTimeline, RecordsCountsAndExtremes) {
-  PipelineTimeline timeline;
-  timeline.record(Stage::Acquire, 5e3, 11);
-  timeline.record(Stage::Acquire, 2e3, 12);
-  timeline.record(Stage::Acquire, 9e6, 13);
-  const auto stats = timeline.stage_stats(Stage::Acquire);
-  EXPECT_EQ(stats.count, 3u);
-  EXPECT_DOUBLE_EQ(stats.total_ns, 5e3 + 2e3 + 9e6);
-  EXPECT_DOUBLE_EQ(stats.min_ns, 2e3);
-  EXPECT_DOUBLE_EQ(stats.max_ns, 9e6);
-  // Untouched stages stay empty.
-  EXPECT_EQ(timeline.stage_stats(Stage::Classify).count, 0u);
-}
-
-TEST(PipelineTimeline, BucketsKeepLastExemplar) {
-  PipelineTimeline timeline;
-  timeline.record(Stage::Classify, 500.0, 21);  // first bucket (le 1e3)
-  timeline.record(Stage::Classify, 600.0, 22);  // same bucket, new exemplar
-  timeline.record(Stage::Classify, 700.0, 0);   // tracing off: keeps 22
-  const auto stats = timeline.stage_stats(Stage::Classify);
-  ASSERT_FALSE(stats.buckets.empty());
-  EXPECT_DOUBLE_EQ(stats.buckets[0].upper_ns, 1e3);
-  EXPECT_EQ(stats.buckets[0].count, 3u);
-  EXPECT_EQ(stats.buckets[0].exemplar_span_id, 22u);
-  EXPECT_DOUBLE_EQ(stats.buckets[0].exemplar_ns, 600.0);
-}
-
-TEST(PipelineTimeline, OverflowBucketCatchesOutliers) {
-  PipelineTimeline timeline;
-  timeline.record(Stage::Features, 1e12, 31);  // way past the last bound
-  const auto stats = timeline.stage_stats(Stage::Features);
-  ASSERT_FALSE(stats.buckets.empty());
-  const auto& overflow = stats.buckets.back();
-  EXPECT_TRUE(std::isinf(overflow.upper_ns));
-  EXPECT_EQ(overflow.count, 1u);
-  EXPECT_EQ(overflow.exemplar_span_id, 31u);
-}
-
-TEST(PipelineTimeline, JsonListsEveryStage) {
-  PipelineTimeline timeline;
-  timeline.record(Stage::Acquire, 1e4, 0);
-  const auto doc = util::Json::parse(timeline.to_json().dump());
-  for (const char* stage : {"acquire", "preprocess", "features", "classify"}) {
-    const auto* entry = doc.find(stage);
-    ASSERT_NE(entry, nullptr) << stage;
-    ASSERT_NE(entry->find("count"), nullptr);
-    ASSERT_NE(entry->find("buckets"), nullptr);
-  }
-  EXPECT_EQ(doc.find("acquire")->find("count")->as_integer(), 1);
-  EXPECT_EQ(doc.find("classify")->find("count")->as_integer(), 0);
 }
 
 TEST(CollapsedStacks, FoldsBySelfTime) {
@@ -134,67 +78,40 @@ TEST(CollapsedStacks, IgnoresFlowAndVirtualEvents) {
   EXPECT_EQ(collapsed_stacks_text(tracer), "root 10\n");
 }
 
-TEST(CollapsedStacks, WriteThrowsOnBadPath) {
-  SpanTracer tracer;
-  EXPECT_THROW(
-      write_collapsed_stacks(tracer, "/nonexistent-dir-xyz/profile.txt"),
-      std::runtime_error);
-}
-
-TEST(CollapsedStacks, WritesFile) {
-  SpanTracer tracer;
-  tracer.add_event(wall_span(1, 0, "root", 3.0));
-  const std::string path = "collapsed_stacks_test_out.txt";
-  write_collapsed_stacks(tracer, path);
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), "root 3\n");
-  std::remove(path.c_str());
-}
-
 TEST(StageSpan, InertWhenObsDisabled) {
   shutdown();
   {
     StageSpan stage(Stage::Acquire);
     EXPECT_FALSE(stage.span().active());
   }
-  EXPECT_EQ(timeline().stage_stats(Stage::Acquire).count, 0u);
+  EXPECT_EQ(metrics().find_histogram("pipeline.stage.acquire_ns"), nullptr);
 }
 
 TEST(StageSpan, RecordsTimelineHistogramAndSpan) {
   init();
   reset_data();
   { StageSpan stage(Stage::Preprocess); }
-  const auto stats = timeline().stage_stats(Stage::Preprocess);
-  EXPECT_EQ(stats.count, 1u);
   const auto* h = metrics().find_histogram("pipeline.stage.preprocess_ns");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 1u);
-  // The trace span doubles as the bucket exemplar.
-  bool saw_span = false;
-  std::uint64_t span_id = 0;
+  EXPECT_GE(h->sum(), 0.0);
+  EXPECT_EQ(h->quantile(0.5), h->sum());  // one observation is its own median
+  std::size_t spans = 0;
   for (const auto& e : tracer().events_snapshot()) {
-    if (e.name == "pipeline.preprocess") {
-      saw_span = true;
-      span_id = e.span_id;
-    }
+    if (e.name == "pipeline.preprocess") ++spans;
   }
-  EXPECT_TRUE(saw_span);
-  std::uint64_t exemplar = 0;
-  for (const auto& bucket : stats.buckets) {
-    if (bucket.exemplar_span_id != 0) exemplar = bucket.exemplar_span_id;
-  }
-  EXPECT_EQ(exemplar, span_id);
+  EXPECT_EQ(spans, 1u);
   shutdown();
 }
 
 TEST(StageSpan, ResetDataClearsTimeline) {
   init();
   { StageSpan stage(Stage::Classify); }
-  EXPECT_EQ(timeline().stage_stats(Stage::Classify).count, 1u);
+  const auto* h = metrics().find_histogram("pipeline.stage.classify_ns");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 1u);
   reset_data();
-  EXPECT_EQ(timeline().stage_stats(Stage::Classify).count, 0u);
+  EXPECT_EQ(metrics().find_histogram("pipeline.stage.classify_ns"), nullptr);
   shutdown();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "amperebleed/obs/obs.hpp"
 #include "amperebleed/util/strings.hpp"
 
 namespace amperebleed::soc {
@@ -115,6 +116,32 @@ TEST(Soc, SensorsReportThroughHwmon) {
   ASSERT_TRUE(ma.has_value());
   // Idle 0.52 A + 1.0 A load = ~1520 mA, within noise/quantization slack.
   EXPECT_NEAR(static_cast<double>(*ma), 1520.0, 30.0);
+}
+
+TEST(Soc, AuditTimestampsComeFromTheReadingSoc) {
+  // Two platforms finalized back to back, as parallel victim runs do: each
+  // one's reads carry its own virtual time, not the last-finalized SoC's.
+  obs::init();
+  obs::reset_data();
+  Soc early(zcu102_config(1));
+  Soc late(zcu102_config(2));
+  early.finalize();
+  late.finalize();
+  early.advance_to(sim::milliseconds(5));
+  late.advance_to(sim::milliseconds(9));
+  const auto read = [](Soc& soc) {
+    const int idx = soc.hwmon_index(power::Rail::FpgaLogic);
+    return soc.hwmon().fs().read(soc.hwmon().attr_path(idx, "curr1_input"),
+                                 false);
+  };
+  ASSERT_TRUE(read(early).ok());
+  ASSERT_TRUE(read(late).ok());
+
+  const auto events = obs::audit_log().events();
+  obs::shutdown();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].t.ns, sim::milliseconds(5).ns);
+  EXPECT_EQ(events[1].t.ns, sim::milliseconds(9).ns);
 }
 
 TEST(Soc, AllFourRailsGetHwmonDevices) {
