@@ -222,18 +222,16 @@ std::vector<std::size_t> bootstrap_indices(std::size_t n) {
 void tree_fit_bench(benchmark::State& state,
                     ml::TreeConfig::Splitter splitter) {
   const ml::Dataset& data = tree_fit_dataset();
-  if (splitter == ml::TreeConfig::Splitter::kPresorted) {
-    // The column mirror is built once per RandomForest::fit and shared by
-    // all trees; warming it here keeps the loop measuring per-tree cost.
-    static_cast<void>(data.column_major());
-  }
+  // The rank table is built once per RandomForest::fit and shared by all
+  // trees; building it here keeps the loop measuring per-tree cost.
+  const ml::ColumnRanks ranks(data);
   const auto indices = bootstrap_indices(data.size());
   ml::TreeConfig config;
   config.splitter = splitter;
   for (auto _ : state) {
     util::Rng rng(0x7ee);
     ml::DecisionTree tree(config);
-    tree.fit(data, indices, data.class_count(), rng);
+    tree.fit(data, ranks, indices, data.class_count(), rng);
     benchmark::DoNotOptimize(tree.node_count());
   }
 }

@@ -59,20 +59,18 @@ void OnlineFingerprinter::enroll(const Trace& trace,
   if (trace.empty()) {
     throw std::invalid_argument("OnlineFingerprinter: empty trace");
   }
-  if (feature_count_ == 0) {
-    feature_count_ = trace.size();
-    data_ = ml::Dataset(feature_count_);
-  }
+  // Nothing is committed until the row is accepted (long enough, finite):
+  // a failed enroll must leave no phantom class and no feature width.
+  const std::size_t width = feature_count_ == 0 ? trace.size() : feature_count_;
+  const auto features = trace.prefix(width);
   const auto it =
       std::find(class_names_.begin(), class_names_.end(), model_name);
-  int label = 0;
-  if (it == class_names_.end()) {
-    label = static_cast<int>(class_names_.size());
-    class_names_.push_back(model_name);
-  } else {
-    label = static_cast<int>(std::distance(class_names_.begin(), it));
-  }
-  data_.add(trace.prefix(feature_count_), label);
+  const auto label =
+      static_cast<int>(std::distance(class_names_.begin(), it));
+  if (feature_count_ == 0) data_ = ml::Dataset(width);
+  data_.add(features, label);
+  feature_count_ = width;
+  if (it == class_names_.end()) class_names_.push_back(model_name);
 }
 
 void OnlineFingerprinter::train() {

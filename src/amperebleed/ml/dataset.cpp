@@ -1,58 +1,12 @@
 #include "amperebleed/ml/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace amperebleed::ml {
-
-Dataset::Dataset(const Dataset& other)
-    : feature_count_(other.feature_count_),
-      data_(other.data_),
-      labels_(other.labels_),
-      max_label_(other.max_label_) {}
-
-Dataset& Dataset::operator=(const Dataset& other) {
-  if (this == &other) return *this;
-  feature_count_ = other.feature_count_;
-  data_ = other.data_;
-  labels_ = other.labels_;
-  max_label_ = other.max_label_;
-  invalidate_mirror();
-  return *this;
-}
-
-Dataset::Dataset(Dataset&& other) noexcept
-    : feature_count_(other.feature_count_),
-      data_(std::move(other.data_)),
-      labels_(std::move(other.labels_)),
-      max_label_(other.max_label_),
-      mirror_(std::move(other.mirror_)) {
-  mirror_ready_.store(other.mirror_ready_.load(std::memory_order_acquire),
-                      std::memory_order_release);
-  other.mirror_ready_.store(false, std::memory_order_release);
-}
-
-Dataset& Dataset::operator=(Dataset&& other) noexcept {
-  if (this == &other) return *this;
-  feature_count_ = other.feature_count_;
-  data_ = std::move(other.data_);
-  labels_ = std::move(other.labels_);
-  max_label_ = other.max_label_;
-  mirror_ = std::move(other.mirror_);
-  mirror_ready_.store(other.mirror_ready_.load(std::memory_order_acquire),
-                      std::memory_order_release);
-  other.mirror_ready_.store(false, std::memory_order_release);
-  return *this;
-}
-
-void Dataset::invalidate_mirror() {
-  if (mirror_ready_.load(std::memory_order_relaxed)) {
-    const std::lock_guard<std::mutex> lock(mirror_mu_);
-    mirror_.clear();
-    mirror_.shrink_to_fit();
-    mirror_ready_.store(false, std::memory_order_release);
-  }
-}
 
 void Dataset::add(std::span<const double> features, int label) {
   if (feature_count_ == 0 && labels_.empty()) {
@@ -64,48 +18,19 @@ void Dataset::add(std::span<const double> features, int label) {
   if (label < 0) {
     throw std::invalid_argument("Dataset::add: labels must be >= 0");
   }
+  for (const double v : features) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("Dataset::add: non-finite feature");
+    }
+  }
   data_.insert(data_.end(), features.begin(), features.end());
   labels_.push_back(label);
   max_label_ = std::max(max_label_, label);
-  invalidate_mirror();
 }
 
 std::span<const double> Dataset::row(std::size_t i) const {
   if (i >= labels_.size()) throw std::out_of_range("Dataset::row");
   return {data_.data() + i * feature_count_, feature_count_};
-}
-
-std::span<const double> Dataset::column_major() const {
-  if (!mirror_ready_.load(std::memory_order_acquire)) {
-    const std::lock_guard<std::mutex> lock(mirror_mu_);
-    if (!mirror_ready_.load(std::memory_order_relaxed)) {
-      const std::size_t rows = labels_.size();
-      const std::size_t cols = feature_count_;
-      mirror_.resize(rows * cols);
-      // Tiled transpose: both the row-major reads and the column-major
-      // writes stay within a cache-friendly tile.
-      constexpr std::size_t kTile = 32;
-      for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
-        const std::size_t r1 = std::min(r0 + kTile, rows);
-        for (std::size_t f0 = 0; f0 < cols; f0 += kTile) {
-          const std::size_t f1 = std::min(f0 + kTile, cols);
-          for (std::size_t r = r0; r < r1; ++r) {
-            const double* src = data_.data() + r * cols;
-            for (std::size_t f = f0; f < f1; ++f) {
-              mirror_[f * rows + r] = src[f];
-            }
-          }
-        }
-      }
-      mirror_ready_.store(true, std::memory_order_release);
-    }
-  }
-  return mirror_;
-}
-
-std::span<const double> Dataset::column(std::size_t f) const {
-  if (f >= feature_count_) throw std::out_of_range("Dataset::column");
-  return column_major().subspan(f * size(), size());
 }
 
 Dataset Dataset::truncated_features(std::size_t prefix_features) const {
@@ -127,6 +52,34 @@ Dataset Dataset::subset(std::span<const std::size_t> indices) const {
   out.labels_.reserve(indices.size());
   for (std::size_t i : indices) out.add(row(i), label(i));
   return out;
+}
+
+ColumnRanks::ColumnRanks(const Dataset& data) : rows_(data.size()) {
+  if (rows_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("ColumnRanks: too many rows for u32 ranks");
+  }
+  const std::size_t cols = data.feature_count();
+  ranks_.resize(rows_ * cols);
+  offsets_.reserve(cols + 1);
+  // (value, row) pairs of one column, sorted by value. Ties may land in any
+  // order: they share a rank, so the table does not depend on it.
+  std::vector<std::pair<double, std::uint32_t>> order(rows_);
+  for (std::size_t f = 0; f < cols; ++f) {
+    for (std::size_t r = 0; r < rows_; ++r) {
+      order[r] = {data.row(r)[f], static_cast<std::uint32_t>(r)};
+    }
+    std::sort(order.begin(), order.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::uint32_t* rank = ranks_.data() + f * rows_;
+    const std::size_t base = values_.size();
+    for (const auto& [value, r] : order) {
+      if (values_.size() == base || value != values_.back()) {
+        values_.push_back(value);
+      }
+      rank[r] = static_cast<std::uint32_t>(values_.size() - 1 - base);
+    }
+    offsets_.push_back(values_.size());
+  }
 }
 
 }  // namespace amperebleed::ml

@@ -2,42 +2,30 @@
 // Tabular dataset for the fingerprinting classifier: one row per side-channel
 // trace, one column per (resampled) time step or derived feature.
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <mutex>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 namespace amperebleed::ml {
 
 /// Dense row-major feature matrix with integer class labels.
-/// Invariant: every row has the same width; labels.size() == rows.
+/// Invariants: every row has the same width; labels.size() == rows; every
+/// feature is finite. The last one is what lets tree training order a
+/// column at all: a NaN breaks the strict weak ordering a sort needs, so
+/// `add` rejects it at the door instead of leaving it to the splitter.
 ///
-/// For the tree-training hot path the dataset also maintains a lazily built
-/// column-major mirror (`column_major()` / `column()`): split finding scans
-/// one feature at a time, and gathering a candidate column from contiguous
-/// memory instead of striding across rows is what keeps the per-node sort
-/// cache-resident (see DESIGN.md §9). The mirror is built at most once per
-/// mutation epoch — `add()` invalidates it — and the build is guarded by a
-/// double-checked lock, so concurrent readers (the tree-parallel region of
-/// RandomForest::fit) can all call `column_major()` safely. Mutation
-/// (`add`) is NOT thread-safe against concurrent reads, exactly like the
-/// underlying std::vectors.
+/// Tree training does not read the matrix column by column through the
+/// Dataset: `RandomForest::fit` rank-codes it once into a ColumnRanks table
+/// (below) and every node works on that.
 class Dataset {
  public:
   Dataset() = default;
   explicit Dataset(std::size_t feature_count) : feature_count_(feature_count) {}
 
-  // The mirror cache (mutex + atomic flag) is not copyable; copies restart
-  // with a cold mirror and rebuild it on demand.
-  Dataset(const Dataset& other);
-  Dataset& operator=(const Dataset& other);
-  Dataset(Dataset&& other) noexcept;
-  Dataset& operator=(Dataset&& other) noexcept;
-  ~Dataset() = default;
-
-  /// Append one sample. Throws std::invalid_argument on width mismatch.
+  /// Append one sample. Throws std::invalid_argument on width mismatch, a
+  /// negative label or a non-finite feature.
   void add(std::span<const double> features, int label);
 
   /// Pre-size the backing storage for `rows` samples (rows * feature_count
@@ -66,14 +54,6 @@ class Dataset {
   /// Memoized: maintained eagerly by add(), O(1) per call.
   [[nodiscard]] int class_count() const { return max_label_ + 1; }
 
-  /// Column-major mirror of the feature matrix: element (r, f) lives at
-  /// [f * size() + r]. Built on first call (thread-safe, double-checked),
-  /// cached until the next add().
-  [[nodiscard]] std::span<const double> column_major() const;
-
-  /// One contiguous feature column of the mirror: column(f)[r] == row(r)[f].
-  [[nodiscard]] std::span<const double> column(std::size_t f) const;
-
   /// Dataset restricted to the first `prefix_features` columns (used to
   /// evaluate shorter trace durations without re-collecting traces).
   [[nodiscard]] Dataset truncated_features(std::size_t prefix_features) const;
@@ -82,18 +62,48 @@ class Dataset {
   [[nodiscard]] Dataset subset(std::span<const std::size_t> indices) const;
 
  private:
-  void invalidate_mirror();
-
   std::size_t feature_count_ = 0;
   std::vector<double> data_;  // rows * feature_count_
   std::vector<int> labels_;
   int max_label_ = -1;  // memoized class_count() - 1
+};
 
-  // Lazily built column-major mirror. `mirror_ready_` is the acquire/release
-  // publication flag; `mirror_mu_` serializes the one-time build.
-  mutable std::mutex mirror_mu_;
-  mutable std::vector<double> mirror_;
-  mutable std::atomic<bool> mirror_ready_{false};
+/// Rank coding of every column of a Dataset, built once per forest fit and
+/// shared read-only by all of its trees.
+///
+/// Per column: the distinct values in strictly ascending order, and per row
+/// the index of its value in that list (its rank), so
+/// `values(f)[ranks(f)[r]] == data.row(r)[f]`. Equal doubles share a rank,
+/// -0.0 and +0.0 included. The rank order is the value order, so a node can
+/// order its rows by small integers instead of doubles; the doubles come
+/// back only to form a split threshold.
+class ColumnRanks {
+ public:
+  /// Throws std::length_error if the dataset has more rows than a u32 rank
+  /// can number.
+  explicit ColumnRanks(const Dataset& data);
+
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t feature_count() const {
+    return offsets_.size() - 1;
+  }
+
+  /// Rank of every row in column `f`, in row order.
+  [[nodiscard]] std::span<const std::uint32_t> ranks(std::size_t f) const {
+    assert(f < feature_count() && "ColumnRanks::ranks: column out of range");
+    return {ranks_.data() + f * rows_, rows_};
+  }
+  /// Distinct values of column `f`, strictly ascending.
+  [[nodiscard]] std::span<const double> values(std::size_t f) const {
+    assert(f < feature_count() && "ColumnRanks::values: column out of range");
+    return {values_.data() + offsets_[f], offsets_[f + 1] - offsets_[f]};
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::vector<std::uint32_t> ranks_;    // column-major: [f * rows_ + r]
+  std::vector<double> values_;          // every column's list, back to back
+  std::vector<std::size_t> offsets_{0};  // column f: [offsets_[f], [f + 1])
 };
 
 }  // namespace amperebleed::ml

@@ -17,11 +17,15 @@ namespace {
 // Gini impurity from class counts. Shared verbatim by both splitters: the
 // bit-identity contract requires the exact same floating-point operations
 // in the exact same order, because split selection compares these doubles
-// with strict `<`.
-double gini(std::span<const std::size_t> counts, std::size_t total) {
+// with strict `<`. The reference counts in std::size_t, the presorted
+// splitter in double: a count is a small integer, exact in either type, so
+// static_cast<double>(c) yields the same double and every operation after
+// it is the same — the double form just skips the u64 -> double conversion.
+template <typename Count>
+double gini(std::span<const Count> counts, std::size_t total) {
   if (total == 0) return 0.0;
   double sum_sq = 0.0;
-  for (std::size_t c : counts) {
+  for (const Count c : counts) {
     const double p = static_cast<double>(c) / static_cast<double>(total);
     sum_sq += p * p;
   }
@@ -64,26 +68,26 @@ std::size_t subsample_features(std::size_t total_features,
 /// children can overwrite freely). Exposed as the ml.fit.scratch_bytes
 /// gauge.
 struct DecisionTree::FitScratch {
-  struct ValueLabel {
-    double value;
-    std::int32_t label;  // compact (node-local) class id
-  };
-
   std::vector<std::size_t> indices;        // working sample-index array
   std::vector<std::int32_t> node_labels;   // original labels of the node
   std::vector<std::int32_t> compact;       // node labels remapped to 0..m-1
-  std::vector<ValueLabel> column;          // per-feature sort buffer
+  std::vector<std::uint64_t> keys;         // per-feature (rank, label) keys
+  std::vector<std::uint32_t> bucket_end;   // counting sort: per-rank offsets
+  std::vector<std::int32_t> by_rank;       // counting sort: labels by rank
   std::vector<std::size_t> features;       // Fisher-Yates candidate pool
   std::vector<std::int32_t> remap;         // class id -> compact id (or -1)
-  std::vector<std::size_t> node_counts;    // per-compact-class node totals
-  std::vector<std::size_t> left_counts;
-  std::vector<std::size_t> right_counts;
+  std::vector<double> node_counts;         // per-compact-class node totals
+  std::vector<double> left_counts;         // (exact small integers)
+  std::vector<double> right_counts;
 
-  void resize(std::size_t n, std::size_t feature_count, int class_count) {
+  void resize(std::size_t n, std::size_t rows, std::size_t feature_count,
+              int class_count) {
     indices.resize(n);
     node_labels.resize(n);
     compact.resize(n);
-    column.resize(n);
+    keys.resize(n);
+    bucket_end.resize(rows);  // a node's rank range never exceeds the rows
+    by_rank.resize(n);
     features.resize(feature_count);
     remap.resize(static_cast<std::size_t>(class_count));
     node_counts.resize(static_cast<std::size_t>(class_count));
@@ -95,16 +99,18 @@ struct DecisionTree::FitScratch {
     return indices.capacity() * sizeof(std::size_t) +
            node_labels.capacity() * sizeof(std::int32_t) +
            compact.capacity() * sizeof(std::int32_t) +
-           column.capacity() * sizeof(ValueLabel) +
+           keys.capacity() * sizeof(std::uint64_t) +
+           bucket_end.capacity() * sizeof(std::uint32_t) +
+           by_rank.capacity() * sizeof(std::int32_t) +
            features.capacity() * sizeof(std::size_t) +
            remap.capacity() * sizeof(std::int32_t) +
-           node_counts.capacity() * sizeof(std::size_t) +
-           left_counts.capacity() * sizeof(std::size_t) +
-           right_counts.capacity() * sizeof(std::size_t);
+           node_counts.capacity() * sizeof(double) +
+           left_counts.capacity() * sizeof(double) +
+           right_counts.capacity() * sizeof(double);
   }
 };
 
-void DecisionTree::fit(const Dataset& data,
+void DecisionTree::fit(const Dataset& data, const ColumnRanks& ranks,
                        std::span<const std::size_t> sample_indices,
                        int class_count, util::Rng& rng) {
   if (sample_indices.empty()) {
@@ -112,6 +118,11 @@ void DecisionTree::fit(const Dataset& data,
   }
   if (class_count <= 0) {
     throw std::invalid_argument("DecisionTree::fit: class_count must be > 0");
+  }
+  if (ranks.rows() != data.size() ||
+      ranks.feature_count() != data.feature_count()) {
+    throw std::invalid_argument(
+        "DecisionTree::fit: rank table built from another dataset");
   }
   nodes_.clear();
   leaf_dists_.clear();
@@ -128,13 +139,10 @@ void DecisionTree::fit(const Dataset& data,
   const std::size_t n = sample_indices.size();
   nodes_.reserve(2 * n);  // a tree over n samples has < 2n nodes
   FitScratch scratch;
-  scratch.resize(n, data.feature_count(), class_count);
+  scratch.resize(n, data.size(), data.feature_count(), class_count);
   std::copy(sample_indices.begin(), sample_indices.end(),
             scratch.indices.begin());
-  // Column-major mirror: built once per dataset mutation epoch (the forest
-  // warms it before the tree-parallel region), then shared read-only.
-  const std::span<const double> columns = data.column_major();
-  build_presorted(data, columns.data(), scratch, 0, n, 0, rng);
+  build_presorted(data, ranks, scratch, 0, n, 0, rng);
   obs::gauge_set("ml.fit.scratch_bytes",
                  static_cast<double>(scratch.bytes()));
 }
@@ -241,8 +249,10 @@ std::int32_t DecisionTree::build_reference(const Dataset& data,
       if (column[i].first == column[i + 1].first) continue;  // not a boundary
       const std::size_t n_right = n - n_left;
       const double impurity =
-          (static_cast<double>(n_left) * gini(left_counts, n_left) +
-           static_cast<double>(n_right) * gini(right_counts, n_right)) /
+          (static_cast<double>(n_left) *
+               gini<std::size_t>(left_counts, n_left) +
+           static_cast<double>(n_right) *
+               gini<std::size_t>(right_counts, n_right)) /
           static_cast<double>(n);
       if (impurity < best.impurity) {
         best.impurity = impurity;
@@ -286,31 +296,59 @@ std::int32_t DecisionTree::build_reference(const Dataset& data,
 }
 
 // ---------------------------------------------------------------------------
-// Presorted cache-resident splitter. Same splits as build_reference, proved
-// by three exact-equivalence arguments (each asserted by the golden tests):
+// Presorted rank-key splitter. Same splits as build_reference, proved by
+// four exact-equivalence arguments (each asserted by the golden tests):
 //
-//  1. Index-order sorting: the scan only evaluates impurity at value
-//     boundaries, where the accumulated left/right class counts cover whole
-//     equal-value runs — the counts are multiset properties, independent of
-//     how ties were ordered by the sort. Sorting (value, label) pairs
-//     (reference) and sorting by value alone (here) therefore score the
-//     exact same candidate thresholds with the exact same count vectors.
-//  2. Compact class remap: classes absent from a node contribute p*p = +0.0
+//  1. Rank order is value order: ColumnRanks numbers a column's distinct
+//     values in ascending order, so ordering a node's rows by rank orders
+//     them by value, and a rank change is exactly a value change. The scan
+//     visits the same boundaries in the same order, and the threshold
+//     0.5 * (values[ra] + values[rb]) is the reference's midpoint of the
+//     same two doubles (equal doubles share a rank; -0.0 and +0.0 give the
+//     same sum with any nonzero neighbour).
+//  2. Tie order: impurity is only evaluated at boundaries, where the
+//     accumulated left/right class counts cover whole equal-value runs —
+//     multiset properties, independent of how ties were ordered. So the
+//     labels riding in the low word of a key (sort path), or the order of
+//     rows inside a rank bucket (counting path), cannot change a count
+//     vector at a boundary.
+//  3. Compact class remap: classes absent from a node contribute p*p = +0.0
 //     to the Gini sum, and sum_sq is always >= +0.0, so skipping them leaves
 //     every partial sum bit-identical as long as the present classes are
 //     visited in ascending class order — which the remap preserves.
-//  3. Node-total counts: the reference's per-feature right_counts
+//  4. Node-total counts: the reference's per-feature right_counts
 //     initialization accumulates the node's label multiset, which is the
 //     same integer vector for every feature; computing it once per node and
-//     memcpy'ing is exact.
+//     copying it is exact.
+//
+// The partition is exact too: a row goes left iff its value is
+// <= threshold, i.e. iff its rank is below upper_bound(values, threshold).
+// Testing `rank <= ra` instead would be wrong: the midpoint of two adjacent
+// doubles can round up to values[rb], and a midpoint sum can overflow to
+// +-inf.
+
+namespace {
+
+/// A key packs a row's rank (high word) above its compact node label (low
+/// word). Ranks are u32 (ColumnRanks checks the row count) and labels are
+/// non-negative ints, so u64 keys hold every Dataset the library accepts.
+constexpr int kLabelBits = 32;
+
+/// The counting sort replaces the comparison sort when the node's rank
+/// range is at most this many times its row count: a counting pass costs
+/// O(n + range), std::sort O(n log n). The bound keeps a small node of a
+/// large dataset off an O(rows) bucket sweep; 16 measured best of
+/// 2/8/16/32/unbounded on BM_TreeFit-shaped data at 468 to 15600 rows.
+constexpr std::size_t kCountingRangePerRow = 16;
+
+}  // namespace
 
 std::int32_t DecisionTree::build_presorted(const Dataset& data,
-                                           const double* columns,
+                                           const ColumnRanks& ranks,
                                            FitScratch& scratch,
                                            std::size_t begin, std::size_t end,
                                            int depth, util::Rng& rng) {
   const std::size_t n = end - begin;
-  const std::size_t n_rows = data.size();
   const std::size_t* here = scratch.indices.data() + begin;
   const int* all_labels = data.labels().data();
 
@@ -342,8 +380,8 @@ std::int32_t DecisionTree::build_presorted(const Dataset& data,
     if (remap[c] == 0) remap[c] = static_cast<std::int32_t>(m++);
   }
   std::int32_t* compact = scratch.compact.data();
-  std::size_t* node_counts = scratch.node_counts.data();
-  std::fill(node_counts, node_counts + m, std::size_t{0});
+  double* node_counts = scratch.node_counts.data();
+  std::fill(node_counts, node_counts + m, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     compact[i] = remap[node_labels[i]];
     ++node_counts[compact[i]];
@@ -355,44 +393,85 @@ std::int32_t DecisionTree::build_presorted(const Dataset& data,
                          scratch.features.data(), rng);
 
   BestSplit best;
-  FitScratch::ValueLabel* column = scratch.column.data();
-  std::size_t* left_counts = scratch.left_counts.data();
-  std::size_t* right_counts = scratch.right_counts.data();
+  std::uint64_t* keys = scratch.keys.data();
+  double* left_counts = scratch.left_counts.data();
+  double* right_counts = scratch.right_counts.data();
 
   for (std::size_t fi = 0; fi < k; ++fi) {
     const std::size_t f = scratch.features[fi];
-    const double* col = columns + f * n_rows;  // contiguous feature column
-    bool constant = true;
-    const double first = col[here[0]];
+    const std::uint32_t* rank = ranks.ranks(f).data();
+    std::uint32_t lo = rank[here[0]];
+    std::uint32_t hi = lo;
     for (std::size_t i = 0; i < n; ++i) {
-      const double v = col[here[i]];
-      column[i] = {v, compact[i]};
-      constant = constant && v == first;
+      const std::uint32_t r = rank[here[i]];
+      keys[i] = (std::uint64_t{r} << kLabelBits) |
+                static_cast<std::uint32_t>(compact[i]);
+      lo = std::min(lo, r);
+      hi = std::max(hi, r);
     }
-    if (constant) continue;  // same skip decision as the post-sort check
+    if (lo == hi) continue;  // constant on this node
 
-    std::sort(column, column + n,
-              [](const FitScratch::ValueLabel& a,
-                 const FitScratch::ValueLabel& b) { return a.value < b.value; });
-
-    std::fill(left_counts, left_counts + m, std::size_t{0});
+    const double* values = ranks.values(f).data();
+    std::fill(left_counts, left_counts + m, 0.0);
     std::copy(node_counts, node_counts + m, right_counts);
-    std::size_t n_left = 0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const auto label = static_cast<std::size_t>(column[i].label);
-      ++left_counts[label];
-      --right_counts[label];
-      ++n_left;
-      if (column[i].value == column[i + 1].value) continue;  // not a boundary
+    // Scores the boundary between ranks ra < rb with the n_left rows of
+    // rank <= ra already moved into left_counts.
+    const auto score = [&](std::size_t n_left, std::uint32_t ra,
+                           std::uint32_t rb) {
       const std::size_t n_right = n - n_left;
       const double impurity =
-          (static_cast<double>(n_left) * gini({left_counts, m}, n_left) +
-           static_cast<double>(n_right) * gini({right_counts, m}, n_right)) /
+          (static_cast<double>(n_left) *
+               gini<double>({left_counts, m}, n_left) +
+           static_cast<double>(n_right) *
+               gini<double>({right_counts, m}, n_right)) /
           static_cast<double>(n);
       if (impurity < best.impurity) {
         best.impurity = impurity;
         best.feature = f;
-        best.threshold = 0.5 * (column[i].value + column[i + 1].value);
+        best.threshold = 0.5 * (values[ra] + values[rb]);
+      }
+    };
+
+    const std::size_t range = std::size_t{hi - lo} + 1;
+    if (range <= kCountingRangePerRow * n) {
+      // Counting sort over the node's rank range: bucket the compact labels
+      // by rank, then walk the buckets in rank order.
+      std::uint32_t* bucket_end = scratch.bucket_end.data();
+      std::int32_t* by_rank = scratch.by_rank.data();
+      std::fill(bucket_end, bucket_end + range, std::uint32_t{0});
+      for (std::size_t i = 0; i < n; ++i) {
+        ++bucket_end[(keys[i] >> kLabelBits) - lo];
+      }
+      std::uint32_t start = 0;
+      for (std::size_t b = 0; b < range; ++b) {
+        const std::uint32_t count = bucket_end[b];
+        bucket_end[b] = start;
+        start += count;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        by_rank[bucket_end[(keys[i] >> kLabelBits) - lo]++] = compact[i];
+      }
+      std::size_t i = 0;
+      std::uint32_t prev = lo;
+      for (std::size_t b = 0; b < range; ++b) {
+        if (bucket_end[b] == i) continue;  // no row of this rank
+        const auto r = static_cast<std::uint32_t>(lo + b);
+        if (i > 0) score(i, prev, r);
+        for (; i < bucket_end[b]; ++i) {
+          ++left_counts[by_rank[i]];
+          --right_counts[by_rank[i]];
+        }
+        prev = r;
+      }
+    } else {
+      std::sort(keys, keys + n);
+      for (std::size_t i = 0; i + 1 < n; ++i) {
+        const auto label = static_cast<std::uint32_t>(keys[i]);
+        ++left_counts[label];
+        --right_counts[label];
+        const auto ra = static_cast<std::uint32_t>(keys[i] >> kLabelBits);
+        const auto rb = static_cast<std::uint32_t>(keys[i + 1] >> kLabelBits);
+        if (ra != rb) score(i + 1, ra, rb);
       }
     }
   }
@@ -402,14 +481,18 @@ std::int32_t DecisionTree::build_presorted(const Dataset& data,
     return make_leaf_from_labels({node_labels, n}, depth);
   }
 
-  // Partition indices in place around the chosen split, reading the stored
-  // values from the contiguous mirror column (bit-equal to the row-major
-  // elements, so the partition is identical).
-  const double* best_col = columns + best.feature * n_rows;
+  // Partition indices in place around the chosen split: ranks below
+  // `left_ranks` hold exactly the values <= threshold.
+  const std::span<const double> best_values = ranks.values(best.feature);
+  const auto left_ranks = static_cast<std::uint32_t>(
+      std::upper_bound(best_values.begin(), best_values.end(),
+                       best.threshold) -
+      best_values.begin());
+  const std::uint32_t* best_rank = ranks.ranks(best.feature).data();
   const auto mid_it =
       std::partition(scratch.indices.begin() + static_cast<std::ptrdiff_t>(begin),
                      scratch.indices.begin() + static_cast<std::ptrdiff_t>(end),
-                     [&](std::size_t i) { return best_col[i] <= best.threshold; });
+                     [&](std::size_t i) { return best_rank[i] < left_ranks; });
   const auto mid =
       static_cast<std::size_t>(std::distance(scratch.indices.begin(), mid_it));
   if (mid == begin || mid == end) {
@@ -426,9 +509,9 @@ std::int32_t DecisionTree::build_presorted(const Dataset& data,
   const auto my_index = static_cast<std::int32_t>(nodes_.size() - 1);
 
   const std::int32_t left =
-      build_presorted(data, columns, scratch, begin, mid, depth + 1, rng);
+      build_presorted(data, ranks, scratch, begin, mid, depth + 1, rng);
   const std::int32_t right =
-      build_presorted(data, columns, scratch, mid, end, depth + 1, rng);
+      build_presorted(data, ranks, scratch, mid, end, depth + 1, rng);
   nodes_[static_cast<std::size_t>(my_index)].left = left;
   nodes_[static_cast<std::size_t>(my_index)].right = right;
   return my_index;

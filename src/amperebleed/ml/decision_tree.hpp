@@ -4,17 +4,21 @@
 //
 // Two split-finding implementations share one tree representation:
 //
-//  * kPresorted (default) — the cache-resident fast path. Candidate columns
-//    are gathered from the Dataset's column-major mirror into a per-tree
-//    reusable scratch arena and sorted by value only; class counts are
-//    remapped to the classes actually present in the node. Equal-value runs
-//    are merged at threshold boundaries and absent classes contribute an
-//    exact +0.0 to the Gini sum, so the selected (feature, threshold) — and
-//    therefore the fitted tree — is bit-identical to the reference splitter
-//    (asserted by tests/ml/golden_split_test.cpp).
-//  * kReference — the original materialize-and-sort splitter, retained as
-//    the golden oracle for bit-identity tests and as the pre-optimization
-//    baseline for bench/micro_primitives.cpp's BM_TreeFitReference.
+//  * kPresorted (default) — the rank-key fast path. It works on the
+//    ColumnRanks table the forest builds once per fit (dataset.hpp): for
+//    each candidate feature a node packs every row's u32 rank and its
+//    compact class id into one u64 key, and orders the keys with a counting
+//    sort over the node's rank range when that range is small next to the
+//    node, or with std::sort otherwise. Doubles come back only as the two
+//    values a threshold is the midpoint of. Class counts are remapped to
+//    the classes actually present in the node. The selected (feature,
+//    threshold) — and therefore the fitted tree — is bit-identical to the
+//    reference splitter (asserted by tests/ml/golden_split_test.cpp; the
+//    argument is in decision_tree.cpp).
+//  * kReference — the original materialize-and-sort splitter on (double,
+//    label) pairs, retained as the golden oracle for bit-identity tests and
+//    as the pre-optimization baseline for bench/micro_primitives.cpp's
+//    BM_TreeFitReference. It ignores the rank table.
 
 #include <cstdint>
 #include <span>
@@ -48,10 +52,13 @@ class DecisionTree {
   explicit DecisionTree(TreeConfig config = {}) : config_(config) {}
 
   /// Fit on `data` restricted to `sample_indices` (with repetitions allowed —
-  /// this is how the forest passes bootstrap samples). `class_count` fixes
-  /// the width of leaf distributions; `rng` drives feature subsampling.
-  void fit(const Dataset& data, std::span<const std::size_t> sample_indices,
-           int class_count, util::Rng& rng);
+  /// this is how the forest passes bootstrap samples). `ranks` must be
+  /// ColumnRanks(data); a forest builds it once and shares it across its
+  /// trees. `class_count` fixes the width of leaf distributions; `rng`
+  /// drives feature subsampling.
+  void fit(const Dataset& data, const ColumnRanks& ranks,
+           std::span<const std::size_t> sample_indices, int class_count,
+           util::Rng& rng);
 
   /// Most probable class for a feature vector. Precondition: fitted.
   [[nodiscard]] int predict(std::span<const double> features) const;
@@ -100,8 +107,8 @@ class DecisionTree {
   std::int32_t make_leaf(const Dataset& data,
                          std::span<const std::size_t> indices, int depth);
 
-  // Presorted cache-resident splitter.
-  std::int32_t build_presorted(const Dataset& data, const double* columns,
+  // Presorted rank-key splitter.
+  std::int32_t build_presorted(const Dataset& data, const ColumnRanks& ranks,
                                FitScratch& scratch, std::size_t begin,
                                std::size_t end, int depth, util::Rng& rng);
   std::int32_t make_leaf_from_labels(std::span<const std::int32_t> labels,

@@ -26,12 +26,9 @@ void RandomForest::fit(const Dataset& data) {
   const std::size_t n = data.size();
   const bool instrumented = obs::metrics_enabled();
 
-  // Warm the dataset's column-major mirror once, serially, so the
-  // tree-parallel region below shares one read-only copy instead of racing
-  // to build it behind the double-checked lock.
-  if (config_.tree.splitter == TreeConfig::Splitter::kPresorted) {
-    static_cast<void>(data.column_major());
-  }
+  // Rank-code every column once, serially; the tree-parallel region below
+  // shares the table read-only, and it is freed when this fit returns.
+  const ColumnRanks ranks(data);
 
   // Trees are trained in parallel into pre-sized slots. Tree t's RNG is
   // master.fork(t) — a pure function of (seed, t) — and its bootstrap
@@ -55,7 +52,7 @@ void RandomForest::fit(const Dataset& data) {
       std::iota(indices.begin(), indices.end(), std::size_t{0});
     }
     DecisionTree tree(config_.tree);
-    tree.fit(data, indices, class_count_, tree_rng);
+    tree.fit(data, ranks, indices, class_count_, tree_rng);
     trees[t] = std::move(tree);
     if (instrumented) {
       obs::count("ml.trees_fitted");

@@ -180,8 +180,9 @@ ReferenceProfile ReferenceProfile::from_dataset(const ml::Dataset& data,
   const std::size_t take = std::min<std::size_t>(kMaxSubsample, data.size());
   const std::size_t stride = std::max<std::size_t>(1, data.size() / take);
 
+  std::vector<double> col(data.size());
   for (std::size_t f = 0; f < dims; ++f) {
-    const std::span<const double> col = data.column(f);
+    for (std::size_t r = 0; r < data.size(); ++r) col[r] = data.row(r)[f];
     const auto [lo_it, hi_it] = std::minmax_element(col.begin(), col.end());
     // Pad 5% so quantization-edge values on clean data stay mid-histogram.
     const double span_width = *hi_it - *lo_it;

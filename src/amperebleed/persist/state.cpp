@@ -1,5 +1,6 @@
 #include "amperebleed/persist/state.hpp"
 
+#include <cmath>
 #include <utility>
 
 namespace amperebleed::persist {
@@ -179,6 +180,9 @@ ml::Dataset decode_dataset(Decoder& dec) {
   }
   for (const std::int32_t label : labels) {
     if (label < 0) dec.fail("negative class label");
+  }
+  for (const double v : values) {
+    if (!std::isfinite(v)) dec.fail("non-finite feature value");
   }
   ml::Dataset data(features);
   data.reserve(labels.size());

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "amperebleed/util/rng.hpp"
 
 namespace amperebleed::core {
@@ -94,6 +98,48 @@ TEST(OnlineFingerprinter, LifecycleErrors) {
   EXPECT_THROW(service.train(), std::logic_error);
   EXPECT_THROW(service.enroll(synthetic_trace(0, 3), "late"),
                std::logic_error);
+}
+
+TEST(OnlineFingerprinter, FailedEnrollUnderNewNameRegistersNoClass) {
+  OnlineFingerprinterConfig config;
+  config.forest.n_trees = 10;
+  OnlineFingerprinter service(config);
+  service.enroll(synthetic_trace(0, 1, 8), "a");
+  service.enroll(synthetic_trace(0, 2, 8), "a");
+  // Too short for the enrolled width, and a non-finite sample.
+  EXPECT_THROW(service.enroll(synthetic_trace(1, 3, 4), "ghost"),
+               std::invalid_argument);
+  const Trace clean = synthetic_trace(1, 4, 8);
+  Trace poisoned({}, sim::TimeNs{0}, sim::milliseconds(35));
+  poisoned.push(std::numeric_limits<double>::quiet_NaN());
+  for (const double v : clean.values()) poisoned.push(v);
+  EXPECT_THROW(service.enroll(poisoned, "nan-ghost"), std::invalid_argument);
+  EXPECT_EQ(service.class_names(), std::vector<std::string>{"a"});
+  EXPECT_EQ(service.enrolled_traces(), 2u);
+
+  service.enroll(synthetic_trace(1, 5, 8), "b");
+  service.enroll(synthetic_trace(1, 6, 8), "b");
+  service.train();
+  const auto verdict = service.classify(synthetic_trace(1, 7, 8));
+  ASSERT_EQ(verdict.ranking.size(), 2u);
+  for (const auto& [name, p] : verdict.ranking) {
+    EXPECT_TRUE(name == "a" || name == "b") << name;
+  }
+}
+
+TEST(OnlineFingerprinter, OneRealClassPlusFailedEnrollCannotTrain) {
+  OnlineFingerprinter service;
+  service.enroll(synthetic_trace(0, 1), "a");
+  EXPECT_THROW(service.enroll(synthetic_trace(1, 2, 10), "ghost"),
+               std::invalid_argument);
+  EXPECT_THROW(service.train(), std::logic_error);
+  // A first enroll that fails fixes no feature width either.
+  OnlineFingerprinter fresh;
+  Trace poisoned({}, sim::TimeNs{0}, sim::milliseconds(35));
+  poisoned.push(std::numeric_limits<double>::infinity());
+  EXPECT_THROW(fresh.enroll(poisoned, "x"), std::invalid_argument);
+  EXPECT_EQ(fresh.feature_count(), 0u);
+  EXPECT_TRUE(fresh.class_names().empty());
 }
 
 TEST(OnlineFingerprinter, ShortProbeTraceRejected) {

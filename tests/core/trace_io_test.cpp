@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "amperebleed/ml/dataset.hpp"
 #include "support/temp_path.hpp"
 
 namespace amperebleed::core {
@@ -221,6 +222,24 @@ TEST_F(TraceIoTest, LegacyThreeColumnFileLoadsFullyValid) {
   EXPECT_EQ(loaded.gap_count(), 0u);
   EXPECT_DOUBLE_EQ(loaded[0], 5.0);
   EXPECT_DOUBLE_EQ(loaded[1], 6.0);
+}
+
+TEST_F(TraceIoTest, NanValueCellFailsWhenAddedToADataset) {
+  // std::stod parses "nan" and "inf", so the file loads; the dataset is the
+  // door that keeps non-finite samples away from tree training.
+  {
+    std::ofstream out(path_);
+    out << "# amperebleed-trace quantity=current rail=ddr start_ns=0 "
+           "period_ns=1000000\n";
+    out << "index,time_ms,value\n";
+    out << "0,0.000,5\n";
+    out << "1,1.000,nan\n";
+  }
+  const Trace loaded = load_trace_csv(path_);
+  ASSERT_EQ(loaded.size(), 2u);
+  ml::Dataset data;
+  EXPECT_THROW(data.add(loaded.values(), 0), std::invalid_argument);
+  EXPECT_TRUE(data.empty());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -100,74 +101,100 @@ Dataset counting_dataset(std::size_t rows, std::size_t features) {
   return d;
 }
 
-TEST(Dataset, ColumnMajorMirrorsEveryElement) {
-  const Dataset d = counting_dataset(7, 5);
-  const auto mirror = d.column_major();
-  ASSERT_EQ(mirror.size(), d.size() * d.feature_count());
-  for (std::size_t f = 0; f < d.feature_count(); ++f) {
-    const auto col = d.column(f);
-    ASSERT_EQ(col.size(), d.size());
-    for (std::size_t r = 0; r < d.size(); ++r) {
-      EXPECT_EQ(col[r], d.row(r)[f]) << "r=" << r << " f=" << f;
-      EXPECT_EQ(mirror[f * d.size() + r], d.row(r)[f]);
+TEST(Dataset, RejectsNonFiniteFeatures) {
+  Dataset d = counting_dataset(3, 3);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> row = {1.0, bad, 2.0};
+    EXPECT_THROW(d.add(row, 4), std::invalid_argument) << bad;
+  }
+  // A rejected row leaves no trace: no row, no label, no class.
+  EXPECT_EQ(d.size(), 3u);
+  EXPECT_EQ(d.class_count(), 3);
+}
+
+TEST(Dataset, MoveKeepsRowsAndMemo) {
+  Dataset d = counting_dataset(6, 3);
+  const double expect = d.row(5)[2];
+  Dataset moved(std::move(d));
+  EXPECT_EQ(moved.size(), 6u);
+  EXPECT_EQ(moved.class_count(), 3);
+  EXPECT_EQ(moved.row(5)[2], expect);
+  Dataset target(3);
+  target = std::move(moved);
+  EXPECT_EQ(target.size(), 6u);
+  EXPECT_EQ(target.class_count(), 3);
+  EXPECT_EQ(target.row(5)[2], expect);
+}
+
+/// Columns with duplicates, a constant column, fractions and signed zeros.
+Dataset tie_heavy_dataset() {
+  Dataset d(4);
+  const std::vector<std::vector<double>> rows = {
+      {3.0, 7.0, 0.5, -0.0}, {1.0, 7.0, 2.5, 0.0},  {3.0, 7.0, -1.5, 1.0},
+      {2.0, 7.0, 0.5, -0.0}, {1.0, 7.0, 2.5, -2.0}, {3.0, 7.0, 0.5, 0.0}};
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    d.add(rows[r], static_cast<int>(r % 2));
+  }
+  return d;
+}
+
+TEST(ColumnRanks, ValueAtRankIsTheCell) {
+  for (const Dataset& d : {counting_dataset(7, 5), tie_heavy_dataset()}) {
+    const ColumnRanks ranks(d);
+    ASSERT_EQ(ranks.rows(), d.size());
+    ASSERT_EQ(ranks.feature_count(), d.feature_count());
+    for (std::size_t f = 0; f < d.feature_count(); ++f) {
+      const auto rank = ranks.ranks(f);
+      const auto values = ranks.values(f);
+      ASSERT_EQ(rank.size(), d.size());
+      for (std::size_t r = 0; r < d.size(); ++r) {
+        ASSERT_LT(rank[r], values.size());
+        EXPECT_EQ(values[rank[r]], d.row(r)[f]) << "r=" << r << " f=" << f;
+      }
     }
   }
 }
 
-TEST(Dataset, MirrorInvalidatedByAdd) {
-  Dataset d = counting_dataset(4, 3);
-  EXPECT_EQ(d.column(2)[3], d.row(3)[2]);  // builds the mirror
-  const std::vector<double> row = {-1.0, -2.0, -3.0};
-  d.add(row, 0);  // must drop the stale mirror
-  const auto col = d.column(2);
-  ASSERT_EQ(col.size(), 5u);
-  EXPECT_EQ(col[4], -3.0);
-  EXPECT_EQ(col[0], d.row(0)[2]);
-}
-
-TEST(Dataset, ConcurrentMirrorBuildIsSafeAndConsistent) {
-  const Dataset d = counting_dataset(64, 9);
-  std::vector<std::thread> threads;
-  std::vector<double> first_seen(8, 0.0);
-  for (std::size_t t = 0; t < first_seen.size(); ++t) {
-    threads.emplace_back([&, t] {
-      const auto col = d.column(4);
-      first_seen[t] = col[17];
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (double v : first_seen) EXPECT_EQ(v, d.row(17)[4]);
-}
-
-TEST(Dataset, CopyStartsWithColdMirrorButSameContents) {
-  Dataset d = counting_dataset(5, 4);
-  EXPECT_EQ(d.column(0)[0], 0.0);  // warm the source mirror
-  const Dataset copy = d;          // NOLINT(performance-unnecessary-copy...)
-  EXPECT_EQ(copy.size(), d.size());
-  EXPECT_EQ(copy.class_count(), d.class_count());
+TEST(ColumnRanks, ValuesStrictlyAscending) {
+  const Dataset d = tie_heavy_dataset();
+  const ColumnRanks ranks(d);
+  const std::vector<std::size_t> distinct = {3, 1, 3, 3};
   for (std::size_t f = 0; f < d.feature_count(); ++f) {
-    const auto a = copy.column(f);
-    const auto b = d.column(f);
-    for (std::size_t r = 0; r < d.size(); ++r) EXPECT_EQ(a[r], b[r]);
+    const auto values = ranks.values(f);
+    EXPECT_EQ(values.size(), distinct[f]) << "f=" << f;
+    for (std::size_t i = 1; i < values.size(); ++i) {
+      EXPECT_LT(values[i - 1], values[i]) << "f=" << f << " i=" << i;
+    }
   }
-  Dataset assigned(4);
-  assigned = d;
-  EXPECT_EQ(assigned.size(), d.size());
-  EXPECT_EQ(assigned.column(3)[2], d.row(2)[3]);
 }
 
-TEST(Dataset, MoveTransfersMirrorAndMemo) {
-  Dataset d = counting_dataset(6, 3);
-  const double expect = d.row(5)[2];
-  EXPECT_EQ(d.column(2)[5], expect);  // warm mirror before the move
-  Dataset moved(std::move(d));
-  EXPECT_EQ(moved.size(), 6u);
-  EXPECT_EQ(moved.class_count(), 3);
-  EXPECT_EQ(moved.column(2)[5], expect);
-  Dataset target(3);
-  target = std::move(moved);
-  EXPECT_EQ(target.size(), 6u);
-  EXPECT_EQ(target.column(2)[5], expect);
+TEST(ColumnRanks, EqualDoublesShareARankSignedZerosIncluded) {
+  const Dataset d = tie_heavy_dataset();
+  const ColumnRanks ranks(d);
+  for (std::size_t f = 0; f < d.feature_count(); ++f) {
+    const auto rank = ranks.ranks(f);
+    for (std::size_t a = 0; a < d.size(); ++a) {
+      for (std::size_t b = 0; b < d.size(); ++b) {
+        EXPECT_EQ(rank[a] == rank[b], d.row(a)[f] == d.row(b)[f])
+            << "f=" << f << " rows " << a << "," << b;
+        EXPECT_EQ(rank[a] < rank[b], d.row(a)[f] < d.row(b)[f]);
+      }
+    }
+  }
+  // Column 3 holds -0.0 and +0.0: one rank, between -2.0 and 1.0.
+  const auto zeros = ranks.ranks(3);
+  EXPECT_EQ(zeros[0], 1u);
+  EXPECT_EQ(zeros[1], 1u);
+  EXPECT_EQ(zeros[5], 1u);
+}
+
+TEST(ColumnRanks, EmptyDatasetHasEmptyColumns) {
+  const ColumnRanks ranks{Dataset(3)};
+  EXPECT_EQ(ranks.rows(), 0u);
+  EXPECT_EQ(ranks.feature_count(), 3u);
+  EXPECT_TRUE(ranks.values(2).empty());
 }
 
 }  // namespace

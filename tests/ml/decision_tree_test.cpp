@@ -34,7 +34,7 @@ TEST(DecisionTree, FitsSeparableBlobsExactly) {
   const Dataset d = two_blob_dataset(50, 1);
   DecisionTree tree;
   util::Rng rng(2);
-  tree.fit(d, all_indices(d), 2, rng);
+  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
   for (std::size_t i = 0; i < d.size(); ++i) {
     EXPECT_EQ(tree.predict(d.row(i)), d.label(i));
   }
@@ -44,7 +44,7 @@ TEST(DecisionTree, PredictProbaIsDistribution) {
   const Dataset d = two_blob_dataset(20, 3);
   DecisionTree tree;
   util::Rng rng(4);
-  tree.fit(d, all_indices(d), 2, rng);
+  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
   const auto p = tree.predict_proba(d.row(0));
   ASSERT_EQ(p.size(), 2u);
   EXPECT_NEAR(p[0] + p[1], 1.0, 1e-12);
@@ -63,7 +63,7 @@ TEST(DecisionTree, RespectsMaxDepth) {
   config.max_depth = 1;
   DecisionTree tree(config);
   util::Rng rng(5);
-  tree.fit(d, all_indices(d), 2, rng);
+  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
   EXPECT_LE(tree.depth(), 1);
 }
 
@@ -75,7 +75,7 @@ TEST(DecisionTree, PureNodeBecomesLeafImmediately) {
   }
   DecisionTree tree;
   util::Rng rng(6);
-  tree.fit(d, all_indices(d), 4, rng);
+  tree.fit(d, ColumnRanks(d), all_indices(d), 4, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(tree.predict(d.row(0)), 3);
 }
@@ -88,7 +88,7 @@ TEST(DecisionTree, ConstantFeaturesYieldMajorityLeaf) {
   d.add(same, 1);
   DecisionTree tree;
   util::Rng rng(7);
-  tree.fit(d, all_indices(d), 2, rng);
+  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
   EXPECT_EQ(tree.predict(same), 0);
 }
 
@@ -96,10 +96,20 @@ TEST(DecisionTree, ThrowsWithoutSamplesOrClasses) {
   Dataset d(1);
   DecisionTree tree;
   util::Rng rng(8);
-  EXPECT_THROW(tree.fit(d, {}, 2, rng), std::invalid_argument);
+  EXPECT_THROW(tree.fit(d, ColumnRanks(d), {}, 2, rng), std::invalid_argument);
   const std::vector<double> row = {1.0};
   d.add(row, 0);
-  EXPECT_THROW(tree.fit(d, all_indices(d), 0, rng), std::invalid_argument);
+  EXPECT_THROW(tree.fit(d, ColumnRanks(d), all_indices(d), 0, rng),
+               std::invalid_argument);
+}
+
+TEST(DecisionTree, RejectsRankTableOfAnotherDataset) {
+  const Dataset d = two_blob_dataset(10, 12);
+  const Dataset other = two_blob_dataset(11, 12);
+  DecisionTree tree;
+  util::Rng rng(13);
+  EXPECT_THROW(tree.fit(d, ColumnRanks(other), all_indices(d), 2, rng),
+               std::invalid_argument);
 }
 
 TEST(DecisionTree, PredictBeforeFitThrows) {
@@ -116,7 +126,7 @@ TEST(DecisionTree, BootstrapIndicesWithRepetitionWork) {
   }
   DecisionTree tree;
   util::Rng rng(10);
-  tree.fit(d, idx, 2, rng);
+  tree.fit(d, ColumnRanks(d), idx, 2, rng);
   EXPECT_TRUE(tree.fitted());
 }
 
@@ -133,7 +143,7 @@ TEST(DecisionTree, XorNeedsDepthTwo) {
   config.max_features = 2;  // examine both features at each node
   DecisionTree tree(config);
   util::Rng rng(11);
-  tree.fit(d, all_indices(d), 2, rng);
+  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_EQ(tree.predict(pts[i]), labels[i]);
   }

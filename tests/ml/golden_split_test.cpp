@@ -1,12 +1,13 @@
-// Golden bit-identity contract of the cache-resident ML hot path: the
-// presorted splitter (column-major gathers, value-only sorts, compact class
-// remap) and the SoA forest arena must reproduce the retained reference
-// (naive) implementation EXACTLY — same node structure, same thresholds,
-// same leaf distributions, same probabilities — on randomized datasets
-// including duplicate-value and constant-feature columns, at every
-// thread-pool size. Comparisons are exact (==), never tolerance-based:
-// a single flipped split tie would change a tree and fail the forest-wide
-// structural diff.
+// Golden bit-identity contract of the ML hot path: the presorted splitter
+// (rank-coded columns, packed integer keys, counting or comparison sort,
+// compact class remap) and the SoA forest arena must reproduce the retained
+// reference (naive) implementation EXACTLY — same node structure, same
+// thresholds, same leaf distributions, same probabilities — on randomized
+// datasets including duplicate-value and constant-feature columns,
+// hwmon-like integer columns, adjacent doubles and overflowing midpoints,
+// at every thread-pool size. Comparisons are exact (==), never
+// tolerance-based: a single flipped split tie would change a tree and fail
+// the forest-wide structural diff.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "amperebleed/ml/forest_arena.hpp"
@@ -37,6 +39,15 @@ class PoolSizeGuard {
   std::size_t before_;
 };
 
+/// How make_dataset draws the non-constant columns.
+enum class Values : std::int16_t {
+  kGaussian,  // class-shifted gaussians, optionally quantized
+  kHwmon,     // integer readings with few distinct values per column
+  kHalfStep,  // integers and half-steps, as linear gap filling leaves them
+  kAdjacent,  // a ladder of adjacent doubles: some midpoints round up
+  kHuge,      // multiples of 5e307: some midpoint sums overflow to +-inf
+};
+
 struct DatasetSpec {
   int classes = 4;
   int per_class = 20;
@@ -45,8 +56,48 @@ struct DatasetSpec {
   /// 1/quantize, manufacturing heavy duplicate runs within columns.
   int quantize = 0;
   /// Number of leading columns forced constant.
-  int constant_columns = 0;
+  std::int16_t constant_columns = 0;
+  Values values = Values::kGaussian;
 };
+// gtest names each case after the raw bytes of its DatasetSpec. The two
+// 16-bit tail fields keep the struct at 20 bytes, and a kGaussian row has
+// the same bytes as a five-int row, so the older cases keep their names.
+static_assert(sizeof(DatasetSpec) == 5 * sizeof(int));
+
+/// Column value of a row of class `c` in column `f` under `spec.values`.
+double draw_value(const DatasetSpec& spec, int c, int f, util::Rng& rng) {
+  switch (spec.values) {
+    case Values::kGaussian: {
+      double v = rng.gaussian(c * 0.8 + f * 0.05, 1.0);
+      if (spec.quantize > 0) {
+        v = std::round(v * spec.quantize) / spec.quantize;
+      }
+      return v;
+    }
+    case Values::kHwmon:
+      return std::round(rng.gaussian(800.0 + 3.0 * c + f, 4.0));
+    case Values::kHalfStep:
+      return std::round(2.0 * rng.gaussian(800.0 + 1.5 * c + f, 2.0)) / 2.0;
+    case Values::kAdjacent: {
+      // 1 + 2^-52 has an odd last mantissa bit, so the midpoint of it and
+      // its successor rounds up to the successor (ties to even).
+      double v = 1.0 + 0x1p-52;
+      const double steps = std::clamp(std::round(rng.gaussian(c, 1.0)), 0.0,
+                                      static_cast<double>(spec.classes + 2));
+      for (int i = 0; i < static_cast<int>(steps); ++i) {
+        v = std::nextafter(v, 2.0);
+      }
+      return v;
+    }
+    case Values::kHuge: {
+      const double steps =
+          std::clamp(std::round(rng.gaussian(c - 0.5 * spec.classes, 1.0)),
+                     -3.0, 3.0);
+      return steps * 5e307;  // |v| <= 1.5e308 < DBL_MAX
+    }
+  }
+  return 0.0;
+}
 
 Dataset make_dataset(const DatasetSpec& spec, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -59,11 +110,7 @@ Dataset make_dataset(const DatasetSpec& spec, std::uint64_t seed) {
           row[static_cast<std::size_t>(f)] = 3.25;  // exactly representable
           continue;
         }
-        double v = rng.gaussian(c * 0.8 + f * 0.05, 1.0);
-        if (spec.quantize > 0) {
-          v = std::round(v * spec.quantize) / spec.quantize;
-        }
-        row[static_cast<std::size_t>(f)] = v;
+        row[static_cast<std::size_t>(f)] = draw_value(spec, c, f, rng);
       }
       d.add(row, c);
     }
@@ -107,8 +154,9 @@ TEST_P(GoldenSplit, SingleTreeStructurallyIdentical) {
   DecisionTree naive(reference);
   util::Rng rng_fast(0xabc);
   util::Rng rng_naive(0xabc);
-  fast.fit(data, indices, data.class_count(), rng_fast);
-  naive.fit(data, indices, data.class_count(), rng_naive);
+  const ColumnRanks ranks(data);
+  fast.fit(data, ranks, indices, data.class_count(), rng_fast);
+  naive.fit(data, ranks, indices, data.class_count(), rng_naive);
 
   EXPECT_EQ(fast.node_count(), naive.node_count());
   EXPECT_EQ(fast.depth(), naive.depth());
@@ -183,6 +231,16 @@ TEST_P(GoldenSplit, BlockedBatchMatchesReferenceWalkPerRow) {
   }
 }
 
+std::string spec_name(const ::testing::TestParamInfo<DatasetSpec>& info) {
+  static constexpr const char* kSuffix[] = {"", "hwmon", "half", "adjacent",
+                                            "huge"};
+  const auto& s = info.param;
+  return "c" + std::to_string(s.classes) + "x" + std::to_string(s.per_class) +
+         "f" + std::to_string(s.features) + "q" + std::to_string(s.quantize) +
+         "k" + std::to_string(s.constant_columns) +
+         kSuffix[static_cast<int>(s.values)];
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Datasets, GoldenSplit,
     ::testing::Values(
@@ -190,14 +248,14 @@ INSTANTIATE_TEST_SUITE_P(
         DatasetSpec{4, 20, 10, 4, 0},    // coarse quantization: duplicate-heavy
         DatasetSpec{6, 15, 8, 2, 2},     // duplicates + constant columns
         DatasetSpec{2, 40, 5, 1, 1},     // extreme ties, binary labels
-        DatasetSpec{9, 8, 12, 0, 3}),    // many classes, several constants
-    [](const ::testing::TestParamInfo<DatasetSpec>& info) {
-      const auto& s = info.param;
-      return "c" + std::to_string(s.classes) + "x" +
-             std::to_string(s.per_class) + "f" + std::to_string(s.features) +
-             "q" + std::to_string(s.quantize) + "k" +
-             std::to_string(s.constant_columns);
-    });
+        DatasetSpec{9, 8, 12, 0, 3},     // many classes, several constants
+        // hwmon-like integer columns: few distinct ranks, counting path
+        DatasetSpec{6, 30, 10, 0, 1, Values::kHwmon},
+        DatasetSpec{5, 24, 8, 0, 0, Values::kHalfStep},  // gap-fill halves
+        DatasetSpec{4, 25, 6, 0, 0, Values::kAdjacent},  // midpoint rounds up
+        DatasetSpec{6, 20, 6, 0, 1, Values::kHuge},      // midpoint overflow
+        DatasetSpec{300, 2, 6, 0, 0, Values::kHwmon}),   // wide class count
+    spec_name);
 
 TEST(GoldenSplit, CrossValidationAccuraciesIdenticalAcrossSplitters) {
   PoolSizeGuard guard;

@@ -180,6 +180,20 @@ TEST(StateCodec, DatasetRoundTripIsExact) {
   }
 }
 
+TEST(StateCodec, NonFiniteDatasetValueIsADecodeError) {
+  // A well-framed file (valid CRC) whose body carries a NaN feature: the
+  // shape is fine, so only the value check can refuse it.
+  Encoder body;
+  body.u64(2);  // features
+  body.i32_vec(std::vector<std::int32_t>{0, 1});
+  body.f64_vec(std::vector<double>{
+      1.0, std::numeric_limits<double>::quiet_NaN(), 3.0, 4.0});
+  FileWriter file(kFileMagic, kFormatVersion, kKindDataset);
+  file.section(section_tag("BODY"), body.buffer());
+  EXPECT_THROW(static_cast<void>(decode_dataset_file(file.take(), "nan.bin")),
+               DecodeError);
+}
+
 // Acceptance criterion: forest save -> load -> predict_proba_many is
 // bit-identical to the in-memory arena.
 TEST(StateCodec, ForestRoundTripPredictsBitIdentically) {

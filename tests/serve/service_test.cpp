@@ -348,6 +348,47 @@ TEST(ClassificationService, DurableModeSurvivesRestart) {
   EXPECT_EQ(responses[0].verdict.margin, before.verdict.margin);
 }
 
+TEST(ClassificationService, FailedEnrollCreatesNoClassLiveOrReplayed) {
+  const std::string dir = ::testing::TempDir() + "service_phantom_class";
+  if (util::path_exists(dir)) {
+    for (const std::string& name : util::list_dir(dir)) {
+      util::remove_file(dir + "/" + name);
+    }
+  }
+  ServiceConfig config = small_config();
+  config.durability.dir = dir;
+  const auto class_names = [](const ClassificationService& service) {
+    const TenantSession* tenant = service.tenant("acme");
+    return tenant == nullptr
+               ? std::vector<std::string>{}
+               : tenant->fingerprinter().class_names();
+  };
+  {
+    ClassificationService service(config);
+    (void)service.submit(enroll_request("acme", 0, 1));
+    Request ghost = enroll_request("acme", 1, 2);
+    ghost.label = "ghost";
+    ghost.trace = synthetic_trace(1, 2, 10);  // shorter than the 40 enrolled
+    (void)service.submit(std::move(ghost));
+    (void)service.submit(control_request(RequestKind::Train, "acme"));
+    const auto responses = service.drain();
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_EQ(responses[0].status, ServeStatus::Ok);
+    EXPECT_EQ(responses[1].status, ServeStatus::InvalidRequest);
+    // One real class: the failed enroll must not make training possible.
+    EXPECT_EQ(responses[2].status, ServeStatus::InvalidRequest);
+    EXPECT_EQ(class_names(service), std::vector<std::string>{"net-0"});
+  }
+  // Recovery replays all three journal records, failures included.
+  ClassificationService recovered(config);
+  EXPECT_TRUE(recovered.storage().recovered);
+  EXPECT_EQ(recovered.storage().last_seq, 3u);
+  EXPECT_EQ(recovered.storage().recovered_records, 3u);
+  EXPECT_EQ(class_names(recovered), std::vector<std::string>{"net-0"});
+  EXPECT_EQ(recovered.tenant("acme")->state(),
+            TenantSession::State::Enrolling);
+}
+
 TEST(ServeTypes, NamesAreStable) {
   EXPECT_EQ(kind_name(RequestKind::Enroll), "enroll");
   EXPECT_EQ(kind_name(RequestKind::Retire), "retire");
