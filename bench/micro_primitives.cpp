@@ -1,29 +1,27 @@
 // google-benchmark micro-benchmarks of the library's hot primitives:
 // signal integration, INA226 conversion, the hwmon read path, bignum modular
-// arithmetic, trace preprocessing, and random-forest training/inference.
+// arithmetic, and random-forest training/inference.
 //
 // Unlike the table/figure benches this binary has a custom main: it pins the
 // thread pool to size 1 (so every A/B pair below measures single-thread
 // algorithmic speedup, not parallelism), strips a --record-out PATH flag
 // before google-benchmark sees the command line, and mirrors every result
 // into an obs::RunRecord — BENCH_micro_primitives.json — alongside derived
-// host-portable ratios (tree_fit_speedup, forest_predict_batch_speedup =
-// reference ns / optimized ns measured in the same process) that
-// tools/bench_compare gates on across commits.
+// host-portable ratios (slower ns / faster ns of an adjacent pair measured
+// in the same process: tree_fit_speedup, forest_predict_batch_speedup,
+// forest_predict_simd_speedup) that tools/bench_compare gates on across
+// commits.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cctype>
-#include <numeric>
+#include <cmath>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "amperebleed/core/features.hpp"
-#include "amperebleed/core/preprocess.hpp"
-#include "amperebleed/core/preprocess_reference.hpp"
 #include "amperebleed/core/sampler.hpp"
 #include "amperebleed/crypto/modexp.hpp"
 #include "amperebleed/crypto/montgomery.hpp"
@@ -36,6 +34,7 @@
 #include "amperebleed/soc/soc.hpp"
 #include "amperebleed/util/rng.hpp"
 #include "amperebleed/util/thread_pool.hpp"
+#include "support/reference_forest.hpp"
 
 namespace {
 
@@ -189,22 +188,23 @@ void BM_ForestPredict(benchmark::State& state) {
 BENCHMARK(BM_ForestPredict);
 
 // ---------------------------------------------------------------------------
-// A/B pairs for the cache-resident ML hot path. Each optimized bench has a
-// *Reference twin running the retained naive implementation on IDENTICAL
-// inputs (same dataset, same bootstrap indices, same RNG seed); the custom
-// main below derives reference_ns / optimized_ns speedup ratios from the
-// pair and lands them in the run record, where the CI perf gate watches
+// A/B pairs for the cache-resident ML hot path. Each pair runs two adjacent
+// implementations on IDENTICAL inputs (same dataset, same bootstrap
+// indices, same RNG seed): a *Reference twin runs the oracle from
+// tests/support, and the Batch/Simd pair runs the two arena kernels. The
+// custom main below derives slower_ns / faster_ns speedup ratios from the
+// pairs and lands them in the run record, where the CI perf gate watches
 // them. Ratios are host-portable (both sides move together with CPU speed),
 // unlike the raw _ns numbers.
 // ---------------------------------------------------------------------------
 
 /// Fingerprinting-shaped dataset at paper scale: 39 model classes (the
-/// paper's model-zoo size), 256 features (~the resampled trace length), 12
-/// traces per class. At 468 x 256 doubles (~1 MB) the matrix exceeds L1 by
-/// far and competes with the sort buffers for L2, so the reference
-/// splitter's strided row-major gathers pay real cache misses; 39 classes
-/// also make its fixed-width Gini loops expensive on the deep, class-poor
-/// nodes where the compact remap only visits the classes present.
+/// paper's model-zoo size), 256 features, 12 traces per class. At 468 x 256
+/// doubles (~1 MB) the matrix exceeds L1 by far and competes with the sort
+/// buffers for L2, so the reference splitter's strided row-major gathers
+/// pay real cache misses; 39 classes also make its fixed-width Gini loops
+/// expensive on the deep, class-poor nodes where the compact remap only
+/// visits the classes present.
 const ml::Dataset& tree_fit_dataset() {
   static const ml::Dataset data = synthetic_dataset(39, 12, 256);
   return data;
@@ -219,58 +219,96 @@ std::vector<std::size_t> bootstrap_indices(std::size_t n) {
   return indices;
 }
 
-void tree_fit_bench(benchmark::State& state,
-                    ml::TreeConfig::Splitter splitter) {
+void BM_TreeFit(benchmark::State& state) {
   const ml::Dataset& data = tree_fit_dataset();
   // The rank table is built once per RandomForest::fit and shared by all
   // trees; building it here keeps the loop measuring per-tree cost.
   const ml::ColumnRanks ranks(data);
   const auto indices = bootstrap_indices(data.size());
-  ml::TreeConfig config;
-  config.splitter = splitter;
   for (auto _ : state) {
     util::Rng rng(0x7ee);
-    ml::DecisionTree tree(config);
+    ml::DecisionTree tree;
     tree.fit(data, ranks, indices, data.class_count(), rng);
     benchmark::DoNotOptimize(tree.node_count());
   }
 }
-
-void BM_TreeFit(benchmark::State& state) {
-  tree_fit_bench(state, ml::TreeConfig::Splitter::kPresorted);
-}
 BENCHMARK(BM_TreeFit)->Unit(benchmark::kMicrosecond);
 
+/// The original materialize-and-sort splitter on the same inputs;
+/// tree_fit_speedup = this / BM_TreeFit.
 void BM_TreeFitReference(benchmark::State& state) {
-  tree_fit_bench(state, ml::TreeConfig::Splitter::kReference);
+  const ml::Dataset& data = tree_fit_dataset();
+  const auto indices = bootstrap_indices(data.size());
+  for (auto _ : state) {
+    util::Rng rng(0x7ee);
+    const ml::reference::Tree tree = ml::reference::fit_tree(
+        ml::TreeConfig{}, data, indices, data.class_count(), rng);
+    benchmark::DoNotOptimize(tree.node_count());
+  }
 }
 BENCHMARK(BM_TreeFitReference)->Unit(benchmark::kMicrosecond);
 
-/// Paper-scale forest for the batch-inference A/B: 100 trees over the
-/// class-rich dataset. The retained per-tree pointer walk re-streams every
-/// tree's heap nodes for every row (several MB per row at this size); the
-/// arena walk streams the packed SoA trees once per 16-row block. Fitted
-/// once (static) so google-benchmark's repeated function invocations don't
-/// refit.
-const ml::RandomForest& batch_forest() {
+/// classify_steady's shape (perfbench): one tenant's forest is 100 trees at
+/// depth 32 (the ForestConfig defaults) over 12 classes, fitted on 8
+/// integer hwmon traces of 143 samples per class, and one service tick
+/// sweeps 256 queued rows through it. Readings are whole milliamps around a
+/// per-class level.
+constexpr int kServeClasses = 12;
+constexpr int kServeTracesPerClass = 8;
+constexpr std::size_t kServeSamples = 143;
+constexpr std::size_t kServeRows = 256;
+
+ml::Dataset hwmon_traces(int per_class, std::uint64_t seed) {
+  util::Rng rng(seed);
+  ml::Dataset d(kServeSamples);
+  std::vector<double> row(kServeSamples);
+  for (int c = 0; c < kServeClasses; ++c) {
+    for (int i = 0; i < per_class; ++i) {
+      for (std::size_t f = 0; f < kServeSamples; ++f) {
+        const double level = 800.0 + 3.0 * c + static_cast<double>(f % 13);
+        row[f] = std::round(rng.gaussian(level, 4.0));
+      }
+      d.add(row, c);
+    }
+  }
+  return d;
+}
+
+const ml::Dataset& serve_training() {
+  static const ml::Dataset data =
+      hwmon_traces(kServeTracesPerClass, 0x5e7e);
+  return data;
+}
+
+/// Fitted once (static) so google-benchmark's repeated function
+/// invocations don't refit.
+const ml::RandomForest& serve_forest() {
   static const ml::RandomForest forest = [] {
-    ml::ForestConfig config;
-    config.n_trees = 100;
-    ml::RandomForest f(config);
-    f.fit(tree_fit_dataset());
+    ml::RandomForest f;
+    f.fit(serve_training());
     return f;
   }();
   return forest;
 }
 
+/// One tick's 256 probe rows, drawn like the training traces.
+const std::vector<std::span<const double>>& serve_rows() {
+  static const ml::Dataset probes = hwmon_traces(
+      static_cast<int>((kServeRows + kServeClasses - 1) / kServeClasses),
+      0x9b0be);
+  static const std::vector<std::span<const double>> rows = [] {
+    std::vector<std::span<const double>> r;
+    for (std::size_t i = 0; i < kServeRows; ++i) r.push_back(probes.row(i));
+    return r;
+  }();
+  return rows;
+}
+
 /// The scalar arena kernel alone, over the same 16-row blocks
-/// predict_proba_many uses: this pair measures the arena layout win (SoA
-/// arena vs per-tree pointer walk) in isolation.
+/// predict_proba_many uses.
 void BM_ForestPredictBatch(benchmark::State& state) {
-  const ml::Dataset& data = tree_fit_dataset();
-  const ml::ForestArena& arena = batch_forest().arena();
-  std::vector<std::span<const double>> rows;
-  for (std::size_t i = 0; i < data.size(); ++i) rows.push_back(data.row(i));
+  const auto& rows = serve_rows();
+  const ml::ForestArena& arena = serve_forest().arena();
   constexpr std::size_t kBlock = ml::RandomForest::kPredictRowBlock;
   for (auto _ : state) {
     std::vector<std::vector<double>> out(rows.size());
@@ -285,27 +323,29 @@ void BM_ForestPredictBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredictBatch)->Unit(benchmark::kMicrosecond);
 
+/// The same forest as per-tree reference trees, walked row by row with
+/// pointers: forest_predict_batch_speedup = this / BM_ForestPredictBatch
+/// measures the arena layout win.
 void BM_ForestPredictBatchReference(benchmark::State& state) {
-  const ml::Dataset& data = tree_fit_dataset();
-  const ml::RandomForest& forest = batch_forest();
+  const auto& rows = serve_rows();
+  static const ml::reference::Forest forest(ml::ForestConfig{},
+                                            serve_training());
   for (auto _ : state) {
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      benchmark::DoNotOptimize(forest.predict_proba_reference(data.row(i)));
+    for (const auto& row : rows) {
+      benchmark::DoNotOptimize(forest.predict_proba(row));
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
+                          static_cast<std::int64_t>(rows.size()));
 }
 BENCHMARK(BM_ForestPredictBatchReference)->Unit(benchmark::kMicrosecond);
 
-/// The same paper-scale batch through predict_proba_many, i.e. whichever
-/// kernel the CPU picks (AVX2 on hosts that have it, else scalar).
-/// forest_predict_simd_speedup = BM_ForestPredictBatchReference / this.
+/// The same batch through predict_proba_many, i.e. whichever kernel the
+/// CPU picks (AVX2 on hosts that have it, else scalar).
+/// forest_predict_simd_speedup = BM_ForestPredictBatch / this.
 void BM_ForestPredictSimd(benchmark::State& state) {
-  const ml::Dataset& data = tree_fit_dataset();
-  const ml::RandomForest& forest = batch_forest();
-  std::vector<std::span<const double>> rows;
-  for (std::size_t i = 0; i < data.size(); ++i) rows.push_back(data.row(i));
+  const auto& rows = serve_rows();
+  const ml::RandomForest& forest = serve_forest();
   for (auto _ : state) {
     benchmark::DoNotOptimize(forest.predict_proba_many(rows));
   }
@@ -313,157 +353,6 @@ void BM_ForestPredictSimd(benchmark::State& state) {
                           static_cast<std::int64_t>(rows.size()));
 }
 BENCHMARK(BM_ForestPredictSimd)->Unit(benchmark::kMicrosecond);
-
-/// The attacker-side trace cleanup chain feeding the classifier: dedup the
-/// oversampled register reads, detrend thermal drift, resample to the
-/// feature width, then smooth.
-void BM_PreprocessPipeline(benchmark::State& state) {
-  util::Rng rng(0x9e9);
-  std::vector<double> raw(8192);
-  double level = 1.0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (i % 3 == 0) level = 1.0 + rng.gaussian(0.0, 0.05);
-    raw[i] = level + static_cast<double>(i) * 1e-5;  // drift + held samples
-  }
-  for (auto _ : state) {
-    auto dedup = core::deduplicate_runs(raw);
-    core::detrend(dedup);
-    auto resampled = core::resample(dedup, 160);
-    benchmark::DoNotOptimize(core::sliding_mean(resampled, 4, 2));
-  }
-}
-BENCHMARK(BM_PreprocessPipeline);
-
-/// Same chain through the retained pre-PR9 naive kernels;
-/// preprocess_pipeline_speedup = reference/optimized.
-void BM_PreprocessPipelineReference(benchmark::State& state) {
-  util::Rng rng(0x9e9);
-  std::vector<double> raw(8192);
-  double level = 1.0;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (i % 3 == 0) level = 1.0 + rng.gaussian(0.0, 0.05);
-    raw[i] = level + static_cast<double>(i) * 1e-5;
-  }
-  for (auto _ : state) {
-    auto dedup = core::deduplicate_runs(raw);
-    core::reference::detrend(dedup);
-    auto resampled = core::resample(dedup, 160);
-    benchmark::DoNotOptimize(core::reference::sliding_mean(resampled, 4, 2));
-  }
-}
-BENCHMARK(BM_PreprocessPipelineReference);
-
-// ---------------------------------------------------------------------------
-// Per-kernel preprocess A/B pairs (informational _ns rows; the gated ratio
-// is the whole-pipeline pair above). Inputs are hwmon-shaped: a noisy level
-// with drift, long enough (8k samples) that the kernels stream from L2.
-// ---------------------------------------------------------------------------
-
-std::vector<double> preprocess_input(std::size_t n) {
-  util::Rng rng(0x51de);
-  std::vector<double> xs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = 1.0 + rng.gaussian(0.0, 0.05) + static_cast<double>(i) * 1e-5;
-  }
-  return xs;
-}
-
-void BM_SlidingMean(benchmark::State& state) {
-  const auto xs = preprocess_input(8192);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::sliding_mean(xs, 32, 4));
-  }
-}
-BENCHMARK(BM_SlidingMean);
-
-void BM_SlidingMeanReference(benchmark::State& state) {
-  const auto xs = preprocess_input(8192);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::reference::sliding_mean(xs, 32, 4));
-  }
-}
-BENCHMARK(BM_SlidingMeanReference);
-
-void BM_Standardize(benchmark::State& state) {
-  const auto xs = preprocess_input(8192);
-  for (auto _ : state) {
-    auto copy = xs;
-    core::standardize(copy);
-    benchmark::DoNotOptimize(copy.data());
-  }
-}
-BENCHMARK(BM_Standardize);
-
-void BM_StandardizeReference(benchmark::State& state) {
-  const auto xs = preprocess_input(8192);
-  for (auto _ : state) {
-    auto copy = xs;
-    core::reference::standardize(copy);
-    benchmark::DoNotOptimize(copy.data());
-  }
-}
-BENCHMARK(BM_StandardizeReference);
-
-void BM_Detrend(benchmark::State& state) {
-  const auto xs = preprocess_input(8192);
-  for (auto _ : state) {
-    auto copy = xs;
-    core::detrend(copy);
-    benchmark::DoNotOptimize(copy.data());
-  }
-}
-BENCHMARK(BM_Detrend);
-
-void BM_DetrendReference(benchmark::State& state) {
-  const auto xs = preprocess_input(8192);
-  for (auto _ : state) {
-    auto copy = xs;
-    core::reference::detrend(copy);
-    benchmark::DoNotOptimize(copy.data());
-  }
-}
-BENCHMARK(BM_DetrendReference);
-
-void BM_Alignment(benchmark::State& state) {
-  const auto ref = preprocess_input(2048);
-  const auto probe = core::shift(ref, 17);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::best_alignment_shift(ref, probe, 64));
-  }
-}
-BENCHMARK(BM_Alignment)->Unit(benchmark::kMicrosecond);
-
-void BM_AlignmentReference(benchmark::State& state) {
-  const auto ref = preprocess_input(2048);
-  const auto probe = core::shift(ref, 17);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::reference::best_alignment_shift(ref, probe, 64));
-  }
-}
-BENCHMARK(BM_AlignmentReference)->Unit(benchmark::kMicrosecond);
-
-void BM_FillGapsHoldLast(benchmark::State& state) {
-  const auto xs = preprocess_input(8192);
-  std::vector<std::uint8_t> validity(xs.size(), 1);
-  for (std::size_t i = 0; i < validity.size(); i += 3) validity[i] = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::fill_gaps(xs, validity, core::GapPolicy::HoldLast));
-  }
-}
-BENCHMARK(BM_FillGapsHoldLast);
-
-void BM_FillGapsHoldLastReference(benchmark::State& state) {
-  const auto xs = preprocess_input(8192);
-  std::vector<std::uint8_t> validity(xs.size(), 1);
-  for (std::size_t i = 0; i < validity.size(); i += 3) validity[i] = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::reference::fill_gaps(xs, validity, core::GapPolicy::HoldLast));
-  }
-}
-BENCHMARK(BM_FillGapsHoldLastReference);
 
 // ---------------------------------------------------------------------------
 // Custom main: single-thread pool, console output, and an obs::RunRecord of
@@ -521,24 +410,18 @@ void write_record(const RecordingReporter& reporter, const std::string& path) {
     record.set_number(sanitize_name(name) + "_ns", ns);
   }
   // Host-portable A/B ratios (see the block comment above the ML benches).
-  const auto ratio = [&](std::string_view reference, std::string_view fast) {
-    const double ref_ns = reporter.ns_for(reference);
+  const auto ratio = [&](std::string_view slow, std::string_view fast) {
+    const double slow_ns = reporter.ns_for(slow);
     const double fast_ns = reporter.ns_for(fast);
-    return (ref_ns > 0.0 && fast_ns > 0.0) ? ref_ns / fast_ns : 0.0;
+    return (slow_ns > 0.0 && fast_ns > 0.0) ? slow_ns / fast_ns : 0.0;
   };
   const double tree_fit = ratio("BM_TreeFitReference", "BM_TreeFit");
   const double batch =
       ratio("BM_ForestPredictBatchReference", "BM_ForestPredictBatch");
-  const double simd =
-      ratio("BM_ForestPredictBatchReference", "BM_ForestPredictSimd");
-  const double preprocess =
-      ratio("BM_PreprocessPipelineReference", "BM_PreprocessPipeline");
+  const double simd = ratio("BM_ForestPredictBatch", "BM_ForestPredictSimd");
   if (tree_fit > 0.0) record.set_number("tree_fit_speedup", tree_fit);
   if (batch > 0.0) record.set_number("forest_predict_batch_speedup", batch);
   if (simd > 0.0) record.set_number("forest_predict_simd_speedup", simd);
-  if (preprocess > 0.0) {
-    record.set_number("preprocess_pipeline_speedup", preprocess);
-  }
   record.set_integer("benchmarks",
                      static_cast<std::int64_t>(reporter.results().size()));
   record.write(path);

@@ -1,6 +1,5 @@
 #include "amperebleed/core/features.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "amperebleed/obs/obs.hpp"
@@ -10,28 +9,6 @@ namespace amperebleed::core {
 std::size_t samples_for_duration(sim::TimeNs duration, sim::TimeNs period) {
   if (period.ns <= 0) return 0;
   return static_cast<std::size_t>(duration.ns / period.ns);
-}
-
-void standardize(std::vector<double>& xs) {
-  if (xs.empty()) return;
-  // Mean and sum-of-squares accumulate in exactly stats::summarize's order
-  // (sum += x, then ss += d*d over the same sequence), so mean/stddev — and
-  // hence every standardized bit — match the pre-PR9 summarize-based
-  // version; we just skip its min/max bookkeeping.
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  const double mean = sum / static_cast<double>(xs.size());
-  double ss = 0.0;
-  for (double x : xs) {
-    const double d = x - mean;
-    ss += d * d;
-  }
-  const double stddev = std::sqrt(ss / static_cast<double>(xs.size()));
-  if (stddev == 0.0) {
-    for (double& x : xs) x = 0.0;
-    return;
-  }
-  for (double& x : xs) x = (x - mean) / stddev;
 }
 
 void add_trace(ml::Dataset& dataset, const Trace& trace, int label,

@@ -15,9 +15,6 @@ namespace amperebleed::core {
 /// Number of samples that fit in `duration` at `period` (floor).
 std::size_t samples_for_duration(sim::TimeNs duration, sim::TimeNs period);
 
-/// Z-score standardization in place; constant vectors become all zeros.
-void standardize(std::vector<double>& xs);
-
 /// Append a labelled trace (first `feature_count` samples) to a dataset.
 void add_trace(ml::Dataset& dataset, const Trace& trace, int label,
                std::size_t feature_count);

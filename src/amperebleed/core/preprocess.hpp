@@ -1,7 +1,8 @@
 #pragma once
-// Trace preprocessing: the attacker-side cleanup steps between raw hwmon
-// polls and analysis/classification. All functions are pure and operate on
-// plain sample vectors so they compose freely.
+// Trace preprocessing: gap reconstruction between raw hwmon polls and
+// features. The paper feeds the fixed-cadence traces to its classifier as
+// they are, so the only cleanup a trace needs is filling the samples the
+// resilient sampler could not read.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,34 +50,5 @@ std::vector<double> fill_gaps(std::span<const double> values,
 
 /// Convenience overload pulling values/validity from a Trace.
 std::vector<double> fill_gaps(const Trace& trace, GapPolicy policy);
-
-/// Remove the least-squares linear trend (slow thermal drift) in place.
-void detrend(std::vector<double>& xs);
-
-/// Linear-interpolation resample to `target_len` points spanning the same
-/// duration. Throws on empty input or target_len == 0.
-std::vector<double> resample(std::span<const double> xs,
-                             std::size_t target_len);
-
-/// Collapse runs of repeated register values (polling faster than the
-/// sensor's update interval) to one sample per run — recovers the distinct
-/// conversion sequence from an oversampled trace.
-std::vector<double> deduplicate_runs(std::span<const double> xs);
-
-/// Delay of `probe` relative to `reference` in [-max_shift, +max_shift]:
-/// the lag maximizing normalized cross-correlation of the overlapping
-/// region, such that shift(reference, result) ~ probe. Returns 0 for
-/// degenerate inputs.
-int best_alignment_shift(std::span<const double> reference,
-                         std::span<const double> probe, std::size_t max_shift);
-
-/// Shift a series by `lag` samples (positive = delay), padding with the
-/// edge value, preserving length.
-std::vector<double> shift(std::span<const double> xs, int lag);
-
-/// Sliding-window means with the given window and stride (window >= 1,
-/// stride >= 1); windows are full (truncated tail dropped).
-std::vector<double> sliding_mean(std::span<const double> xs,
-                                 std::size_t window, std::size_t stride);
 
 }  // namespace amperebleed::core

@@ -14,19 +14,18 @@ namespace amperebleed::ml {
 
 namespace {
 
-// Gini impurity from class counts. Shared verbatim by both splitters: the
-// bit-identity contract requires the exact same floating-point operations
-// in the exact same order, because split selection compares these doubles
-// with strict `<`. The reference counts in std::size_t, the presorted
-// splitter in double: a count is a small integer, exact in either type, so
-// static_cast<double>(c) yields the same double and every operation after
-// it is the same — the double form just skips the u64 -> double conversion.
-template <typename Count>
-double gini(std::span<const Count> counts, std::size_t total) {
+// Gini impurity from class counts. The bit-identity contract with the
+// reference splitter requires the exact same floating-point operations in
+// the exact same order, because split selection compares these doubles
+// with strict `<`. The reference counts in std::size_t, this splitter in
+// double: a count is a small integer, exact in either type, so the double
+// here equals static_cast<double>(c) there and every operation after it is
+// the same.
+double gini(std::span<const double> counts, std::size_t total) {
   if (total == 0) return 0.0;
   double sum_sq = 0.0;
-  for (const Count c : counts) {
-    const double p = static_cast<double>(c) / static_cast<double>(total);
+  for (const double c : counts) {
+    const double p = c / static_cast<double>(total);
     sum_sq += p * p;
   }
   return 1.0 - sum_sq;
@@ -38,9 +37,9 @@ struct BestSplit {
   double threshold = 0.0;
 };
 
-/// Feature subsample shared by both splitters: partial Fisher-Yates over
-/// `features` (pre-filled with iota), drawing exactly k variates from `rng`.
-/// Identical RNG consumption is part of the bit-identity contract.
+/// Feature subsample: partial Fisher-Yates over `features` (pre-filled with
+/// iota), drawing exactly k variates from `rng`, as the reference splitter
+/// does. Identical RNG consumption is part of the bit-identity contract.
 std::size_t subsample_features(std::size_t total_features,
                                std::size_t max_features,
                                std::size_t* features, util::Rng& rng) {
@@ -129,55 +128,25 @@ void DecisionTree::fit(const Dataset& data, const ColumnRanks& ranks,
   class_count_ = class_count;
   depth_ = 0;
 
-  if (config_.splitter == TreeConfig::Splitter::kReference) {
-    std::vector<std::size_t> indices(sample_indices.begin(),
-                                     sample_indices.end());
-    build_reference(data, indices, 0, indices.size(), 0, rng);
-    return;
-  }
-
   const std::size_t n = sample_indices.size();
   nodes_.reserve(2 * n);  // a tree over n samples has < 2n nodes
   FitScratch scratch;
   scratch.resize(n, data.size(), data.feature_count(), class_count);
   std::copy(sample_indices.begin(), sample_indices.end(),
             scratch.indices.begin());
-  build_presorted(data, ranks, scratch, 0, n, 0, rng);
+  build(data, ranks, scratch, 0, n, 0, rng);
   obs::gauge_set("ml.fit.scratch_bytes",
                  static_cast<double>(scratch.bytes()));
 }
 
 // ---------------------------------------------------------------------------
-// Leaf construction. Both variants count labels into a fresh distribution
-// slice and normalize by the sample count; counts are exact small integers
-// in double, so the result is independent of accumulation order.
+// Leaf construction: count labels into a fresh distribution slice and
+// normalize by the sample count; counts are exact small integers in double,
+// so the result is independent of accumulation order.
 
-std::int32_t DecisionTree::make_leaf(const Dataset& data,
-                                     std::span<const std::size_t> indices,
+std::int32_t DecisionTree::make_leaf(std::span<const std::int32_t> labels,
                                      int depth) {
   Node leaf;
-  leaf.node_depth = depth;
-  leaf.dist_offset = static_cast<std::int32_t>(leaf_dists_.size());
-  leaf_dists_.resize(leaf_dists_.size() + static_cast<std::size_t>(class_count_),
-                     0.0);
-  for (std::size_t i : indices) {
-    leaf_dists_[static_cast<std::size_t>(leaf.dist_offset) +
-                static_cast<std::size_t>(data.label(i))] += 1.0;
-  }
-  const double total = static_cast<double>(indices.size());
-  for (int c = 0; c < class_count_; ++c) {
-    leaf_dists_[static_cast<std::size_t>(leaf.dist_offset) +
-                static_cast<std::size_t>(c)] /= total;
-  }
-  nodes_.push_back(leaf);
-  depth_ = std::max(depth_, depth);
-  return static_cast<std::int32_t>(nodes_.size() - 1);
-}
-
-std::int32_t DecisionTree::make_leaf_from_labels(
-    std::span<const std::int32_t> labels, int depth) {
-  Node leaf;
-  leaf.node_depth = depth;
   leaf.dist_offset = static_cast<std::int32_t>(leaf_dists_.size());
   leaf_dists_.resize(leaf_dists_.size() + static_cast<std::size_t>(class_count_),
                      0.0);
@@ -191,113 +160,9 @@ std::int32_t DecisionTree::make_leaf_from_labels(
 }
 
 // ---------------------------------------------------------------------------
-// Reference splitter: the original per-node materialize-and-sort scan,
-// retained as the golden oracle (tests/ml/golden_split_test.cpp) and the
-// pre-optimization baseline (BM_TreeFitReference).
-
-std::int32_t DecisionTree::build_reference(const Dataset& data,
-                                           std::vector<std::size_t>& indices,
-                                           std::size_t begin, std::size_t end,
-                                           int depth, util::Rng& rng) {
-  const std::size_t n = end - begin;
-  const std::span<const std::size_t> here{indices.data() + begin, n};
-
-  // Stop: depth limit, too few samples, or pure node.
-  bool pure = true;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (data.label(here[i]) != data.label(here[0])) {
-      pure = false;
-      break;
-    }
-  }
-  if (pure || depth >= config_.max_depth || n < config_.min_samples_split) {
-    return make_leaf(data, here, depth);
-  }
-
-  // Feature subsample.
-  const std::size_t total_features = data.feature_count();
-  std::vector<std::size_t> features(total_features);
-  const std::size_t k =
-      subsample_features(total_features, config_.max_features, features.data(),
-                         rng);
-
-  // Find the best (feature, threshold) by exhaustive sorted scan.
-  BestSplit best;
-  std::vector<std::pair<double, int>> column(n);  // (value, label)
-  std::vector<std::size_t> left_counts(static_cast<std::size_t>(class_count_));
-  std::vector<std::size_t> right_counts(static_cast<std::size_t>(class_count_));
-
-  for (std::size_t fi = 0; fi < k; ++fi) {
-    const std::size_t f = features[fi];
-    for (std::size_t i = 0; i < n; ++i) {
-      column[i] = {data.row(here[i])[f], data.label(here[i])};
-    }
-    std::sort(column.begin(), column.end());
-    if (column.front().first == column.back().first) continue;  // constant
-
-    std::fill(left_counts.begin(), left_counts.end(), 0);
-    std::fill(right_counts.begin(), right_counts.end(), 0);
-    for (const auto& [value, label] : column) {
-      ++right_counts[static_cast<std::size_t>(label)];
-    }
-    std::size_t n_left = 0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      const auto label = static_cast<std::size_t>(column[i].second);
-      ++left_counts[label];
-      --right_counts[label];
-      ++n_left;
-      if (column[i].first == column[i + 1].first) continue;  // not a boundary
-      const std::size_t n_right = n - n_left;
-      const double impurity =
-          (static_cast<double>(n_left) *
-               gini<std::size_t>(left_counts, n_left) +
-           static_cast<double>(n_right) *
-               gini<std::size_t>(right_counts, n_right)) /
-          static_cast<double>(n);
-      if (impurity < best.impurity) {
-        best.impurity = impurity;
-        best.feature = f;
-        best.threshold = 0.5 * (column[i].first + column[i + 1].first);
-      }
-    }
-  }
-
-  if (!std::isfinite(best.impurity)) {
-    // Every sampled feature was constant on this node.
-    return make_leaf(data, here, depth);
-  }
-
-  // Partition indices in place around the chosen split.
-  const auto mid_it = std::partition(
-      indices.begin() + static_cast<std::ptrdiff_t>(begin),
-      indices.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t i) { return data.row(i)[best.feature] <= best.threshold; });
-  const auto mid =
-      static_cast<std::size_t>(std::distance(indices.begin(), mid_it));
-  if (mid == begin || mid == end) {
-    return make_leaf(data, here, depth);  // degenerate split
-  }
-
-  // Reserve our slot before recursing so child indices stay valid.
-  Node node;
-  node.feature = static_cast<std::int32_t>(best.feature);
-  node.threshold = best.threshold;
-  node.node_depth = depth;
-  nodes_.push_back(node);
-  const auto my_index = static_cast<std::int32_t>(nodes_.size() - 1);
-
-  const std::int32_t left =
-      build_reference(data, indices, begin, mid, depth + 1, rng);
-  const std::int32_t right =
-      build_reference(data, indices, mid, end, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(my_index)].left = left;
-  nodes_[static_cast<std::size_t>(my_index)].right = right;
-  return my_index;
-}
-
-// ---------------------------------------------------------------------------
-// Presorted rank-key splitter. Same splits as build_reference, proved by
-// four exact-equivalence arguments (each asserted by the golden tests):
+// Rank-key splitter. Same splits as the reference materialize-and-sort
+// splitter (tests/support/reference_forest.cpp), proved by four
+// exact-equivalence arguments (each asserted by the golden tests):
 //
 //  1. Rank order is value order: ColumnRanks numbers a column's distinct
 //     values in ascending order, so ordering a node's rows by rank orders
@@ -343,11 +208,9 @@ constexpr std::size_t kCountingRangePerRow = 16;
 
 }  // namespace
 
-std::int32_t DecisionTree::build_presorted(const Dataset& data,
-                                           const ColumnRanks& ranks,
-                                           FitScratch& scratch,
-                                           std::size_t begin, std::size_t end,
-                                           int depth, util::Rng& rng) {
+std::int32_t DecisionTree::build(const Dataset& data, const ColumnRanks& ranks,
+                                 FitScratch& scratch, std::size_t begin,
+                                 std::size_t end, int depth, util::Rng& rng) {
   const std::size_t n = end - begin;
   const std::size_t* here = scratch.indices.data() + begin;
   const int* all_labels = data.labels().data();
@@ -367,7 +230,7 @@ std::int32_t DecisionTree::build_presorted(const Dataset& data,
     }
   }
   if (pure || depth >= config_.max_depth || n < config_.min_samples_split) {
-    return make_leaf_from_labels({node_labels, n}, depth);
+    return make_leaf({node_labels, n}, depth);
   }
 
   // Compact class remap: compact ids are assigned in ascending class order
@@ -421,9 +284,9 @@ std::int32_t DecisionTree::build_presorted(const Dataset& data,
       const std::size_t n_right = n - n_left;
       const double impurity =
           (static_cast<double>(n_left) *
-               gini<double>({left_counts, m}, n_left) +
+               gini({left_counts, m}, n_left) +
            static_cast<double>(n_right) *
-               gini<double>({right_counts, m}, n_right)) /
+               gini({right_counts, m}, n_right)) /
           static_cast<double>(n);
       if (impurity < best.impurity) {
         best.impurity = impurity;
@@ -478,7 +341,7 @@ std::int32_t DecisionTree::build_presorted(const Dataset& data,
 
   if (!std::isfinite(best.impurity)) {
     // Every sampled feature was constant on this node.
-    return make_leaf_from_labels({node_labels, n}, depth);
+    return make_leaf({node_labels, n}, depth);
   }
 
   // Partition indices in place around the chosen split: ranks below
@@ -498,20 +361,19 @@ std::int32_t DecisionTree::build_presorted(const Dataset& data,
   if (mid == begin || mid == end) {
     // Degenerate split. The leaf distribution is a label multiset count, so
     // the partition's reordering of `indices` cannot change it.
-    return make_leaf_from_labels({node_labels, n}, depth);
+    return make_leaf({node_labels, n}, depth);
   }
 
   Node node;
   node.feature = static_cast<std::int32_t>(best.feature);
   node.threshold = best.threshold;
-  node.node_depth = depth;
   nodes_.push_back(node);
   const auto my_index = static_cast<std::int32_t>(nodes_.size() - 1);
 
   const std::int32_t left =
-      build_presorted(data, ranks, scratch, begin, mid, depth + 1, rng);
+      build(data, ranks, scratch, begin, mid, depth + 1, rng);
   const std::int32_t right =
-      build_presorted(data, ranks, scratch, mid, end, depth + 1, rng);
+      build(data, ranks, scratch, mid, end, depth + 1, rng);
   nodes_[static_cast<std::size_t>(my_index)].left = left;
   nodes_[static_cast<std::size_t>(my_index)].right = right;
   return my_index;

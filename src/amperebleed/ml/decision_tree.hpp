@@ -2,23 +2,17 @@
 // CART decision tree with Gini impurity — the base learner of the paper's
 // random forest (100 trees, max depth 32, Gini splitting, bootstrap).
 //
-// Two split-finding implementations share one tree representation:
-//
-//  * kPresorted (default) — the rank-key fast path. It works on the
-//    ColumnRanks table the forest builds once per fit (dataset.hpp): for
-//    each candidate feature a node packs every row's u32 rank and its
-//    compact class id into one u64 key, and orders the keys with a counting
-//    sort over the node's rank range when that range is small next to the
-//    node, or with std::sort otherwise. Doubles come back only as the two
-//    values a threshold is the midpoint of. Class counts are remapped to
-//    the classes actually present in the node. The selected (feature,
-//    threshold) — and therefore the fitted tree — is bit-identical to the
-//    reference splitter (asserted by tests/ml/golden_split_test.cpp; the
-//    argument is in decision_tree.cpp).
-//  * kReference — the original materialize-and-sort splitter on (double,
-//    label) pairs, retained as the golden oracle for bit-identity tests and
-//    as the pre-optimization baseline for bench/micro_primitives.cpp's
-//    BM_TreeFitReference. It ignores the rank table.
+// Splits are found on the ColumnRanks table the forest builds once per fit
+// (dataset.hpp): for each candidate feature a node packs every row's u32
+// rank and its compact class id into one u64 key, and orders the keys with
+// a counting sort over the node's rank range when that range is small next
+// to the node, or with std::sort otherwise. Doubles come back only as the
+// two values a threshold is the midpoint of. Class counts are remapped to
+// the classes actually present in the node. The selected (feature,
+// threshold), and therefore the fitted tree, is bit-identical to the
+// original materialize-and-sort splitter on (double, label) pairs, which
+// tests/support keeps as the oracle (asserted by
+// tests/ml/golden_split_test.cpp; the argument is in decision_tree.cpp).
 
 #include <cstdint>
 #include <span>
@@ -37,10 +31,6 @@ struct TreeConfig {
   /// Number of candidate features examined per split; 0 means
   /// round(sqrt(feature_count)) — the random-forest default.
   std::size_t max_features = 0;
-  /// Split-finding algorithm; both select identical splits (see header
-  /// comment). kReference exists for golden tests and A/B benchmarks.
-  enum class Splitter { kPresorted, kReference };
-  Splitter splitter = Splitter::kPresorted;
 };
 
 /// A fitted classification tree. Nodes are stored in a flat array in
@@ -91,28 +81,17 @@ class DecisionTree {
     std::int32_t left = -1;
     std::int32_t right = -1;
     std::int32_t dist_offset = -1;
-    std::int32_t node_depth = 0;
   };
 
-  /// Per-tree reusable scratch arena of the presorted splitter: sized once
-  /// per fit, reused by every node, no per-node allocations. Defined in
+  /// Per-tree reusable scratch arena of the splitter: sized once per fit,
+  /// reused by every node, no per-node allocations. Defined in
   /// decision_tree.cpp.
   struct FitScratch;
 
-  // Reference (original) splitter.
-  std::int32_t build_reference(const Dataset& data,
-                               std::vector<std::size_t>& indices,
-                               std::size_t begin, std::size_t end, int depth,
-                               util::Rng& rng);
-  std::int32_t make_leaf(const Dataset& data,
-                         std::span<const std::size_t> indices, int depth);
-
-  // Presorted rank-key splitter.
-  std::int32_t build_presorted(const Dataset& data, const ColumnRanks& ranks,
-                               FitScratch& scratch, std::size_t begin,
-                               std::size_t end, int depth, util::Rng& rng);
-  std::int32_t make_leaf_from_labels(std::span<const std::int32_t> labels,
-                                     int depth);
+  std::int32_t build(const Dataset& data, const ColumnRanks& ranks,
+                     FitScratch& scratch, std::size_t begin, std::size_t end,
+                     int depth, util::Rng& rng);
+  std::int32_t make_leaf(std::span<const std::int32_t> labels, int depth);
 
   [[nodiscard]] std::size_t leaf_for(std::span<const double> features) const;
 

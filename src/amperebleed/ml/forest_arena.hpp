@@ -26,9 +26,9 @@
 // CPU has it (checked once per process) and scalar otherwise; nothing else
 // steers the choice. Traversal is pure comparisons and the per-row
 // accumulation order (trees ascending, classes ascending) never changes, so
-// both kernels are bit-identical to RandomForest::predict_proba_reference
-// by construction — enforced by the exact-equality checks in
-// tests/ml/simd_dispatch_test.cpp.
+// both kernels are bit-identical to a per-tree pointer walk by construction
+// — enforced by tests/ml/simd_dispatch_test.cpp's exact-equality checks
+// against the reference forest in tests/support.
 
 #include <cstddef>
 #include <cstdint>

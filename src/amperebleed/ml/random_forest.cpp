@@ -19,7 +19,6 @@ void RandomForest::fit(const Dataset& data) {
   span.set_arg("samples", static_cast<double>(data.size()));
 
   class_count_ = data.class_count();
-  trees_.clear();
   arena_.clear();
 
   const util::Rng master(config_.seed);
@@ -62,15 +61,15 @@ void RandomForest::fit(const Dataset& data) {
   });
   // Only publish on full success: a cancelled sweep leaves the forest
   // unfitted rather than holding a partially trained ensemble.
-  trees_ = std::move(trees);
-
+  //
   // Pack the fitted trees into the flat SoA arena that all predict paths
-  // walk. Packing preserves node order and copies leaf distributions
-  // verbatim — the arena is a relayout, not a re-fit.
+  // walk; the trees themselves are dropped when this fit returns. Packing
+  // preserves node order and copies leaf distributions verbatim — the
+  // arena is a relayout, not a re-fit.
   arena_.class_count = class_count_;
   std::size_t total_nodes = 0;
   std::size_t total_dists = 0;
-  for (const auto& tree : trees_) {
+  for (const auto& tree : trees) {
     total_nodes += tree.node_count();
     total_dists += tree.leaf_value_count();
   }
@@ -78,8 +77,8 @@ void RandomForest::fit(const Dataset& data) {
   arena_.threshold.reserve(total_nodes);
   arena_.right.reserve(total_nodes);
   arena_.dists.reserve(total_dists);
-  arena_.roots.reserve(trees_.size());
-  for (const auto& tree : trees_) tree.append_to(arena_);
+  arena_.roots.reserve(trees.size());
+  for (const auto& tree : trees) tree.append_to(arena_);
   obs::gauge_set("ml.forest.arena_bytes", static_cast<double>(arena_.bytes()));
 }
 
@@ -101,24 +100,6 @@ std::vector<double> RandomForest::predict_proba(
   std::vector<double> acc(static_cast<std::size_t>(class_count_), 0.0);
   arena_.accumulate(features.data(), acc.data());
   const double inv = 1.0 / static_cast<double>(arena_.tree_count());
-  for (double& v : acc) v *= inv;
-  return acc;
-}
-
-std::vector<double> RandomForest::predict_proba_reference(
-    std::span<const double> features) const {
-  if (!fitted()) throw std::logic_error("RandomForest: not fitted");
-  if (trees_.empty()) {
-    throw std::logic_error(
-        "RandomForest: reference walk unavailable on an arena-restored "
-        "forest (per-tree form is not persisted)");
-  }
-  std::vector<double> acc(static_cast<std::size_t>(class_count_), 0.0);
-  for (const auto& tree : trees_) {
-    const auto p = tree.predict_proba(features);
-    for (std::size_t c = 0; c < acc.size(); ++c) acc[c] += p[c];
-  }
-  const double inv = 1.0 / static_cast<double>(trees_.size());
   for (double& v : acc) v *= inv;
   return acc;
 }

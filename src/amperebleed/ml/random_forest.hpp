@@ -5,12 +5,12 @@
 // Training parallelizes across trees on the util::ThreadPool: every tree t
 // derives its RNG from master.fork(t) and lands in a pre-sized slot, so the
 // fitted forest is bit-identical at any thread count. After training the
-// forest is packed into a flat SoA arena (forest_arena.hpp) — one
-// allocation spanning all trees — which every predict* member walks; the
-// original per-tree pointer walk is retained as predict_proba_reference for
-// golden tests and A/B benchmarks. A fitted forest is immutable; all
-// predict* members are const and safe to call concurrently from many
-// threads (the online service shares one forest across requests).
+// trees are packed into a flat SoA arena (forest_arena.hpp) — one
+// allocation spanning all trees — and dropped: the arena is the fitted
+// forest's only state, the same state from_arena restores, and every
+// predict* member walks it. A fitted forest is immutable; all predict*
+// members are const and safe to call concurrently from many threads (the
+// online service shares one forest across requests).
 
 #include <span>
 #include <vector>
@@ -44,11 +44,9 @@ class RandomForest {
   void fit(const Dataset& data);
 
   /// Rebuild a forest from a persisted arena (persist/state.hpp): the
-  /// arena-walk predict paths work exactly as on a freshly fitted forest —
-  /// bit-identical probabilities. The per-tree pointer representation is NOT
-  /// restored, so predict_proba_reference throws std::logic_error on a
-  /// restored forest (the arena paths are the production surface).
-  /// Throws std::invalid_argument on an empty arena.
+  /// result is the same state a fit leaves, so every predict path gives
+  /// bit-identical probabilities. Throws std::invalid_argument on an empty
+  /// arena.
   [[nodiscard]] static RandomForest from_arena(ForestConfig config,
                                                ForestArena arena);
 
@@ -56,15 +54,8 @@ class RandomForest {
   [[nodiscard]] int predict(std::span<const double> features) const;
 
   /// Averaged class distribution across trees (arena walk, tree order
-  /// 0..T-1 — bit-identical to predict_proba_reference).
+  /// 0..T-1 — bit-identical to a per-tree pointer walk).
   [[nodiscard]] std::vector<double> predict_proba(
-      std::span<const double> features) const;
-
-  /// Averaged class distribution via the retained per-tree pointer walk.
-  /// Exists as the pre-arena oracle: golden tests assert exact equality
-  /// against the arena path, and BM_ForestPredictBatchReference uses it as
-  /// the A/B baseline. Prefer predict_proba.
-  [[nodiscard]] std::vector<double> predict_proba_reference(
       std::span<const double> features) const;
 
   /// Batched inference: one averaged class distribution per input row, in
@@ -82,12 +73,8 @@ class RandomForest {
                                                std::size_t k) const;
 
   /// True for a trained or arena-restored forest.
-  [[nodiscard]] bool fitted() const {
-    return !trees_.empty() || !arena_.empty();
-  }
-  [[nodiscard]] std::size_t tree_count() const {
-    return trees_.empty() ? arena_.tree_count() : trees_.size();
-  }
+  [[nodiscard]] bool fitted() const { return !arena_.empty(); }
+  [[nodiscard]] std::size_t tree_count() const { return arena_.tree_count(); }
   [[nodiscard]] const ForestConfig& config() const { return config_; }
   [[nodiscard]] int class_count() const { return class_count_; }
   /// The packed SoA forest (valid once fitted).
@@ -96,7 +83,6 @@ class RandomForest {
  private:
   ForestConfig config_;
   int class_count_ = 0;
-  std::vector<DecisionTree> trees_;
   ForestArena arena_;
 };
 

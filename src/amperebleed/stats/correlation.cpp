@@ -1,10 +1,7 @@
 #include "amperebleed/stats/correlation.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
-#include <vector>
 
 namespace amperebleed::stats {
 
@@ -17,24 +14,6 @@ void check_pair(std::span<const double> xs, std::span<const double> ys) {
   if (xs.size() < 2) {
     throw std::invalid_argument("correlation: need at least 2 points");
   }
-}
-
-// Fractional ranks with ties averaged.
-std::vector<double> ranks(std::span<const double> xs) {
-  std::vector<std::size_t> order(xs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return xs[a] < xs[b]; });
-  std::vector<double> r(xs.size());
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t j = i;
-    while (j + 1 < order.size() && xs[order[j + 1]] == xs[order[i]]) ++j;
-    const double avg_rank = (static_cast<double>(i) + static_cast<double>(j)) / 2.0;
-    for (std::size_t k = i; k <= j; ++k) r[order[k]] = avg_rank;
-    i = j + 1;
-  }
-  return r;
 }
 
 }  // namespace
@@ -62,13 +41,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
   }
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-double spearman(std::span<const double> xs, std::span<const double> ys) {
-  check_pair(xs, ys);
-  const auto rx = ranks(xs);
-  const auto ry = ranks(ys);
-  return pearson(rx, ry);
 }
 
 }  // namespace amperebleed::stats

@@ -12,8 +12,4 @@ namespace amperebleed::stats {
 /// Throws std::invalid_argument on length mismatch or fewer than 2 points.
 double pearson(std::span<const double> xs, std::span<const double> ys);
 
-/// Spearman rank correlation (Pearson on fractional ranks). Same error
-/// conditions as pearson(). Robust check used in tests.
-double spearman(std::span<const double> xs, std::span<const double> ys);
-
 }  // namespace amperebleed::stats

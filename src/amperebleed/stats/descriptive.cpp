@@ -38,13 +38,6 @@ double mean(std::span<const double> xs) {
 
 double variance(std::span<const double> xs) { return summarize(xs).variance; }
 
-double sample_variance(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const Summary s = summarize(xs);
-  return s.variance * static_cast<double>(xs.size()) /
-         static_cast<double>(xs.size() - 1);
-}
-
 double stddev(std::span<const double> xs) { return summarize(xs).stddev; }
 
 double quantile(std::span<const double> xs, double q) {
@@ -60,15 +53,6 @@ double quantile(std::span<const double> xs, double q) {
 }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
-
-double mad(std::span<const double> xs) {
-  if (xs.empty()) throw std::invalid_argument("mad: empty input");
-  const double m = median(xs);
-  std::vector<double> dev;
-  dev.reserve(xs.size());
-  for (double x : xs) dev.push_back(std::abs(x - m));
-  return median(dev);
-}
 
 double mean_abs_successive_diff(std::span<const double> xs) {
   if (xs.size() < 2) return 0.0;

@@ -24,17 +24,12 @@ Summary summarize(std::span<const double> xs);
 double mean(std::span<const double> xs);
 /// Population variance (1/N). Returns 0 for fewer than 1 sample.
 double variance(std::span<const double> xs);
-/// Sample variance (1/(N-1)). Returns 0 for fewer than 2 samples.
-double sample_variance(std::span<const double> xs);
 double stddev(std::span<const double> xs);
 
 /// Linear-interpolated quantile, q in [0,1]. Throws on empty input or q
 /// outside [0,1]. Input need not be sorted (a sorted copy is made).
 double quantile(std::span<const double> xs, double q);
 double median(std::span<const double> xs);
-
-/// Median absolute deviation (robust spread).
-double mad(std::span<const double> xs);
 
 /// Mean absolute successive difference — sensitivity of a series to
 /// consecutive-level changes; this is the "variation" metric used for the

@@ -7,47 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "amperebleed/stats/descriptive.hpp"
-
 namespace amperebleed::stats {
 
 namespace {
-
-// Continued-fraction core of the incomplete beta (Numerical Recipes betacf).
-double betacf(double a, double b, double x) {
-  constexpr int kMaxIterations = 200;
-  constexpr double kEps = 3e-14;
-  constexpr double kFpMin = 1e-300;
-
-  const double qab = a + b;
-  const double qap = a + 1.0;
-  const double qam = a - 1.0;
-  double c = 1.0;
-  double d = 1.0 - qab * x / qap;
-  if (std::fabs(d) < kFpMin) d = kFpMin;
-  d = 1.0 / d;
-  double h = d;
-  for (int m = 1; m <= kMaxIterations; ++m) {
-    const int m2 = 2 * m;
-    double aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-    d = 1.0 + aa * d;
-    if (std::fabs(d) < kFpMin) d = kFpMin;
-    c = 1.0 + aa / c;
-    if (std::fabs(c) < kFpMin) c = kFpMin;
-    d = 1.0 / d;
-    h *= d * c;
-    aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-    d = 1.0 + aa * d;
-    if (std::fabs(d) < kFpMin) d = kFpMin;
-    c = 1.0 + aa / c;
-    if (std::fabs(c) < kFpMin) c = kFpMin;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < kEps) break;
-  }
-  return h;
-}
 
 // Regularized lower incomplete gamma P(a, x) by series expansion
 // (Numerical Recipes gser); converges fast for x < a + 1.
@@ -169,50 +131,6 @@ ChiSquareResult chi_square_gof(std::span<const double> observed,
   result.p_value =
       std::clamp(regularized_gamma_q(result.dof / 2.0, result.chi2 / 2.0),
                  0.0, 1.0);
-  return result;
-}
-
-double incomplete_beta(double a, double b, double x) {
-  if (x < 0.0 || x > 1.0) {
-    throw std::invalid_argument("incomplete_beta: x outside [0,1]");
-  }
-  if (x == 0.0) return 0.0;
-  if (x == 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) -
-                          std::lgamma(b) + a * std::log(x) +
-                          b * std::log(1.0 - x);
-  const double front = std::exp(ln_front);
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    return front * betacf(a, b, x) / a;
-  }
-  return 1.0 - front * betacf(b, a, 1.0 - x) / b;
-}
-
-WelchResult welch_t_test(std::span<const double> a,
-                         std::span<const double> b) {
-  if (a.size() < 2 || b.size() < 2) {
-    throw std::invalid_argument("welch_t_test: need >= 2 samples per group");
-  }
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  const double va = sample_variance(a) / na;
-  const double vb = sample_variance(b) / nb;
-
-  WelchResult result;
-  const double diff = mean(a) - mean(b);
-  if (va + vb == 0.0) {
-    // Both samples constant: identical means -> p=1; different -> p=0.
-    result.t = diff == 0.0 ? 0.0 : std::copysign(1e18, diff);
-    result.dof = na + nb - 2.0;
-    result.p_value = diff == 0.0 ? 1.0 : 0.0;
-    return result;
-  }
-  result.t = diff / std::sqrt(va + vb);
-  result.dof = (va + vb) * (va + vb) /
-               (va * va / (na - 1.0) + vb * vb / (nb - 1.0));
-  // Two-sided p via the Student-t CDF expressed with the incomplete beta.
-  const double x = result.dof / (result.dof + result.t * result.t);
-  result.p_value = incomplete_beta(result.dof / 2.0, 0.5, x);
   return result;
 }
 

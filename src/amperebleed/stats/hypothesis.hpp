@@ -1,22 +1,13 @@
 #pragma once
-// Two-sample hypothesis tests used to back the separability claims with
-// p-values: Welch's t-test (mean difference under unequal variances) and the
-// two-sample Kolmogorov-Smirnov test (whole-distribution difference, which
-// catches the quantization-shape effects a t-test misses).
+// Two-sample hypothesis tests: the Kolmogorov-Smirnov test (whole-
+// distribution difference, which catches quantization-shape effects a mean
+// test misses), the Mann-Whitney U test the perf gate runs on repetition
+// samples, and the chi-square goodness-of-fit the drift monitor runs on
+// class-mix windows.
 
 #include <span>
 
 namespace amperebleed::stats {
-
-struct WelchResult {
-  double t = 0.0;    // test statistic
-  double dof = 0.0;  // Welch-Satterthwaite degrees of freedom
-  double p_value = 1.0;  // two-sided
-};
-
-/// Welch's unequal-variance t-test. Throws if either sample has < 2 points.
-/// Identical constant samples give t = 0, p = 1.
-WelchResult welch_t_test(std::span<const double> a, std::span<const double> b);
 
 struct KsResult {
   double d = 0.0;        // max ECDF distance
@@ -61,10 +52,6 @@ struct ChiSquareResult {
 ChiSquareResult chi_square_gof(std::span<const double> observed,
                                std::span<const double> expected,
                                double min_expected = 5.0);
-
-/// Regularized incomplete beta function I_x(a, b) (Lentz continued
-/// fraction); exposed because the t-test needs it and tests pin it down.
-double incomplete_beta(double a, double b, double x);
 
 /// Regularized upper incomplete gamma Q(a, x) (series for x < a + 1,
 /// continued fraction otherwise). The chi-square survival function is

@@ -1,11 +1,8 @@
 #include "amperebleed/stats/separability.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
-
-#include "amperebleed/stats/descriptive.hpp"
+#include <vector>
 
 namespace amperebleed::stats {
 
@@ -78,23 +75,6 @@ std::size_t count_separable_groups(
     const std::vector<std::vector<double>>& classes, double min_accuracy) {
   if (classes.empty()) return 0;
   return group_indistinguishable(classes, min_accuracy).back() + 1;
-}
-
-double cohens_d(std::span<const double> a, std::span<const double> b) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("cohens_d: empty class");
-  }
-  const Summary sa = summarize(a);
-  const Summary sb = summarize(b);
-  const double na = static_cast<double>(sa.count);
-  const double nb = static_cast<double>(sb.count);
-  const double pooled_var =
-      (sa.variance * na + sb.variance * nb) / (na + nb);
-  const double diff = std::abs(sa.mean - sb.mean);
-  if (pooled_var == 0.0) {
-    return diff == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
-  }
-  return diff / std::sqrt(pooled_var);
 }
 
 }  // namespace amperebleed::stats

@@ -31,8 +31,4 @@ std::size_t count_separable_groups(
     const std::vector<std::vector<double>>& classes,
     double min_accuracy = 0.95);
 
-/// Cohen's d effect size between two sample sets (difference of means over
-/// pooled standard deviation; +inf if both are constant and different).
-double cohens_d(std::span<const double> a, std::span<const double> b);
-
 }  // namespace amperebleed::stats

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace amperebleed::core {
 namespace {
 
@@ -15,25 +13,6 @@ TEST(SamplesForDuration, FloorsPartialSamples) {
   EXPECT_EQ(samples_for_duration(sim::milliseconds(34), sim::milliseconds(35)),
             0u);
   EXPECT_EQ(samples_for_duration(sim::seconds(1), sim::TimeNs{0}), 0u);
-}
-
-TEST(Standardize, ZeroMeanUnitVariance) {
-  std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
-  standardize(xs);
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (double x : xs) {
-    sum += x;
-    sum_sq += x * x;
-  }
-  EXPECT_NEAR(sum, 0.0, 1e-12);
-  EXPECT_NEAR(sum_sq / xs.size(), 1.0, 1e-12);
-}
-
-TEST(Standardize, ConstantVectorBecomesZeros) {
-  std::vector<double> xs = {7.0, 7.0, 7.0};
-  standardize(xs);
-  for (double x : xs) EXPECT_DOUBLE_EQ(x, 0.0);
 }
 
 TEST(AddTrace, AppendsPrefixWithLabel) {

@@ -2,116 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "amperebleed/core/trace.hpp"
-#include "amperebleed/stats/descriptive.hpp"
-#include "amperebleed/util/rng.hpp"
 
 namespace amperebleed::core {
 namespace {
-
-TEST(Detrend, RemovesLinearRamp) {
-  std::vector<double> xs;
-  for (int i = 0; i < 100; ++i) xs.push_back(3.0 * i + 10.0);
-  detrend(xs);
-  for (double x : xs) EXPECT_NEAR(x, 0.0, 1e-9);
-}
-
-TEST(Detrend, PreservesResidualStructure) {
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) {
-    xs.push_back(0.5 * i + std::sin(i * 0.3));
-  }
-  detrend(xs);
-  // The sine survives; the ramp is gone.
-  const auto s = stats::summarize(xs);
-  EXPECT_NEAR(s.mean, 0.0, 0.05);
-  EXPECT_GT(s.stddev, 0.5);
-  EXPECT_LT(s.stddev, 1.0);
-}
-
-TEST(Detrend, ShortInputsUntouched) {
-  std::vector<double> one = {5.0};
-  detrend(one);
-  EXPECT_DOUBLE_EQ(one[0], 5.0);
-}
-
-TEST(Resample, IdentityWhenSameLength) {
-  const std::vector<double> xs = {1.0, 3.0, 2.0, 5.0};
-  const auto out = resample(xs, 4);
-  EXPECT_EQ(out, xs);
-}
-
-TEST(Resample, LinearInterpolationUpsample) {
-  const std::vector<double> xs = {0.0, 2.0};
-  const auto out = resample(xs, 5);
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[2], 1.0);
-  EXPECT_DOUBLE_EQ(out[4], 2.0);
-}
-
-TEST(Resample, DownsampleKeepsEndpoints) {
-  std::vector<double> xs;
-  for (int i = 0; i <= 100; ++i) xs.push_back(i);
-  const auto out = resample(xs, 11);
-  EXPECT_DOUBLE_EQ(out.front(), 0.0);
-  EXPECT_DOUBLE_EQ(out.back(), 100.0);
-  EXPECT_NEAR(out[5], 50.0, 1e-9);
-}
-
-TEST(Resample, Validation) {
-  EXPECT_THROW(resample({}, 5), std::invalid_argument);
-  const std::vector<double> xs = {1.0};
-  EXPECT_THROW(resample(xs, 0), std::invalid_argument);
-  EXPECT_EQ(resample(xs, 3), (std::vector<double>{1.0, 1.0, 1.0}));
-}
-
-TEST(DeduplicateRuns, CollapsesRepeatedRegisterReads) {
-  const std::vector<double> xs = {5, 5, 5, 7, 7, 5, 6, 6, 6, 6};
-  EXPECT_EQ(deduplicate_runs(xs), (std::vector<double>{5, 7, 5, 6}));
-  EXPECT_TRUE(deduplicate_runs({}).empty());
-}
-
-TEST(BestAlignmentShift, RecoversKnownLag) {
-  util::Rng rng(1);
-  std::vector<double> reference;
-  for (int i = 0; i < 300; ++i) {
-    reference.push_back(std::sin(i * 0.21) + 0.3 * std::sin(i * 0.049) +
-                        rng.gaussian(0.0, 0.02));
-  }
-  for (int true_lag : {-7, 0, 9}) {
-    const auto probe = shift(reference, true_lag);
-    EXPECT_EQ(best_alignment_shift(reference, probe, 20), true_lag)
-        << "lag " << true_lag;
-  }
-}
-
-TEST(BestAlignmentShift, DegenerateInputsReturnZero) {
-  const std::vector<double> tiny = {1.0, 2.0};
-  EXPECT_EQ(best_alignment_shift(tiny, tiny, 5), 0);
-}
-
-TEST(Shift, PadsWithEdgeValues) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_EQ(shift(xs, 1), (std::vector<double>{1.0, 1.0, 2.0, 3.0}));
-  EXPECT_EQ(shift(xs, -2), (std::vector<double>{3.0, 4.0, 4.0, 4.0}));
-  EXPECT_EQ(shift(xs, 0), xs);
-  EXPECT_TRUE(shift({}, 3).empty());
-}
-
-TEST(SlidingMean, WindowsAndStride) {
-  const std::vector<double> xs = {1, 2, 3, 4, 5, 6};
-  EXPECT_EQ(sliding_mean(xs, 2, 2), (std::vector<double>{1.5, 3.5, 5.5}));
-  EXPECT_EQ(sliding_mean(xs, 3, 3), (std::vector<double>{2.0, 5.0}));
-  // Truncated tail dropped.
-  EXPECT_EQ(sliding_mean(xs, 4, 4).size(), 1u);
-  EXPECT_THROW(sliding_mean(xs, 0, 1), std::invalid_argument);
-  EXPECT_THROW(sliding_mean(xs, 1, 0), std::invalid_argument);
-}
 
 // ---------------------------------------------------------------------------
 // Gap reconstruction (resilient acquisition records failed reads as gaps).

@@ -1,7 +1,8 @@
 // Golden bit-identity contract of the ML hot path: the presorted splitter
 // (rank-coded columns, packed integer keys, counting or comparison sort,
-// compact class remap) and the SoA forest arena must reproduce the retained
-// reference (naive) implementation EXACTLY — same node structure, same
+// compact class remap) and the SoA forest arena must reproduce the
+// reference forest in tests/support (the original materialize-and-sort
+// splitter and per-tree pointer walk) EXACTLY — same node structure, same
 // thresholds, same leaf distributions, same probabilities — on randomized
 // datasets including duplicate-value and constant-feature columns,
 // hwmon-like integer columns, adjacent doubles and overflowing midpoints,
@@ -20,9 +21,11 @@
 
 #include "amperebleed/ml/forest_arena.hpp"
 #include "amperebleed/ml/kfold.hpp"
+#include "amperebleed/ml/metrics.hpp"
 #include "amperebleed/ml/random_forest.hpp"
 #include "amperebleed/util/rng.hpp"
 #include "amperebleed/util/thread_pool.hpp"
+#include "support/reference_forest.hpp"
 
 namespace amperebleed::ml {
 namespace {
@@ -128,13 +131,40 @@ void expect_arena_equal(const ForestArena& a, const ForestArena& b) {
   EXPECT_EQ(a.dists, b.dists);
 }
 
-ForestConfig forest_config(TreeConfig::Splitter splitter, std::size_t n_trees,
-                           std::uint64_t seed) {
+ForestConfig forest_config(std::size_t n_trees, std::uint64_t seed) {
   ForestConfig config;
   config.n_trees = n_trees;
   config.seed = seed;
-  config.tree.splitter = splitter;
   return config;
+}
+
+/// cross_validate's folds and per-fold seeds, with the reference forest
+/// fitted on each fold's training rows and its pointer walk ranking the
+/// held-out rows.
+CrossValResult reference_cross_validate(const Dataset& data,
+                                        const ForestConfig& config,
+                                        std::size_t k, std::uint64_t seed) {
+  std::vector<int> truth;
+  std::vector<int> top1;
+  std::vector<std::vector<int>> top5;
+  const auto folds = stratified_kfold(data.labels(), k, seed);
+  for (std::size_t f = 0; f < folds.size(); ++f) {
+    ForestConfig fold_config = config;
+    fold_config.seed = util::hash_combine(config.seed, f);
+    const reference::Forest forest(fold_config,
+                                   data.subset(folds[f].train_indices));
+    for (std::size_t i : folds[f].test_indices) {
+      truth.push_back(data.label(i));
+      auto candidates = top_k_from_proba(forest.predict_proba(data.row(i)), 5);
+      top1.push_back(candidates.empty() ? -1 : candidates.front());
+      top5.push_back(std::move(candidates));
+    }
+  }
+  CrossValResult result;
+  result.evaluated = truth.size();
+  result.top1_accuracy = accuracy(truth, top1);
+  result.top5_accuracy = top_k_accuracy(truth, top5);
+  return result;
 }
 
 class GoldenSplit : public ::testing::TestWithParam<DatasetSpec> {};
@@ -146,20 +176,16 @@ TEST_P(GoldenSplit, SingleTreeStructurallyIdentical) {
   // Repeat a chunk to mimic bootstrap multiplicity.
   for (std::size_t i = 0; i < data.size() / 3; ++i) indices.push_back(i);
 
-  TreeConfig presorted;
-  TreeConfig reference;
-  reference.splitter = TreeConfig::Splitter::kReference;
-
-  DecisionTree fast(presorted);
-  DecisionTree naive(reference);
+  DecisionTree fast;
   util::Rng rng_fast(0xabc);
   util::Rng rng_naive(0xabc);
   const ColumnRanks ranks(data);
   fast.fit(data, ranks, indices, data.class_count(), rng_fast);
-  naive.fit(data, ranks, indices, data.class_count(), rng_naive);
+  const reference::Tree naive = reference::fit_tree(
+      TreeConfig{}, data, indices, data.class_count(), rng_naive);
 
   EXPECT_EQ(fast.node_count(), naive.node_count());
-  EXPECT_EQ(fast.depth(), naive.depth());
+  EXPECT_EQ(fast.depth(), naive.depth);
   EXPECT_EQ(fast.leaf_value_count(), naive.leaf_value_count());
 
   ForestArena a;
@@ -184,28 +210,23 @@ TEST_P(GoldenSplit, ForestBitIdenticalAcrossSplittersAndPoolSizes) {
   const Dataset data = make_dataset(GetParam(), 0xf0'0d);
 
   // The reference forest, fitted serially, is the oracle.
-  util::ThreadPool::set_global_threads(1);
-  RandomForest oracle(
-      forest_config(TreeConfig::Splitter::kReference, 12, 0x5eed));
-  oracle.fit(data);
+  const reference::Forest oracle(forest_config(12, 0x5eed), data);
+  const ForestArena oracle_arena = oracle.arena();
 
   for (std::size_t threads : kThreadCounts) {
     util::ThreadPool::set_global_threads(threads);
-    RandomForest fast(
-        forest_config(TreeConfig::Splitter::kPresorted, 12, 0x5eed));
+    RandomForest fast(forest_config(12, 0x5eed));
     fast.fit(data);
 
     // Full structural diff of the packed forests.
-    expect_arena_equal(fast.arena(), oracle.arena());
+    expect_arena_equal(fast.arena(), oracle_arena);
 
-    // Arena walk == retained per-tree pointer walk, exactly.
+    // Arena walk == per-tree pointer walk, exactly.
     util::Rng probe_rng(0xbeef);
     std::vector<double> probe(data.feature_count());
     for (int rep = 0; rep < 20; ++rep) {
       for (auto& v : probe) v = probe_rng.gaussian(1.0, 2.0);
       EXPECT_EQ(fast.predict_proba(probe), oracle.predict_proba(probe));
-      EXPECT_EQ(fast.predict_proba(probe),
-                fast.predict_proba_reference(probe));
     }
   }
 }
@@ -213,9 +234,9 @@ TEST_P(GoldenSplit, ForestBitIdenticalAcrossSplittersAndPoolSizes) {
 TEST_P(GoldenSplit, BlockedBatchMatchesReferenceWalkPerRow) {
   PoolSizeGuard guard;
   const Dataset data = make_dataset(GetParam(), 0xb10c);
-  RandomForest forest(
-      forest_config(TreeConfig::Splitter::kPresorted, 10, 0x77));
+  RandomForest forest(forest_config(10, 0x77));
   forest.fit(data);
+  const reference::Forest oracle(forest_config(10, 0x77), data);
 
   std::vector<std::span<const double>> rows;
   for (std::size_t i = 0; i < data.size(); ++i) rows.push_back(data.row(i));
@@ -225,7 +246,7 @@ TEST_P(GoldenSplit, BlockedBatchMatchesReferenceWalkPerRow) {
     const auto batched = forest.predict_proba_many(rows);
     ASSERT_EQ(batched.size(), rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(batched[i], forest.predict_proba_reference(rows[i]))
+      EXPECT_EQ(batched[i], oracle.predict_proba(rows[i]))
           << "row " << i;
     }
   }
@@ -260,12 +281,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GoldenSplit, CrossValidationAccuraciesIdenticalAcrossSplitters) {
   PoolSizeGuard guard;
   const Dataset data = make_dataset({5, 12, 8, 3, 1}, 0xc5);
+  const auto b = reference_cross_validate(data, forest_config(8, 0x42), 4, 0x99);
   for (std::size_t threads : kThreadCounts) {
     util::ThreadPool::set_global_threads(threads);
-    auto presorted = forest_config(TreeConfig::Splitter::kPresorted, 8, 0x42);
-    auto reference = forest_config(TreeConfig::Splitter::kReference, 8, 0x42);
-    const auto a = cross_validate(data, presorted, 4, 0x99);
-    const auto b = cross_validate(data, reference, 4, 0x99);
+    const auto a = cross_validate(data, forest_config(8, 0x42), 4, 0x99);
     EXPECT_EQ(a.top1_accuracy, b.top1_accuracy);
     EXPECT_EQ(a.top5_accuracy, b.top5_accuracy);
     EXPECT_EQ(a.evaluated, b.evaluated);

@@ -1,9 +1,9 @@
 // Exact-equality checks for the two ForestArena kernels (DESIGN.md §14):
 // the scalar kernel, the AVX2 kernel when the CPU has it, and the
 // dispatched predict_proba_many must all produce BIT-IDENTICAL
-// probabilities to the retained per-tree pointer walk
-// (predict_proba_reference), over adversarial rows (NaN, ±Inf, denormals,
-// constants), every block-remainder shape, and multiple pool sizes.
+// probabilities to the per-tree pointer walk of the reference forest in
+// tests/support, over adversarial rows (NaN, ±Inf, denormals, constants),
+// every block-remainder shape, and multiple pool sizes.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "amperebleed/ml/random_forest.hpp"
 #include "amperebleed/util/rng.hpp"
 #include "amperebleed/util/thread_pool.hpp"
+#include "support/reference_forest.hpp"
 
 namespace {
 
@@ -42,14 +43,25 @@ ml::Dataset training_data() {
   return data;
 }
 
+ml::ForestConfig forest_config() {
+  ml::ForestConfig config;
+  config.n_trees = 25;
+  return config;
+}
+
 const ml::RandomForest& forest() {
   static const ml::RandomForest f = [] {
-    ml::ForestConfig config;
-    config.n_trees = 25;
-    ml::RandomForest forest(config);
+    ml::RandomForest forest(forest_config());
     forest.fit(training_data());
     return forest;
   }();
+  return f;
+}
+
+/// The same forest as per-tree reference trees (golden_split_test proves
+/// the two fits identical); its pointer walk is the oracle.
+const ml::reference::Forest& oracle() {
+  static const ml::reference::Forest f(forest_config(), training_data());
   return f;
 }
 
@@ -144,13 +156,13 @@ std::vector<std::vector<double>> reference_probas(
   std::vector<std::vector<double>> expected;
   expected.reserve(rows.size());
   for (const auto& row : rows) {
-    expected.push_back(forest().predict_proba_reference(row));
+    expected.push_back(oracle().predict_proba(row));
   }
   return expected;
 }
 
 // Both kernels, every remainder shape (row counts around the 8-lane /
-// 16-row block sizes), bit-identical to predict_proba_reference.
+// 16-row block sizes), bit-identical to the reference pointer walk.
 TEST(SimdDispatch, AllTiersMatchReferenceExactly) {
   const auto& arena = forest().arena();
   for (const std::size_t count : {std::size_t{1}, std::size_t{7},
@@ -223,11 +235,10 @@ TEST(SimdDispatch, PoolSizesBitIdentical) {
 // Single-row predict_proba (arena accumulate) also matches the reference —
 // the online service path.
 TEST(SimdDispatch, SingleRowAccumulateMatchesReference) {
-  const auto& f = forest();
   const auto rows = adversarial_rows(12);
   for (const auto& row : rows) {
-    expect_bitwise_equal(f.predict_proba(row),
-                         f.predict_proba_reference(row));
+    expect_bitwise_equal(forest().predict_proba(row),
+                         oracle().predict_proba(row));
   }
 }
 

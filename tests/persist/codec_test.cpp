@@ -226,16 +226,6 @@ TEST(StateCodec, ForestRoundTripPredictsBitIdentically) {
   }
 }
 
-TEST(StateCodec, ReferenceWalkIsUnavailableOnRestoredForest) {
-  const ml::Dataset data = make_dataset();
-  const ml::RandomForest forest = make_forest(data);
-  const ml::RandomForest restored = ml::RandomForest::from_arena(
-      forest.config(),
-      decode_forest_file(encode_forest_file(forest.arena()), "forest.bin"));
-  EXPECT_THROW((void)restored.predict_proba_reference(data.row(0)),
-               std::logic_error);
-}
-
 TEST(StateCodec, ProfileRoundTripComparesEqual) {
   const ml::Dataset data = make_dataset();
   const obs::ReferenceProfile profile =

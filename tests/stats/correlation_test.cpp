@@ -57,23 +57,5 @@ TEST(Pearson, NoisyLinearRelationIsStrong) {
   EXPECT_GT(pearson(x, y), 0.999);
 }
 
-TEST(Spearman, MonotoneNonlinearIsPerfect) {
-  std::vector<double> x;
-  std::vector<double> y;
-  for (int i = 1; i <= 20; ++i) {
-    x.push_back(i);
-    y.push_back(std::exp(0.3 * i));  // monotone but nonlinear
-  }
-  EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
-  EXPECT_LT(pearson(x, y), 1.0);
-}
-
-TEST(Spearman, HandlesTies) {
-  const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> y = {1.0, 1.0, 2.0, 2.0};
-  EXPECT_GT(spearman(x, y), 0.8);
-  EXPECT_LE(spearman(x, y), 1.0);
-}
-
 }  // namespace
 }  // namespace amperebleed::stats

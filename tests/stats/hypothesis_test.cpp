@@ -18,62 +18,6 @@ std::vector<double> gaussians(double mean, double sigma, int n,
   return xs;
 }
 
-TEST(IncompleteBeta, KnownValues) {
-  // I_x(1,1) = x (uniform CDF).
-  EXPECT_NEAR(incomplete_beta(1.0, 1.0, 0.3), 0.3, 1e-10);
-  // I_x(2,2) = x^2 (3 - 2x).
-  EXPECT_NEAR(incomplete_beta(2.0, 2.0, 0.5), 0.5, 1e-10);
-  EXPECT_NEAR(incomplete_beta(2.0, 2.0, 0.25), 0.0625 * 2.5, 1e-10);
-  // Symmetry: I_x(a,b) = 1 - I_{1-x}(b,a).
-  EXPECT_NEAR(incomplete_beta(3.0, 5.0, 0.4),
-              1.0 - incomplete_beta(5.0, 3.0, 0.6), 1e-10);
-  EXPECT_DOUBLE_EQ(incomplete_beta(2.0, 3.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(incomplete_beta(2.0, 3.0, 1.0), 1.0);
-  EXPECT_THROW(incomplete_beta(1.0, 1.0, 1.5), std::invalid_argument);
-}
-
-TEST(WelchT, IdenticalDistributionsGiveLargePValue) {
-  const auto a = gaussians(5.0, 1.0, 400, 1);
-  const auto b = gaussians(5.0, 1.0, 400, 2);
-  const auto result = welch_t_test(a, b);
-  EXPECT_GT(result.p_value, 0.01);
-  EXPECT_LT(std::fabs(result.t), 3.0);
-  EXPECT_GT(result.dof, 300.0);
-}
-
-TEST(WelchT, SeparatedMeansGiveTinyPValue) {
-  const auto a = gaussians(0.0, 1.0, 200, 3);
-  const auto b = gaussians(1.0, 1.0, 200, 4);
-  const auto result = welch_t_test(a, b);
-  EXPECT_LT(result.p_value, 1e-6);
-  EXPECT_LT(result.t, 0.0);  // mean(a) < mean(b)
-}
-
-TEST(WelchT, HandlesUnequalVariancesAndSizes) {
-  const auto a = gaussians(0.0, 0.2, 50, 5);
-  const auto b = gaussians(0.0, 5.0, 500, 6);
-  const auto result = welch_t_test(a, b);
-  EXPECT_GT(result.p_value, 0.01);
-  // Welch dof is pulled toward the noisier group's size.
-  EXPECT_LT(result.dof, 600.0);
-}
-
-TEST(WelchT, DegenerateConstantSamples) {
-  const std::vector<double> same = {2.0, 2.0, 2.0};
-  const std::vector<double> other = {3.0, 3.0, 3.0};
-  EXPECT_DOUBLE_EQ(welch_t_test(same, same).p_value, 1.0);
-  EXPECT_DOUBLE_EQ(welch_t_test(same, other).p_value, 0.0);
-  EXPECT_THROW(welch_t_test(std::vector<double>{1.0}, same),
-               std::invalid_argument);
-}
-
-TEST(WelchT, TwoSidedPMatchesKnownCase) {
-  // t = 2.0 with dof = 10 -> two-sided p ~ 0.0734 (tables).
-  // Construct via the exposed beta identity instead of sampling.
-  const double x = 10.0 / (10.0 + 4.0);
-  EXPECT_NEAR(incomplete_beta(5.0, 0.5, x), 0.0734, 0.0005);
-}
-
 TEST(KsTest, IdenticalSamplesGiveZeroDistance) {
   const auto a = gaussians(0.0, 1.0, 300, 7);
   const auto result = ks_test(a, a);
@@ -82,10 +26,9 @@ TEST(KsTest, IdenticalSamplesGiveZeroDistance) {
 }
 
 TEST(KsTest, SameMeanDifferentShapeIsDetected) {
-  // The t-test is blind to a pure variance change; KS is not.
+  // A pure variance change leaves the means equal; KS still sees it.
   const auto narrow = gaussians(0.0, 0.5, 600, 8);
   const auto wide = gaussians(0.0, 2.0, 600, 9);
-  EXPECT_GT(welch_t_test(narrow, wide).p_value, 0.01);
   EXPECT_LT(ks_test(narrow, wide).p_value, 1e-6);
 }
 

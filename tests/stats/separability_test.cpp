@@ -87,19 +87,5 @@ TEST(GroupIndistinguishable, EmptyAndSingleton) {
   EXPECT_EQ(count_separable_groups(one), 1u);
 }
 
-TEST(CohensD, KnownEffectSize) {
-  const auto a = gaussian_samples(0.0, 1.0, 50'000, 50);
-  const auto b = gaussian_samples(1.0, 1.0, 50'000, 51);
-  EXPECT_NEAR(cohens_d(a, b), 1.0, 0.03);
-}
-
-TEST(CohensD, DegenerateCases) {
-  const std::vector<double> c1 = {2.0, 2.0};
-  const std::vector<double> c2 = {3.0, 3.0};
-  EXPECT_DOUBLE_EQ(cohens_d(c1, c1), 0.0);
-  EXPECT_TRUE(std::isinf(cohens_d(c1, c2)));
-  EXPECT_THROW(cohens_d(c1, {}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace amperebleed::stats

@@ -24,22 +24,23 @@
 //   --json               machine-readable report on stdout
 //   --verbose            include unchanged rows in the table
 //
-// Exit codes: 0 no regression; 1 regression beyond threshold; 2 usage or
-// I/O error; 3 environment mismatch without --force.
+// Exit codes: 0 no regression; 1 regression beyond threshold, or a gated
+// metric or bench of the baseline missing from the current snapshot; 2
+// usage or I/O error; 3 environment mismatch without --force.
 
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "amperebleed/obs/bench_compare.hpp"
 #include "amperebleed/util/strings.hpp"
+#include "bench_records.hpp"
 
 namespace {
 
-using amperebleed::obs::BenchRecord;
-using amperebleed::obs::CompareOptions;
-using amperebleed::obs::CompareReport;
+using amperebleed::tools::BenchRecord;
+using amperebleed::tools::CompareOptions;
+using amperebleed::tools::CompareReport;
 
 struct Cli {
   CompareOptions options;
@@ -133,13 +134,13 @@ int main(int argc, char** argv) {
     std::vector<std::vector<BenchRecord>> snapshots;
     snapshots.reserve(cli.snapshots.size());
     for (const auto& path : cli.snapshots) {
-      snapshots.push_back(amperebleed::obs::load_records(path));
+      snapshots.push_back(amperebleed::tools::load_records(path));
     }
 
     CompareReport last;
     for (std::size_t i = 0; i + 1 < snapshots.size(); ++i) {
-      last = amperebleed::obs::compare_records(snapshots[i], snapshots[i + 1],
-                                               cli.options);
+      last = amperebleed::tools::compare_records(
+          snapshots[i], snapshots[i + 1], cli.options);
       if (cli.json) {
         if (i + 2 == snapshots.size()) {
           std::fputs((last.to_json().dump(2) + "\n").c_str(), stdout);
@@ -162,9 +163,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_compare: %zu regression(s) beyond "
                            "threshold %.3g\n",
                    last.regressions(), cli.options.threshold);
-      return 1;
     }
-    return 0;
+    if (!last.missing.empty()) {
+      std::fprintf(stderr, "bench_compare: %zu gated metric(s) or bench(es) "
+                           "missing from the current snapshot\n",
+                   last.missing.size());
+    }
+    return last.passed() ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_compare: %s\n", e.what());
     return 2;
