@@ -227,8 +227,8 @@ void BM_TreeFit(benchmark::State& state) {
   const auto indices = bootstrap_indices(data.size());
   for (auto _ : state) {
     util::Rng rng(0x7ee);
-    ml::DecisionTree tree;
-    tree.fit(data, ranks, indices, data.class_count(), rng);
+    const ml::ForestArena tree = ml::fit_tree(
+        ml::TreeConfig{}, data, ranks, indices, data.class_count(), rng);
     benchmark::DoNotOptimize(tree.node_count());
   }
 }

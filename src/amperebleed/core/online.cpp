@@ -1,6 +1,7 @@
 #include "amperebleed/core/online.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "amperebleed/obs/obs.hpp"
@@ -27,6 +28,25 @@ OnlineFingerprinter OnlineFingerprinter::restore(
         static_cast<std::size_t>(label) >= state.class_names.size()) {
       throw std::invalid_argument(
           "OnlineFingerprinter::restore: label outside class_names");
+    }
+  }
+  // The codec proves the arena walkable, not that it fits this tenant: a
+  // split feature past the trace prefix would read outside every classified
+  // row, and a class past class_names outside the verdict's name table. An
+  // older snapshot can carry a trailing class name no tree predicts, so
+  // fewer classes than names is harmless.
+  if (state.trained) {
+    for (const std::int32_t f : state.arena.feature) {
+      if (f >= 0 && static_cast<std::size_t>(f) >= state.feature_count) {
+        throw std::invalid_argument(
+            "OnlineFingerprinter::restore: split feature outside the trace "
+            "prefix");
+      }
+    }
+    if (static_cast<std::size_t>(state.arena.class_count) >
+        state.class_names.size()) {
+      throw std::invalid_argument(
+          "OnlineFingerprinter::restore: forest classes outside class_names");
     }
   }
   OnlineFingerprinter fp(config);

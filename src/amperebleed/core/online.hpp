@@ -54,7 +54,8 @@ class OnlineFingerprinter {
   /// Rebuild a fingerprinter from persisted state. Classify verdicts on the
   /// restored instance are bit-identical to the original (the forest arena
   /// round-trips doubles exactly). Throws std::invalid_argument on
-  /// inconsistent state (trained without a forest, class/label mismatch).
+  /// inconsistent state (trained without a forest, class/label mismatch, a
+  /// split feature >= feature_count, more forest classes than class_names).
   [[nodiscard]] static OnlineFingerprinter restore(
       OnlineFingerprinterConfig config, RestoredState state);
 

@@ -1,13 +1,11 @@
 #include "amperebleed/ml/decision_tree.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
-#include "amperebleed/ml/forest_arena.hpp"
 #include "amperebleed/obs/obs.hpp"
 
 namespace amperebleed::ml {
@@ -60,13 +58,11 @@ std::size_t subsample_features(std::size_t total_features,
   return k;
 }
 
-}  // namespace
-
 /// Reusable per-tree scratch arena: one allocation set per fit, shared by
 /// every node of the tree (each buffer's lifetime ends before recursing, so
 /// children can overwrite freely). Exposed as the ml.fit.scratch_bytes
 /// gauge.
-struct DecisionTree::FitScratch {
+struct FitScratch {
   std::vector<std::size_t> indices;        // working sample-index array
   std::vector<std::int32_t> node_labels;   // original labels of the node
   std::vector<std::int32_t> compact;       // node labels remapped to 0..m-1
@@ -109,56 +105,6 @@ struct DecisionTree::FitScratch {
   }
 };
 
-void DecisionTree::fit(const Dataset& data, const ColumnRanks& ranks,
-                       std::span<const std::size_t> sample_indices,
-                       int class_count, util::Rng& rng) {
-  if (sample_indices.empty()) {
-    throw std::invalid_argument("DecisionTree::fit: no samples");
-  }
-  if (class_count <= 0) {
-    throw std::invalid_argument("DecisionTree::fit: class_count must be > 0");
-  }
-  if (ranks.rows() != data.size() ||
-      ranks.feature_count() != data.feature_count()) {
-    throw std::invalid_argument(
-        "DecisionTree::fit: rank table built from another dataset");
-  }
-  nodes_.clear();
-  leaf_dists_.clear();
-  class_count_ = class_count;
-  depth_ = 0;
-
-  const std::size_t n = sample_indices.size();
-  nodes_.reserve(2 * n);  // a tree over n samples has < 2n nodes
-  FitScratch scratch;
-  scratch.resize(n, data.size(), data.feature_count(), class_count);
-  std::copy(sample_indices.begin(), sample_indices.end(),
-            scratch.indices.begin());
-  build(data, ranks, scratch, 0, n, 0, rng);
-  obs::gauge_set("ml.fit.scratch_bytes",
-                 static_cast<double>(scratch.bytes()));
-}
-
-// ---------------------------------------------------------------------------
-// Leaf construction: count labels into a fresh distribution slice and
-// normalize by the sample count; counts are exact small integers in double,
-// so the result is independent of accumulation order.
-
-std::int32_t DecisionTree::make_leaf(std::span<const std::int32_t> labels,
-                                     int depth) {
-  Node leaf;
-  leaf.dist_offset = static_cast<std::int32_t>(leaf_dists_.size());
-  leaf_dists_.resize(leaf_dists_.size() + static_cast<std::size_t>(class_count_),
-                     0.0);
-  double* dist = leaf_dists_.data() + leaf.dist_offset;
-  for (std::int32_t l : labels) dist[l] += 1.0;
-  const double total = static_cast<double>(labels.size());
-  for (int c = 0; c < class_count_; ++c) dist[c] /= total;
-  nodes_.push_back(leaf);
-  depth_ = std::max(depth_, depth);
-  return static_cast<std::int32_t>(nodes_.size() - 1);
-}
-
 // ---------------------------------------------------------------------------
 // Rank-key splitter. Same splits as the reference materialize-and-sort
 // splitter (tests/support/reference_forest.cpp), proved by four
@@ -192,8 +138,6 @@ std::int32_t DecisionTree::make_leaf(std::span<const std::int32_t> labels,
 // doubles can round up to values[rb], and a midpoint sum can overflow to
 // +-inf.
 
-namespace {
-
 /// A key packs a row's rank (high word) above its compact node label (low
 /// word). Ranks are u32 (ColumnRanks checks the row count) and labels are
 /// non-negative ints, so u64 keys hold every Dataset the library accepts.
@@ -206,11 +150,38 @@ constexpr int kLabelBits = 32;
 /// 2/8/16/32/unbounded on BM_TreeFit-shaped data at 468 to 15600 rows.
 constexpr std::size_t kCountingRangePerRow = 16;
 
-}  // namespace
+/// One fit_tree call: its inputs, its scratch and the one-tree arena it
+/// writes in preorder (an internal node's left child is the next row).
+struct TreeGrower {
+  const TreeConfig& config;
+  const Dataset& data;
+  const ColumnRanks& ranks;
+  FitScratch& scratch;
+  util::Rng& rng;
+  ForestArena& tree;
+  int class_count;
 
-std::int32_t DecisionTree::build(const Dataset& data, const ColumnRanks& ranks,
-                                 FitScratch& scratch, std::size_t begin,
-                                 std::size_t end, int depth, util::Rng& rng) {
+  /// Grow the subtree over scratch indices [begin, end) at `depth`.
+  void build(std::size_t begin, std::size_t end, int depth);
+  /// Count labels into a fresh distribution slice and normalize by the
+  /// sample count; counts are exact small integers in double, so the result
+  /// is independent of accumulation order.
+  void make_leaf(std::span<const std::int32_t> labels);
+};
+
+void TreeGrower::make_leaf(std::span<const std::int32_t> labels) {
+  const std::size_t offset = tree.dists.size();
+  tree.feature.push_back(ForestArena::kLeaf);
+  tree.threshold.push_back(0.0);
+  tree.right.push_back(static_cast<std::int32_t>(offset));
+  tree.dists.resize(offset + static_cast<std::size_t>(class_count), 0.0);
+  double* dist = tree.dists.data() + offset;
+  for (std::int32_t l : labels) dist[l] += 1.0;
+  const double total = static_cast<double>(labels.size());
+  for (int c = 0; c < class_count; ++c) dist[c] /= total;
+}
+
+void TreeGrower::build(std::size_t begin, std::size_t end, int depth) {
   const std::size_t n = end - begin;
   const std::size_t* here = scratch.indices.data() + begin;
   const int* all_labels = data.labels().data();
@@ -229,17 +200,18 @@ std::int32_t DecisionTree::build(const Dataset& data, const ColumnRanks& ranks,
       break;
     }
   }
-  if (pure || depth >= config_.max_depth || n < config_.min_samples_split) {
-    return make_leaf({node_labels, n}, depth);
+  if (pure || depth >= config.max_depth || n < config.min_samples_split) {
+    make_leaf({node_labels, n});
+    return;
   }
 
   // Compact class remap: compact ids are assigned in ascending class order
   // so Gini accumulation visits classes in the reference order.
   std::int32_t* remap = scratch.remap.data();
-  std::fill(remap, remap + class_count_, std::int32_t{-1});
+  std::fill(remap, remap + class_count, std::int32_t{-1});
   for (std::size_t i = 0; i < n; ++i) remap[node_labels[i]] = 0;
   std::size_t m = 0;
-  for (int c = 0; c < class_count_; ++c) {
+  for (int c = 0; c < class_count; ++c) {
     if (remap[c] == 0) remap[c] = static_cast<std::int32_t>(m++);
   }
   std::int32_t* compact = scratch.compact.data();
@@ -252,7 +224,7 @@ std::int32_t DecisionTree::build(const Dataset& data, const ColumnRanks& ranks,
 
   const std::size_t total_features = data.feature_count();
   const std::size_t k =
-      subsample_features(total_features, config_.max_features,
+      subsample_features(total_features, config.max_features,
                          scratch.features.data(), rng);
 
   BestSplit best;
@@ -341,7 +313,8 @@ std::int32_t DecisionTree::build(const Dataset& data, const ColumnRanks& ranks,
 
   if (!std::isfinite(best.impurity)) {
     // Every sampled feature was constant on this node.
-    return make_leaf({node_labels, n}, depth);
+    make_leaf({node_labels, n});
+    return;
   }
 
   // Partition indices in place around the chosen split: ranks below
@@ -361,73 +334,53 @@ std::int32_t DecisionTree::build(const Dataset& data, const ColumnRanks& ranks,
   if (mid == begin || mid == end) {
     // Degenerate split. The leaf distribution is a label multiset count, so
     // the partition's reordering of `indices` cannot change it.
-    return make_leaf({node_labels, n}, depth);
+    make_leaf({node_labels, n});
+    return;
   }
 
-  Node node;
-  node.feature = static_cast<std::int32_t>(best.feature);
-  node.threshold = best.threshold;
-  nodes_.push_back(node);
-  const auto my_index = static_cast<std::int32_t>(nodes_.size() - 1);
-
-  const std::int32_t left =
-      build(data, ranks, scratch, begin, mid, depth + 1, rng);
-  const std::int32_t right =
-      build(data, ranks, scratch, mid, end, depth + 1, rng);
-  nodes_[static_cast<std::size_t>(my_index)].left = left;
-  nodes_[static_cast<std::size_t>(my_index)].right = right;
-  return my_index;
+  const std::size_t node = tree.feature.size();
+  tree.feature.push_back(static_cast<std::int32_t>(best.feature));
+  tree.threshold.push_back(best.threshold);
+  tree.right.push_back(-1);  // back-patched once the left subtree is built
+  build(begin, mid, depth + 1);
+  tree.right[node] = static_cast<std::int32_t>(tree.feature.size());
+  build(mid, end, depth + 1);
 }
 
-// ---------------------------------------------------------------------------
+}  // namespace
 
-std::size_t DecisionTree::leaf_for(std::span<const double> features) const {
-  if (nodes_.empty()) throw std::logic_error("DecisionTree: not fitted");
-  std::size_t i = 0;
-  while (nodes_[i].dist_offset < 0) {
-    const Node& node = nodes_[i];
-    const double v = features[static_cast<std::size_t>(node.feature)];
-    i = static_cast<std::size_t>(v <= node.threshold ? node.left : node.right);
+ForestArena fit_tree(const TreeConfig& config, const Dataset& data,
+                     const ColumnRanks& ranks,
+                     std::span<const std::size_t> sample_indices,
+                     int class_count, util::Rng& rng) {
+  if (sample_indices.empty()) {
+    throw std::invalid_argument("fit_tree: no samples");
   }
-  return i;
-}
-
-int DecisionTree::predict(std::span<const double> features) const {
-  const auto proba = predict_proba(features);
-  return static_cast<int>(std::distance(
-      proba.begin(), std::max_element(proba.begin(), proba.end())));
-}
-
-std::span<const double> DecisionTree::predict_proba(
-    std::span<const double> features) const {
-  const Node& leaf = nodes_[leaf_for(features)];
-  return {leaf_dists_.data() + leaf.dist_offset,
-          static_cast<std::size_t>(class_count_)};
-}
-
-void DecisionTree::append_to(ForestArena& arena) const {
-  if (nodes_.empty()) {
-    throw std::logic_error("DecisionTree::append_to: not fitted");
+  if (class_count <= 0) {
+    throw std::invalid_argument("fit_tree: class_count must be > 0");
   }
-  const auto base = static_cast<std::int32_t>(arena.feature.size());
-  const auto dist_base = static_cast<std::int32_t>(arena.dists.size());
-  arena.roots.push_back(base);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    if (node.dist_offset >= 0) {  // leaf
-      arena.feature.push_back(ForestArena::kLeaf);
-      arena.threshold.push_back(0.0);
-      arena.right.push_back(dist_base + node.dist_offset);
-    } else {
-      // Preorder invariant: the left child immediately follows its parent.
-      assert(node.left == static_cast<std::int32_t>(i) + 1);
-      arena.feature.push_back(node.feature);
-      arena.threshold.push_back(node.threshold);
-      arena.right.push_back(base + node.right);
-    }
+  if (ranks.rows() != data.size() ||
+      ranks.feature_count() != data.feature_count()) {
+    throw std::invalid_argument(
+        "fit_tree: rank table built from another dataset");
   }
-  arena.dists.insert(arena.dists.end(), leaf_dists_.begin(),
-                     leaf_dists_.end());
+  const std::size_t n = sample_indices.size();
+  ForestArena tree;
+  tree.class_count = class_count;
+  tree.roots.push_back(0);
+  // A tree over n samples has < 2n nodes.
+  tree.feature.reserve(2 * n);
+  tree.threshold.reserve(2 * n);
+  tree.right.reserve(2 * n);
+  FitScratch scratch;
+  scratch.resize(n, data.size(), data.feature_count(), class_count);
+  std::copy(sample_indices.begin(), sample_indices.end(),
+            scratch.indices.begin());
+  TreeGrower grower{config, data, ranks, scratch, rng, tree, class_count};
+  grower.build(0, n, 0);
+  obs::gauge_set("ml.fit.scratch_bytes",
+                 static_cast<double>(scratch.bytes()));
+  return tree;
 }
 
 }  // namespace amperebleed::ml

@@ -63,6 +63,20 @@ void ForestArena::clear() {
   class_count = 0;
 }
 
+void ForestArena::append(const ForestArena& other) {
+  const auto base = static_cast<std::int32_t>(feature.size());
+  const auto dist_base = static_cast<std::int32_t>(dists.size());
+  for (const std::int32_t root : other.roots) roots.push_back(base + root);
+  feature.insert(feature.end(), other.feature.begin(), other.feature.end());
+  threshold.insert(threshold.end(), other.threshold.begin(),
+                   other.threshold.end());
+  for (std::size_t i = 0; i < other.node_count(); ++i) {
+    right.push_back(other.right[i] +
+                    (other.feature[i] == kLeaf ? dist_base : base));
+  }
+  dists.insert(dists.end(), other.dists.begin(), other.dists.end());
+}
+
 std::size_t ForestArena::bytes() const {
   return feature.capacity() * sizeof(std::int32_t) +
          threshold.capacity() * sizeof(double) +

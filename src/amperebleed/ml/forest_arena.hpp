@@ -1,9 +1,10 @@
 #pragma once
 // Flat SoA (structure-of-arrays) arena for a fitted random forest.
 //
-// A fitted DecisionTree stores its nodes in preorder (every internal node's
-// left child is the next node), so a whole forest packs into four parallel
-// arrays spanning all trees:
+// Nodes are stored in preorder (every internal node's left child is the
+// next node), so a whole forest packs into four parallel arrays spanning all
+// trees. fit_tree (decision_tree.hpp) writes one tree straight into these
+// rows, and append() concatenates trees into a forest:
 //
 //     feature[i]    int32    >= 0: split feature of internal node i
 //                            == kLeaf (-1): node i is a leaf
@@ -13,11 +14,10 @@
 //                            leaf: offset of its class distribution in dists
 //     dists[]       double   class_count doubles per leaf, all trees
 //
-// Traversal of one row touches 16 bytes of hot metadata per visited node
-// (vs. a 32-byte AoS Node in a per-tree std::vector), every tree of the
-// forest lives in ONE allocation, and the rows-outer cache-blocked batch
-// kernel (`predict_proba_rows`) streams the whole arena once per block of
-// rows instead of once per row.
+// Traversal of one row touches 16 bytes of hot metadata per visited node,
+// every tree of the forest lives in ONE allocation, and the rows-outer
+// cache-blocked batch kernel (`predict_proba_rows`) streams the whole arena
+// once per block of rows instead of once per row.
 //
 // Batch traversal has exactly two kernels (DESIGN.md §14). The scalar one
 // walks one row at a time with a data-dependent branch; the AVX2 one walks
@@ -51,6 +51,11 @@ struct ForestArena {
   int class_count = 0;
 
   void clear();
+  /// Append every tree of `other` (same class_count) after this arena's
+  /// trees, rebasing its roots, right-child indices and leaf offsets; node
+  /// order and leaf distributions are copied verbatim. RandomForest::fit
+  /// packs its one-tree fit_tree arenas this way.
+  void append(const ForestArena& other);
   [[nodiscard]] bool empty() const { return roots.empty(); }
   [[nodiscard]] std::size_t tree_count() const { return roots.size(); }
   [[nodiscard]] std::size_t node_count() const { return feature.size(); }

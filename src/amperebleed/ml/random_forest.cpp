@@ -34,7 +34,7 @@ void RandomForest::fit(const Dataset& data) {
   // indices are drawn from that private stream, so the fitted forest is
   // bit-identical at any pool size. All obs calls below are thread-safe
   // (atomic counters, mutex-guarded histograms/tracer).
-  std::vector<DecisionTree> trees(config_.n_trees, DecisionTree(config_.tree));
+  std::vector<ForestArena> trees(config_.n_trees);
   util::parallel_for(config_.n_trees, [&](std::size_t t) {
     // Per-tree span: nests under ml.rf.fit via the pool's context capture,
     // giving the flame graph its root;fit;tree breakdown.
@@ -50,9 +50,8 @@ void RandomForest::fit(const Dataset& data) {
     } else {
       std::iota(indices.begin(), indices.end(), std::size_t{0});
     }
-    DecisionTree tree(config_.tree);
-    tree.fit(data, ranks, indices, class_count_, tree_rng);
-    trees[t] = std::move(tree);
+    trees[t] =
+        fit_tree(config_.tree, data, ranks, indices, class_count_, tree_rng);
     if (instrumented) {
       obs::count("ml.trees_fitted");
       obs::observe("ml.tree_fit_wall_ns",
@@ -62,23 +61,21 @@ void RandomForest::fit(const Dataset& data) {
   // Only publish on full success: a cancelled sweep leaves the forest
   // unfitted rather than holding a partially trained ensemble.
   //
-  // Pack the fitted trees into the flat SoA arena that all predict paths
-  // walk; the trees themselves are dropped when this fit returns. Packing
-  // preserves node order and copies leaf distributions verbatim — the
-  // arena is a relayout, not a re-fit.
+  // Append the one-tree arenas in tree order into the forest arena that
+  // all predict paths walk; the slots are dropped when this fit returns.
   arena_.class_count = class_count_;
   std::size_t total_nodes = 0;
   std::size_t total_dists = 0;
   for (const auto& tree : trees) {
     total_nodes += tree.node_count();
-    total_dists += tree.leaf_value_count();
+    total_dists += tree.dists.size();
   }
   arena_.feature.reserve(total_nodes);
   arena_.threshold.reserve(total_nodes);
   arena_.right.reserve(total_nodes);
   arena_.dists.reserve(total_dists);
   arena_.roots.reserve(trees.size());
-  for (const auto& tree : trees) tree.append_to(arena_);
+  for (const auto& tree : trees) arena_.append(tree);
   obs::gauge_set("ml.forest.arena_bytes", static_cast<double>(arena_.bytes()));
 }
 

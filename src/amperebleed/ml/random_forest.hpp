@@ -4,10 +4,11 @@
 //
 // Training parallelizes across trees on the util::ThreadPool: every tree t
 // derives its RNG from master.fork(t) and lands in a pre-sized slot, so the
-// fitted forest is bit-identical at any thread count. After training the
-// trees are packed into a flat SoA arena (forest_arena.hpp) — one
-// allocation spanning all trees — and dropped: the arena is the fitted
-// forest's only state, the same state from_arena restores, and every
+// fitted forest is bit-identical at any thread count. Each slot holds a
+// one-tree arena from fit_tree (decision_tree.hpp); after training the
+// slots are appended in tree order into one flat SoA arena
+// (forest_arena.hpp) spanning all trees, and dropped: the arena is the
+// fitted forest's only state, the same state from_arena restores, and every
 // predict* member walks it. A fitted forest is immutable; all predict*
 // members are const and safe to call concurrently from many threads (the
 // online service shares one forest across requests).

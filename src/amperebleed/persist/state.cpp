@@ -9,7 +9,6 @@ namespace {
 
 constexpr std::uint32_t kTagMeta = section_tag("META");
 constexpr std::uint32_t kTagTenant = section_tag("TENT");
-constexpr std::uint32_t kTagBody = section_tag("BODY");
 
 void encode_sketch(Encoder& enc, const obs::StreamingSketch& sketch) {
   const obs::StreamingSketch::Raw raw = sketch.raw();
@@ -222,7 +221,7 @@ obs::ReferenceProfile decode_profile(Decoder& dec) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole files.
+// Snapshot file.
 
 std::string encode_snapshot(const ServiceSnapshot& snap) {
   FileWriter file(kFileMagic, kFormatVersion, kKindSnapshot);
@@ -260,60 +259,6 @@ ServiceSnapshot decode_snapshot(std::string_view bytes,
   }
   file.expect_end();
   return snap;
-}
-
-std::string encode_forest_file(const ml::ForestArena& arena) {
-  FileWriter file(kFileMagic, kFormatVersion, kKindForest);
-  Encoder body;
-  encode_arena(body, arena);
-  file.section(kTagBody, body.buffer());
-  return file.take();
-}
-
-ml::ForestArena decode_forest_file(std::string_view bytes,
-                                   const std::string& context) {
-  FileReader file(bytes, kFileMagic, kFormatVersion, kKindForest, context);
-  Decoder body(file.section(kTagBody), context + "/BODY");
-  ml::ForestArena arena = decode_arena(body);
-  body.expect_end();
-  file.expect_end();
-  return arena;
-}
-
-std::string encode_dataset_file(const ml::Dataset& data) {
-  FileWriter file(kFileMagic, kFormatVersion, kKindDataset);
-  Encoder body;
-  encode_dataset(body, data);
-  file.section(kTagBody, body.buffer());
-  return file.take();
-}
-
-ml::Dataset decode_dataset_file(std::string_view bytes,
-                                const std::string& context) {
-  FileReader file(bytes, kFileMagic, kFormatVersion, kKindDataset, context);
-  Decoder body(file.section(kTagBody), context + "/BODY");
-  ml::Dataset data = decode_dataset(body);
-  body.expect_end();
-  file.expect_end();
-  return data;
-}
-
-std::string encode_profile_file(const obs::ReferenceProfile& profile) {
-  FileWriter file(kFileMagic, kFormatVersion, kKindProfile);
-  Encoder body;
-  encode_profile(body, profile);
-  file.section(kTagBody, body.buffer());
-  return file.take();
-}
-
-obs::ReferenceProfile decode_profile_file(std::string_view bytes,
-                                          const std::string& context) {
-  FileReader file(bytes, kFileMagic, kFormatVersion, kKindProfile, context);
-  Decoder body(file.section(kTagBody), context + "/BODY");
-  obs::ReferenceProfile profile = decode_profile(body);
-  body.expect_end();
-  file.expect_end();
-  return profile;
 }
 
 }  // namespace amperebleed::persist

@@ -1,14 +1,13 @@
 #pragma once
 // Typed binary codecs for the service's durable state (DESIGN.md §15):
-// ForestArena, enrollment Dataset, obs::ReferenceProfile, and the composite
-// per-tenant / whole-service snapshot. All formats are versioned, CRC-framed
-// little-endian files built on persist/codec.hpp; decoding validates not
-// just framing but structure (node indices in bounds, strictly increasing
-// child links, matching array lengths), so even a CRC-valid but nonsensical
-// file yields a DecodeError rather than an out-of-bounds arena walk.
-//
-// The forest/dataset codec here is the foundation the out-of-core columnar
-// trace store (ROADMAP open item 2) is slated to reuse.
+// field codecs for ForestArena, the enrollment Dataset and
+// obs::ReferenceProfile, composed into the one whole-file format, the
+// per-tenant / whole-service snapshot. The snapshot is a versioned,
+// CRC-framed little-endian file built on persist/codec.hpp; decoding
+// validates not just framing but structure (node indices in bounds,
+// strictly increasing child links, matching array lengths), so even a
+// CRC-valid but nonsensical file yields a DecodeError rather than an
+// out-of-bounds arena walk.
 
 #include <cstdint>
 #include <string>
@@ -26,11 +25,9 @@ namespace amperebleed::persist {
 inline constexpr std::uint32_t kFileMagic = section_tag("ABPS");
 inline constexpr std::uint16_t kFormatVersion = 1;
 
-/// Payload kinds (the u16 after the version in every file header).
+/// Payload kinds (the u16 after the version in every file header); the
+/// journal's kind is in journal.hpp.
 inline constexpr std::uint16_t kKindSnapshot = 1;
-inline constexpr std::uint16_t kKindForest = 2;
-inline constexpr std::uint16_t kKindDataset = 3;
-inline constexpr std::uint16_t kKindProfile = 4;
 
 // --- Field-level codecs (compose into larger payloads) ---------------------
 
@@ -44,7 +41,7 @@ void encode_dataset(Encoder& enc, const ml::Dataset& data);
 void encode_profile(Encoder& enc, const obs::ReferenceProfile& profile);
 [[nodiscard]] obs::ReferenceProfile decode_profile(Decoder& dec);
 
-// --- Whole-file codecs ------------------------------------------------------
+// --- Snapshot file ---------------------------------------------------------
 
 /// One tenant session as plain data, decoupled from serve:: so the codec
 /// layer has no dependency on the service (serve depends on persist).
@@ -73,20 +70,5 @@ struct ServiceSnapshot {
 [[nodiscard]] std::string encode_snapshot(const ServiceSnapshot& snap);
 [[nodiscard]] ServiceSnapshot decode_snapshot(std::string_view bytes,
                                               const std::string& context);
-
-/// Standalone forest file: save→load→predict_proba_many is bit-identical to
-/// the in-memory arena (tests/persist/codec_test.cpp proves it).
-[[nodiscard]] std::string encode_forest_file(const ml::ForestArena& arena);
-[[nodiscard]] ml::ForestArena decode_forest_file(std::string_view bytes,
-                                                 const std::string& context);
-
-[[nodiscard]] std::string encode_dataset_file(const ml::Dataset& data);
-[[nodiscard]] ml::Dataset decode_dataset_file(std::string_view bytes,
-                                              const std::string& context);
-
-[[nodiscard]] std::string encode_profile_file(
-    const obs::ReferenceProfile& profile);
-[[nodiscard]] obs::ReferenceProfile decode_profile_file(
-    std::string_view bytes, const std::string& context);
 
 }  // namespace amperebleed::persist

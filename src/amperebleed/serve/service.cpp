@@ -12,6 +12,11 @@ namespace amperebleed::serve {
 
 namespace {
 
+/// Consecutive journal-append failures before the service degrades to
+/// read-only: control requests answer StorageUnavailable, classify keeps
+/// serving. Restart (which re-runs recovery) is the only way back.
+constexpr std::uint64_t kMaxConsecutiveJournalFailures = 3;
+
 /// Virtual-latency bucket layout: powers of two from one tick upward, so an
 /// SLO threshold of N default ticks is always an exact bucket bound.
 obs::HistogramConfig latency_vus_buckets(sim::TimeNs tick) {
@@ -367,8 +372,7 @@ Response ClassificationService::control(Pending& pending) {
       ++journal_failures_;
       ++consecutive_journal_failures_;
       obs::count("serve.storage.journal_failures");
-      if (consecutive_journal_failures_ >=
-          config_.durability.max_consecutive_failures) {
+      if (consecutive_journal_failures_ >= kMaxConsecutiveJournalFailures) {
         degraded_ = true;
         obs::gauge_set("serve.storage.degraded", 1.0);
         obs::count("serve.storage.degradations");

@@ -66,10 +66,6 @@ struct DurabilityConfig {
   std::string dir;
   /// Journal records between automatic snapshots.
   std::uint64_t snapshot_every = 64;
-  /// Consecutive journal-append failures before the service degrades to
-  /// read-only: control requests answer StorageUnavailable, classify keeps
-  /// serving. Restart (which re-runs recovery) is the only way back.
-  std::uint64_t max_consecutive_failures = 3;
 };
 
 struct ServiceConfig {

@@ -1,6 +1,8 @@
-# Fails when libamperebleed carries a test oracle or a tool's internals.
-# Oracles belong in tests/support and the bench_compare internals in tools/;
-# this keeps either from creeping back into the shipped library. Run as
+# Fails when libamperebleed carries a test oracle, a tool's internals or a
+# retired second format. Oracles belong in tests/support and the
+# bench_compare internals in tools/; a fitted tree is ForestArena rows only,
+# and the service persists only snapshots and its journal. This keeps any of
+# them from creeping back into the shipped library. Run as
 #
 #   cmake -DNM=nm -DLIBRARY=libamperebleed.a -DSOURCE_DIR=src \
 #         -P library_symbols.cmake
@@ -25,29 +27,32 @@ foreach(pattern
     "load_trajectory_dir"
     "load_records"
     "compare_records"
-    "CompareReport")
+    "CompareReport"
+    "DecisionTree::"
+    "encode_forest_file"
+    "encode_dataset_file"
+    "encode_profile_file")
   string(FIND "${symbols}" "${pattern}" at)
   if(NOT at EQUAL -1)
     list(APPEND failures "symbol matching '${pattern}'")
   endif()
 endforeach()
 
-# Data members leave no symbol, so the two forest ones are checked in the
-# headers: a tree config picks no splitter, and a fitted forest is its
-# arena alone.
+# Data members leave no symbol, and neither would a tree class defined in
+# its header, so two checks read the header: a tree config picks no
+# splitter, and decision_tree.hpp declares no DecisionTree class.
 file(READ "${SOURCE_DIR}/amperebleed/ml/decision_tree.hpp" tree_header)
 string(FIND "${tree_header}" "Splitter" at)
 if(NOT at EQUAL -1)
   list(APPEND failures "TreeConfig splitter field")
 endif()
-file(READ "${SOURCE_DIR}/amperebleed/ml/random_forest.hpp" forest_header)
-string(FIND "${forest_header}" "std::vector<DecisionTree>" at)
+string(FIND "${tree_header}" "class DecisionTree" at)
 if(NOT at EQUAL -1)
-  list(APPEND failures "RandomForest per-tree member")
+  list(APPEND failures "DecisionTree class")
 endif()
 
 if(failures)
   list(JOIN failures "\n  " listing)
   message(FATAL_ERROR "libamperebleed carries:\n  ${listing}")
 endif()
-message(STATUS "libamperebleed carries no oracle or tool internals")
+message(STATUS "libamperebleed carries no oracle, tool internals or retired format")

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "amperebleed/util/rng.hpp"
+#include "support/tree_depth.hpp"
 
 namespace amperebleed::ml {
 namespace {
@@ -30,22 +33,36 @@ std::vector<std::size_t> all_indices(const Dataset& d) {
   return idx;
 }
 
+/// Class distribution of the leaf `row` reaches in a one-tree arena.
+std::span<const double> leaf_proba(const ForestArena& tree,
+                                   std::span<const double> row) {
+  return {tree.leaf_dist(0, row.data()),
+          static_cast<std::size_t>(tree.class_count)};
+}
+
+/// Most probable class at the leaf `row` reaches (first max on ties).
+int predict(const ForestArena& tree, std::span<const double> row) {
+  const auto proba = leaf_proba(tree, row);
+  return static_cast<int>(std::distance(
+      proba.begin(), std::max_element(proba.begin(), proba.end())));
+}
+
 TEST(DecisionTree, FitsSeparableBlobsExactly) {
   const Dataset d = two_blob_dataset(50, 1);
-  DecisionTree tree;
   util::Rng rng(2);
-  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
+  const ForestArena tree =
+      fit_tree(TreeConfig{}, d, ColumnRanks(d), all_indices(d), 2, rng);
   for (std::size_t i = 0; i < d.size(); ++i) {
-    EXPECT_EQ(tree.predict(d.row(i)), d.label(i));
+    EXPECT_EQ(predict(tree, d.row(i)), d.label(i));
   }
 }
 
 TEST(DecisionTree, PredictProbaIsDistribution) {
   const Dataset d = two_blob_dataset(20, 3);
-  DecisionTree tree;
   util::Rng rng(4);
-  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
-  const auto p = tree.predict_proba(d.row(0));
+  const ForestArena tree =
+      fit_tree(TreeConfig{}, d, ColumnRanks(d), all_indices(d), 2, rng);
+  const auto p = leaf_proba(tree, d.row(0));
   ASSERT_EQ(p.size(), 2u);
   EXPECT_NEAR(p[0] + p[1], 1.0, 1e-12);
   EXPECT_GE(p[0], 0.0);
@@ -61,10 +78,10 @@ TEST(DecisionTree, RespectsMaxDepth) {
   }
   TreeConfig config;
   config.max_depth = 1;
-  DecisionTree tree(config);
   util::Rng rng(5);
-  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
-  EXPECT_LE(tree.depth(), 1);
+  const ForestArena tree =
+      fit_tree(config, d, ColumnRanks(d), all_indices(d), 2, rng);
+  EXPECT_LE(test::tree_depth(tree, 0), 1);
 }
 
 TEST(DecisionTree, PureNodeBecomesLeafImmediately) {
@@ -73,11 +90,11 @@ TEST(DecisionTree, PureNodeBecomesLeafImmediately) {
     const std::vector<double> row = {static_cast<double>(i), 0.0};
     d.add(row, 3);  // single class with id 3
   }
-  DecisionTree tree;
   util::Rng rng(6);
-  tree.fit(d, ColumnRanks(d), all_indices(d), 4, rng);
+  const ForestArena tree =
+      fit_tree(TreeConfig{}, d, ColumnRanks(d), all_indices(d), 4, rng);
   EXPECT_EQ(tree.node_count(), 1u);
-  EXPECT_EQ(tree.predict(d.row(0)), 3);
+  EXPECT_EQ(predict(tree, d.row(0)), 3);
 }
 
 TEST(DecisionTree, ConstantFeaturesYieldMajorityLeaf) {
@@ -86,36 +103,32 @@ TEST(DecisionTree, ConstantFeaturesYieldMajorityLeaf) {
   d.add(same, 0);
   d.add(same, 0);
   d.add(same, 1);
-  DecisionTree tree;
   util::Rng rng(7);
-  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
-  EXPECT_EQ(tree.predict(same), 0);
+  const ForestArena tree =
+      fit_tree(TreeConfig{}, d, ColumnRanks(d), all_indices(d), 2, rng);
+  EXPECT_EQ(predict(tree, same), 0);
 }
 
 TEST(DecisionTree, ThrowsWithoutSamplesOrClasses) {
   Dataset d(1);
-  DecisionTree tree;
   util::Rng rng(8);
-  EXPECT_THROW(tree.fit(d, ColumnRanks(d), {}, 2, rng), std::invalid_argument);
+  EXPECT_THROW(
+      static_cast<void>(fit_tree(TreeConfig{}, d, ColumnRanks(d), {}, 2, rng)),
+      std::invalid_argument);
   const std::vector<double> row = {1.0};
   d.add(row, 0);
-  EXPECT_THROW(tree.fit(d, ColumnRanks(d), all_indices(d), 0, rng),
+  EXPECT_THROW(static_cast<void>(fit_tree(TreeConfig{}, d, ColumnRanks(d),
+                                          all_indices(d), 0, rng)),
                std::invalid_argument);
 }
 
 TEST(DecisionTree, RejectsRankTableOfAnotherDataset) {
   const Dataset d = two_blob_dataset(10, 12);
   const Dataset other = two_blob_dataset(11, 12);
-  DecisionTree tree;
   util::Rng rng(13);
-  EXPECT_THROW(tree.fit(d, ColumnRanks(other), all_indices(d), 2, rng),
+  EXPECT_THROW(static_cast<void>(fit_tree(TreeConfig{}, d, ColumnRanks(other),
+                                          all_indices(d), 2, rng)),
                std::invalid_argument);
-}
-
-TEST(DecisionTree, PredictBeforeFitThrows) {
-  DecisionTree tree;
-  const std::vector<double> x = {0.0};
-  EXPECT_THROW(static_cast<void>(tree.predict(x)), std::logic_error);
 }
 
 TEST(DecisionTree, BootstrapIndicesWithRepetitionWork) {
@@ -124,10 +137,10 @@ TEST(DecisionTree, BootstrapIndicesWithRepetitionWork) {
   for (std::size_t i = 0; i < d.size(); ++i) {
     idx.push_back(i % 10);  // heavy repetition
   }
-  DecisionTree tree;
   util::Rng rng(10);
-  tree.fit(d, ColumnRanks(d), idx, 2, rng);
-  EXPECT_TRUE(tree.fitted());
+  const ForestArena tree =
+      fit_tree(TreeConfig{}, d, ColumnRanks(d), idx, 2, rng);
+  EXPECT_EQ(tree.tree_count(), 1u);
 }
 
 TEST(DecisionTree, XorNeedsDepthTwo) {
@@ -141,13 +154,13 @@ TEST(DecisionTree, XorNeedsDepthTwo) {
   }
   TreeConfig config;
   config.max_features = 2;  // examine both features at each node
-  DecisionTree tree(config);
   util::Rng rng(11);
-  tree.fit(d, ColumnRanks(d), all_indices(d), 2, rng);
+  const ForestArena tree =
+      fit_tree(config, d, ColumnRanks(d), all_indices(d), 2, rng);
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(tree.predict(pts[i]), labels[i]);
+    EXPECT_EQ(predict(tree, pts[i]), labels[i]);
   }
-  EXPECT_GE(tree.depth(), 2);
+  EXPECT_GE(test::tree_depth(tree, 0), 2);
 }
 
 }  // namespace

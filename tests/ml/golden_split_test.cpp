@@ -26,6 +26,7 @@
 #include "amperebleed/util/rng.hpp"
 #include "amperebleed/util/thread_pool.hpp"
 #include "support/reference_forest.hpp"
+#include "support/tree_depth.hpp"
 
 namespace amperebleed::ml {
 namespace {
@@ -176,30 +177,27 @@ TEST_P(GoldenSplit, SingleTreeStructurallyIdentical) {
   // Repeat a chunk to mimic bootstrap multiplicity.
   for (std::size_t i = 0; i < data.size() / 3; ++i) indices.push_back(i);
 
-  DecisionTree fast;
   util::Rng rng_fast(0xabc);
   util::Rng rng_naive(0xabc);
-  const ColumnRanks ranks(data);
-  fast.fit(data, ranks, indices, data.class_count(), rng_fast);
+  const ForestArena fast =
+      fit_tree(TreeConfig{}, data, ColumnRanks(data), indices,
+               data.class_count(), rng_fast);
   const reference::Tree naive = reference::fit_tree(
       TreeConfig{}, data, indices, data.class_count(), rng_naive);
 
   EXPECT_EQ(fast.node_count(), naive.node_count());
-  EXPECT_EQ(fast.depth(), naive.depth);
-  EXPECT_EQ(fast.leaf_value_count(), naive.leaf_value_count());
+  EXPECT_EQ(test::tree_depth(fast, 0), naive.depth);
 
-  ForestArena a;
-  ForestArena b;
-  a.class_count = b.class_count = data.class_count();
-  fast.append_to(a);
-  naive.append_to(b);
-  expect_arena_equal(a, b);
+  ForestArena packed;
+  packed.class_count = data.class_count();
+  naive.append_to(packed);
+  expect_arena_equal(fast, packed);
 
   for (std::size_t i = 0; i < data.size(); ++i) {
-    const auto pf = fast.predict_proba(data.row(i));
+    const double* pf = fast.leaf_dist(0, data.row(i).data());
     const auto pn = naive.predict_proba(data.row(i));
-    ASSERT_EQ(pf.size(), pn.size());
-    for (std::size_t c = 0; c < pf.size(); ++c) {
+    ASSERT_EQ(static_cast<std::size_t>(fast.class_count), pn.size());
+    for (std::size_t c = 0; c < pn.size(); ++c) {
       EXPECT_EQ(pf[c], pn[c]) << "row " << i << " class " << c;
     }
   }

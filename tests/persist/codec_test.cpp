@@ -165,10 +165,40 @@ ml::RandomForest make_forest(const ml::Dataset& data) {
   return forest;
 }
 
+// Field-codec round trips: encode into a buffer, decode it back, and insist
+// the decoder consumed every byte.
+
+ml::ForestArena arena_round_trip(const ml::ForestArena& arena) {
+  Encoder enc;
+  encode_arena(enc, arena);
+  Decoder dec(enc.buffer(), "arena");
+  ml::ForestArena loaded = decode_arena(dec);
+  dec.expect_end();
+  return loaded;
+}
+
+ml::Dataset dataset_round_trip(const ml::Dataset& data) {
+  Encoder enc;
+  encode_dataset(enc, data);
+  Decoder dec(enc.buffer(), "dataset");
+  ml::Dataset loaded = decode_dataset(dec);
+  dec.expect_end();
+  return loaded;
+}
+
+obs::ReferenceProfile profile_round_trip(
+    const obs::ReferenceProfile& profile) {
+  Encoder enc;
+  encode_profile(enc, profile);
+  Decoder dec(enc.buffer(), "profile");
+  obs::ReferenceProfile loaded = decode_profile(dec);
+  dec.expect_end();
+  return loaded;
+}
+
 TEST(StateCodec, DatasetRoundTripIsExact) {
   const ml::Dataset data = make_dataset();
-  const ml::Dataset loaded =
-      decode_dataset_file(encode_dataset_file(data), "dataset.bin");
+  const ml::Dataset loaded = dataset_round_trip(data);
   ASSERT_EQ(loaded.size(), data.size());
   ASSERT_EQ(loaded.feature_count(), data.feature_count());
   EXPECT_EQ(loaded.labels(), data.labels());
@@ -181,29 +211,25 @@ TEST(StateCodec, DatasetRoundTripIsExact) {
 }
 
 TEST(StateCodec, NonFiniteDatasetValueIsADecodeError) {
-  // A well-framed file (valid CRC) whose body carries a NaN feature: the
-  // shape is fine, so only the value check can refuse it.
+  // A well-formed dataset field whose values carry a NaN feature: the shape
+  // is fine, so only the value check can refuse it.
   Encoder body;
   body.u64(2);  // features
   body.i32_vec(std::vector<std::int32_t>{0, 1});
   body.f64_vec(std::vector<double>{
       1.0, std::numeric_limits<double>::quiet_NaN(), 3.0, 4.0});
-  FileWriter file(kFileMagic, kFormatVersion, kKindDataset);
-  file.section(section_tag("BODY"), body.buffer());
-  EXPECT_THROW(static_cast<void>(decode_dataset_file(file.take(), "nan.bin")),
-               DecodeError);
+  Decoder dec(body.buffer(), "nan");
+  EXPECT_THROW(static_cast<void>(decode_dataset(dec)), DecodeError);
 }
 
-// Acceptance criterion: forest save -> load -> predict_proba_many is
-// bit-identical to the in-memory arena.
+// Forest encode -> decode -> predict_proba_many is bit-identical to the
+// in-memory arena.
 TEST(StateCodec, ForestRoundTripPredictsBitIdentically) {
   const ml::Dataset data = make_dataset();
   const ml::RandomForest forest = make_forest(data);
 
-  const std::string bytes = encode_forest_file(forest.arena());
-  const ml::ForestArena arena = decode_forest_file(bytes, "forest.bin");
-  const ml::RandomForest restored =
-      ml::RandomForest::from_arena(forest.config(), arena);
+  const ml::RandomForest restored = ml::RandomForest::from_arena(
+      forest.config(), arena_round_trip(forest.arena()));
 
   EXPECT_TRUE(restored.fitted());
   EXPECT_EQ(restored.tree_count(), forest.tree_count());
@@ -230,8 +256,7 @@ TEST(StateCodec, ProfileRoundTripComparesEqual) {
   const ml::Dataset data = make_dataset();
   const obs::ReferenceProfile profile =
       obs::ReferenceProfile::from_dataset(data, 16);
-  const obs::ReferenceProfile loaded =
-      decode_profile_file(encode_profile_file(profile), "profile.bin");
+  const obs::ReferenceProfile loaded = profile_round_trip(profile);
   EXPECT_TRUE(loaded == profile);
 }
 
@@ -277,12 +302,10 @@ TEST(StateCodec, SnapshotRoundTripPreservesTenants) {
 TEST(StateCodec, StructurallyInvalidArenaIsRejected) {
   const ml::Dataset data = make_dataset();
   ml::ForestArena arena = make_forest(data).arena();
-  // CRC-valid nonsense: point a tree root past the node array. decode must
+  // Well-formed nonsense: point a tree root past the node array. decode must
   // reject it rather than hand back an arena whose walk would be UB.
   arena.roots[0] = static_cast<std::int32_t>(arena.feature.size() + 100);
-  EXPECT_THROW(
-      (void)decode_forest_file(encode_forest_file(arena), "forest.bin"),
-      DecodeError);
+  EXPECT_THROW((void)arena_round_trip(arena), DecodeError);
 }
 
 // Restored fingerprinters classify bit-identically to the originals.
@@ -307,11 +330,9 @@ TEST(StateCodec, FingerprinterRestoreClassifiesBitIdentically) {
   core::OnlineFingerprinter::RestoredState state;
   state.feature_count = original.feature_count();
   state.class_names = original.class_names();
-  state.data = decode_dataset_file(
-      encode_dataset_file(original.enrollment_data()), "d");
+  state.data = dataset_round_trip(original.enrollment_data());
   state.trained = true;
-  state.arena = decode_forest_file(
-      encode_forest_file(original.forest().arena()), "f");
+  state.arena = arena_round_trip(original.forest().arena());
   const core::OnlineFingerprinter restored =
       core::OnlineFingerprinter::restore(config, std::move(state));
 

@@ -30,14 +30,8 @@ ml::Dataset small_dataset() {
   return data;
 }
 
-std::string small_forest_file() {
-  ml::ForestConfig config;
-  config.n_trees = 4;
-  ml::RandomForest forest(config);
-  forest.fit(small_dataset());
-  return encode_forest_file(forest.arena());
-}
-
+/// An enrolling tenant and a trained one, so the sweeps below run through
+/// the dataset, arena and drift-profile decoders.
 std::string small_snapshot_file() {
   ServiceSnapshot snap;
   snap.last_seq = 9;
@@ -48,6 +42,18 @@ std::string small_snapshot_file() {
   tenant.feature_count = 6;
   tenant.class_names = {"a", "b"};
   tenant.data = small_dataset();
+  snap.tenants.push_back(tenant);
+
+  ml::ForestConfig config;
+  config.n_trees = 4;
+  ml::RandomForest forest(config);
+  forest.fit(tenant.data);
+  tenant.name = "beta";
+  tenant.state = 1;
+  tenant.trained = true;
+  tenant.arena = forest.arena();
+  tenant.has_profile = true;
+  tenant.profile = obs::ReferenceProfile::from_dataset(tenant.data, 8);
   snap.tenants.push_back(std::move(tenant));
   return encode_snapshot(snap);
 }
@@ -74,18 +80,6 @@ void bitflip_sweep(const std::string& bytes, DecodeFn decode) {
   }
 }
 
-TEST(CorruptionSweep, ForestFileTruncatedAtEveryByte) {
-  truncation_sweep(small_forest_file(), [](std::string_view bytes) {
-    return decode_forest_file(bytes, "forest.bin");
-  });
-}
-
-TEST(CorruptionSweep, ForestFileFlippedAtEveryByte) {
-  bitflip_sweep(small_forest_file(), [](std::string_view bytes) {
-    return decode_forest_file(bytes, "forest.bin");
-  });
-}
-
 TEST(CorruptionSweep, SnapshotTruncatedAtEveryByte) {
   truncation_sweep(small_snapshot_file(), [](std::string_view bytes) {
     return decode_snapshot(bytes, "snapshot.bin");
@@ -95,16 +89,6 @@ TEST(CorruptionSweep, SnapshotTruncatedAtEveryByte) {
 TEST(CorruptionSweep, SnapshotFlippedAtEveryByte) {
   bitflip_sweep(small_snapshot_file(), [](std::string_view bytes) {
     return decode_snapshot(bytes, "snapshot.bin");
-  });
-}
-
-TEST(CorruptionSweep, DatasetFileSweeps) {
-  const std::string bytes = encode_dataset_file(small_dataset());
-  truncation_sweep(bytes, [](std::string_view b) {
-    return decode_dataset_file(b, "dataset.bin");
-  });
-  bitflip_sweep(bytes, [](std::string_view b) {
-    return decode_dataset_file(b, "dataset.bin");
   });
 }
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,6 +148,36 @@ std::string fresh_dir(const std::string& tag) {
     }
   }
   return dir;
+}
+
+/// Runs the workload with snapshot_every=12, so the snapshot lands right
+/// after gamma's enroll (seq 12) and leaves gamma's Retire and failing Train
+/// in the journal tail, then rewrites that snapshot with `doctor` applied to
+/// tenant `name`. The rewritten file decodes (valid CRCs), so only
+/// OnlineFingerprinter::restore's semantic validation can refuse the tenant.
+void run_and_doctor_snapshot(
+    const std::string& dir, const std::string& name,
+    const std::function<void(persist::TenantState&)>& doctor) {
+  {
+    ClassificationService service(durable_config(dir, 12));
+    run_script(service, make_script(faults::FaultPlan::from_env().seed));
+  }
+  std::string snap_name;
+  for (const std::string& file : util::list_dir(dir)) {
+    if (file.rfind("snapshot-", 0) == 0) snap_name = file;
+  }
+  ASSERT_FALSE(snap_name.empty());
+  persist::ServiceSnapshot snap = persist::decode_snapshot(
+      util::read_file(dir + "/" + snap_name), snap_name);
+  bool doctored = false;
+  for (persist::TenantState& t : snap.tenants) {
+    if (t.name != name) continue;
+    doctor(t);
+    doctored = true;
+  }
+  ASSERT_TRUE(doctored);
+  util::atomic_write_file(dir + "/" + snap_name,
+                          persist::encode_snapshot(snap));
 }
 
 /// Resume after recovery: re-submit only the control requests the journal
@@ -404,36 +436,14 @@ TEST_F(CrashRecoveryTest, FailedAppendAfterFullWriteLeavesNoOrphan) {
 // recreate the namespace empty, silently diverging past the one discarded
 // tenant. The dropped names and record count are surfaced, not just a tally.
 TEST_F(CrashRecoveryTest, DiscardedSnapshotTenantIsNotRecreatedByReplay) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
-  const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("discarded");
-  {
-    // snapshot_every=12: the snapshot lands right after gamma's enroll
-    // (seq 12), leaving gamma's Retire and failing Train in the tail.
-    ClassificationService service(durable_config(dir, 12));
-    run_script(service, script);
-  }
-  // Doctor the snapshot so gamma decodes fine (valid CRCs) but fails
-  // OnlineFingerprinter::restore's semantic validation.
-  std::string snap_name;
-  for (const std::string& name : util::list_dir(dir)) {
-    if (name.rfind("snapshot-", 0) == 0) snap_name = name;
-  }
-  ASSERT_FALSE(snap_name.empty());
-  persist::ServiceSnapshot snap = persist::decode_snapshot(
-      util::read_file(dir + "/" + snap_name), snap_name);
-  bool doctored = false;
-  for (persist::TenantState& t : snap.tenants) {
-    if (t.name != "gamma") continue;
-    // Leaves the enrollment labels pointing outside class_names — the one
-    // inconsistency the codec's structural checks cannot see (labels and
-    // class names live in different sections) but restore rejects.
-    t.class_names.clear();
-    doctored = true;
-  }
-  ASSERT_TRUE(doctored);
-  util::atomic_write_file(dir + "/" + snap_name,
-                          persist::encode_snapshot(snap));
+  ASSERT_NO_FATAL_FAILURE(run_and_doctor_snapshot(
+      dir, "gamma", [](persist::TenantState& t) {
+        // Leaves the enrollment labels pointing outside class_names — an
+        // inconsistency the codec's structural checks cannot see (labels
+        // and class names live in different sections) but restore rejects.
+        t.class_names.clear();
+      }));
 
   ClassificationService recovered(durable_config(dir, 12));
   const StorageStats storage = recovered.storage();
@@ -444,6 +454,59 @@ TEST_F(CrashRecoveryTest, DiscardedSnapshotTenantIsNotRecreatedByReplay) {
   EXPECT_NE(recovered.tenant("alpha"), nullptr);
   EXPECT_NE(recovered.tenant("beta"), nullptr);
   EXPECT_NE(recovered.tenant("limbo"), nullptr);
+}
+
+// A trained snapshot tenant whose forest splits on a feature past the
+// tenant's trace prefix would read outside every row it classifies: restore
+// refuses it, and only that tenant is discarded.
+TEST_F(CrashRecoveryTest, SnapshotForestSplittingPastTheTraceIsDiscarded) {
+  const std::string dir = fresh_dir("wide_split");
+  ASSERT_NO_FATAL_FAILURE(run_and_doctor_snapshot(
+      dir, "beta", [](persist::TenantState& t) {
+        ASSERT_TRUE(t.trained);
+        const auto split =
+            std::find_if(t.arena.feature.begin(), t.arena.feature.end(),
+                         [](std::int32_t f) { return f >= 0; });
+        ASSERT_NE(split, t.arena.feature.end());
+        *split = static_cast<std::int32_t>(t.feature_count);
+      }));
+
+  ClassificationService recovered(durable_config(dir, 12));
+  EXPECT_EQ(recovered.storage().discarded_tenants,
+            std::vector<std::string>{"beta"});
+  EXPECT_EQ(recovered.tenant("beta"), nullptr);
+  EXPECT_NE(recovered.tenant("alpha"), nullptr);
+}
+
+// A trained snapshot tenant whose forest predicts more classes than the
+// tenant has names would index past class_names in every verdict.
+TEST_F(CrashRecoveryTest, SnapshotForestWithMoreClassesThanNamesIsDiscarded) {
+  const std::string dir = fresh_dir("extra_class");
+  ASSERT_NO_FATAL_FAILURE(run_and_doctor_snapshot(
+      dir, "beta", [](persist::TenantState& t) {
+        ASSERT_TRUE(t.trained);
+        // Widen every leaf distribution by one class no name covers; the
+        // arena stays structurally valid, so the codec accepts it.
+        ml::ForestArena& arena = t.arena;
+        const auto classes = static_cast<std::size_t>(arena.class_count);
+        std::vector<double> dists;
+        for (std::size_t i = 0; i < arena.node_count(); ++i) {
+          if (arena.feature[i] != ml::ForestArena::kLeaf) continue;
+          const auto from = arena.dists.begin() + arena.right[i];
+          arena.right[i] = static_cast<std::int32_t>(dists.size());
+          dists.insert(dists.end(), from,
+                       from + static_cast<std::ptrdiff_t>(classes));
+          dists.push_back(0.0);
+        }
+        arena.dists = std::move(dists);
+        ++arena.class_count;
+      }));
+
+  ClassificationService recovered(durable_config(dir, 12));
+  EXPECT_EQ(recovered.storage().discarded_tenants,
+            std::vector<std::string>{"beta"});
+  EXPECT_EQ(recovered.tenant("beta"), nullptr);
+  EXPECT_NE(recovered.tenant("alpha"), nullptr);
 }
 
 // A garbage file whose digit run would wrap u64 must not be treated as a

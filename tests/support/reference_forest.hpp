@@ -1,14 +1,14 @@
 #pragma once
 // Reference random forest: the original materialize-and-sort splitter and
-// the per-tree pointer walk. Golden tests pit the product fit
-// (DecisionTree's rank-key splitter, RandomForest's parallel fit) and both
-// ForestArena kernels against it, and bench/micro_primitives times it as
-// the slow side of its tree-fit and batch-predict ratios.
+// the per-tree pointer walk. Golden tests pit the product fit (fit_tree's
+// rank-key splitter, RandomForest's parallel fit) and both ForestArena
+// kernels against it, and bench/micro_primitives times it as the slow side
+// of its tree-fit and batch-predict ratios.
 //
-// A reference Tree keeps the same preorder node array DecisionTree builds
-// (an internal node's left child is the next node), and append_to packs it
-// into a ForestArena the way DecisionTree::append_to does, so a golden test
-// can diff whole arenas.
+// A reference Tree keeps its own node array with explicit child links, in
+// the preorder fit_tree writes its arena rows in (an internal node's left
+// child is the next node), and append_to packs it into ForestArena rows, so
+// a golden test can diff whole arenas.
 
 #include <cstdint>
 #include <span>
@@ -39,21 +39,18 @@ struct Tree {
   std::vector<double> leaf_dists;  // class_count doubles per leaf
 
   [[nodiscard]] std::size_t node_count() const { return nodes.size(); }
-  [[nodiscard]] std::size_t leaf_value_count() const {
-    return leaf_dists.size();
-  }
 
   /// Class distribution at the leaf `features` reaches (pointer walk).
   [[nodiscard]] std::span<const double> predict_proba(
       std::span<const double> features) const;
 
-  /// Append this tree to a packed arena, as DecisionTree::append_to does.
+  /// Append this tree to a packed arena: the layout fit_tree writes.
   void append_to(ForestArena& arena) const;
 };
 
 /// The original splitter: at every node, for each sampled feature,
 /// materialize (value, label) pairs, sort them and scan the boundaries.
-/// Draws from `rng` exactly as DecisionTree::fit does, so the same inputs
+/// Draws from `rng` exactly as ml::fit_tree does, so the same inputs
 /// give the same tree.
 Tree fit_tree(const TreeConfig& config, const Dataset& data,
               std::span<const std::size_t> sample_indices, int class_count,
