@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks of the library's hot primitives:
 // signal integration, INA226 conversion, the hwmon read path, bignum modular
-// arithmetic, and random-forest training/inference.
+// arithmetic, random-forest training/inference, and the snapshot codec.
 //
 // Unlike the table/figure benches this binary has a custom main: it pins the
 // thread pool to size 1 (so every A/B pair below measures single-thread
@@ -9,8 +9,8 @@
 // into an obs::RunRecord — BENCH_micro_primitives.json — alongside derived
 // host-portable ratios (slower ns / faster ns of an adjacent pair measured
 // in the same process: tree_fit_speedup, forest_predict_batch_speedup,
-// forest_predict_simd_speedup) that tools/bench_compare gates on across
-// commits.
+// forest_predict_simd_speedup, crc32_speedup) that tools/bench_compare
+// gates on across commits.
 
 #include <benchmark/benchmark.h>
 
@@ -30,10 +30,13 @@
 #include "amperebleed/ml/decision_tree.hpp"
 #include "amperebleed/ml/random_forest.hpp"
 #include "amperebleed/obs/run_record.hpp"
+#include "amperebleed/persist/codec.hpp"
+#include "amperebleed/persist/state.hpp"
 #include "amperebleed/sim/signal.hpp"
 #include "amperebleed/soc/soc.hpp"
 #include "amperebleed/util/rng.hpp"
 #include "amperebleed/util/thread_pool.hpp"
+#include "support/reference_crc32.hpp"
 #include "support/reference_forest.hpp"
 
 namespace {
@@ -355,6 +358,97 @@ void BM_ForestPredictSimd(benchmark::State& state) {
 BENCHMARK(BM_ForestPredictSimd)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
+// The snapshot codec at perfbench recover's shape: 200 tenants, each 3
+// classes x 3 enrolled traces of 64 samples and a 20-tree forest (~1.5 MB).
+// ---------------------------------------------------------------------------
+
+/// 1.5 MiB of fixed random bytes, about one recover snapshot.
+const std::string& crc_buffer() {
+  static const std::string bytes = [] {
+    util::Rng rng(0xc2c);
+    std::string b(1536 * 1024, '\0');
+    for (char& c : b) c = static_cast<char>(rng.uniform_below(256));
+    return b;
+  }();
+  return bytes;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const std::string& bytes = crc_buffer();
+  for (auto _ : state) benchmark::DoNotOptimize(persist::crc32(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+/// The bytewise oracle; crc32_speedup = this / BM_Crc32.
+void BM_Crc32Reference(benchmark::State& state) {
+  const std::string& bytes = crc_buffer();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(persist::reference::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32Reference)->Unit(benchmark::kMicrosecond);
+
+/// One trained tenant's state; every snapshot tenant borrows it.
+struct SnapshotTenant {
+  std::vector<std::string> class_names{"net-0", "net-1", "net-2"};
+  ml::Dataset data = synthetic_dataset(3, 3, 64);
+  ml::ForestArena arena = [this] {
+    ml::ForestConfig config;
+    config.n_trees = 20;
+    ml::RandomForest forest(config);
+    forest.fit(data);
+    return forest.arena();
+  }();
+};
+
+const std::vector<persist::TenantView>& snapshot_views() {
+  static const SnapshotTenant tenant;
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> n;
+    for (int t = 0; t < 200; ++t) n.push_back("tenant-" + std::to_string(t));
+    return n;
+  }();
+  static const std::vector<persist::TenantView> views = [] {
+    std::vector<persist::TenantView> v;
+    for (const std::string& name : names) {
+      persist::TenantView& view = v.emplace_back();
+      view.name = name;
+      view.state = 1;
+      view.enrolled = 9;
+      view.feature_count = tenant.data.feature_count();
+      view.class_names = &tenant.class_names;
+      view.data = &tenant.data;
+      view.arena = &tenant.arena;
+    }
+    return v;
+  }();
+  return views;
+}
+
+void BM_SnapshotEncode(benchmark::State& state) {
+  const auto& views = snapshot_views();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(persist::encode_snapshot(1809, views));
+  }
+}
+BENCHMARK(BM_SnapshotEncode)->Unit(benchmark::kMicrosecond);
+
+void BM_SnapshotDecode(benchmark::State& state) {
+  const std::string bytes =
+      persist::encode_snapshot(1809, snapshot_views());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(persist::decode_snapshot(bytes, "snapshot"));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
 // Custom main: single-thread pool, console output, and an obs::RunRecord of
 // every per-iteration timing plus the A/B speedup ratios.
 // ---------------------------------------------------------------------------
@@ -419,9 +513,11 @@ void write_record(const RecordingReporter& reporter, const std::string& path) {
   const double batch =
       ratio("BM_ForestPredictBatchReference", "BM_ForestPredictBatch");
   const double simd = ratio("BM_ForestPredictBatch", "BM_ForestPredictSimd");
+  const double crc = ratio("BM_Crc32Reference", "BM_Crc32");
   if (tree_fit > 0.0) record.set_number("tree_fit_speedup", tree_fit);
   if (batch > 0.0) record.set_number("forest_predict_batch_speedup", batch);
   if (simd > 0.0) record.set_number("forest_predict_simd_speedup", simd);
+  if (crc > 0.0) record.set_number("crc32_speedup", crc);
   record.set_integer("benchmarks",
                      static_cast<std::int64_t>(reporter.results().size()));
   record.write(path);

@@ -1,7 +1,9 @@
 #pragma once
-// Low-level binary codec for the durability layer (DESIGN.md §15): explicit
-// little-endian byte assembly (host-endianness-independent), CRC32-guarded
-// section framing, and bounds-checked decoding that turns EVERY malformed
+// Low-level binary codec for the durability layer (DESIGN.md §15):
+// little-endian bytes on every host (a little-endian host moves a whole
+// vector with one memcpy; other hosts assemble it element by element, byte
+// by byte), slicing-by-8 CRC32-guarded section framing written in place
+// into one buffer, and bounds-checked decoding that turns EVERY malformed
 // input — truncated at any byte, bit-flipped in any section, sections
 // reordered — into a typed DecodeError instead of UB. The corruption-sweep
 // property tests in tests/persist/corruption_test.cpp enforce exactly that
@@ -44,14 +46,26 @@ class IoError : public std::runtime_error {
 };
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320), the same polynomial as
-/// zlib's crc32. `seed` chains incremental computation.
+/// zlib's crc32. `seed` chains incremental computation. Slicing-by-8: eight
+/// bytes per table step, a bytewise loop for the tail.
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes,
                                   std::uint32_t seed = 0);
 
-/// Append-only little-endian byte builder.
+/// Append-only little-endian byte builder. A counting encoder (counting())
+/// keeps no bytes and only adds up size(), so running a codec over one
+/// first gives the exact size to allocate for the real pass.
 class Encoder {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  Encoder() = default;
+  /// An empty encoder whose buffer holds `capacity` bytes before it grows.
+  explicit Encoder(std::size_t capacity) { buf_.reserve(capacity); }
+  [[nodiscard]] static Encoder counting() {
+    Encoder enc;
+    enc.counting_ = true;
+    return enc;
+  }
+
+  void u8(std::uint8_t v) { put(&v, 1); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -62,7 +76,9 @@ class Encoder {
   void f64(double v);
   /// u64 length prefix + raw bytes.
   void str(std::string_view s);
-  void bytes(std::string_view s) { buf_.append(s.data(), s.size()); }
+  void bytes(std::string_view s) { put(s.data(), s.size()); }
+  /// Doubles back to back with no length prefix.
+  void f64_raw(std::span<const double> v);
 
   // Length-prefixed homogeneous vectors.
   void u64_vec(std::span<const std::uint64_t> v);
@@ -70,12 +86,35 @@ class Encoder {
   void f64_vec(std::span<const double> v);
   void u8_vec(std::span<const std::uint8_t> v);
 
+  /// Overwrite bytes already written at `at` (in-place section framing).
+  /// No-ops on a counting encoder.
+  void patch_u32(std::size_t at, std::uint32_t v);
+  void patch_u64(std::size_t at, std::uint64_t v);
+  /// The bytes written since offset `at` (empty on a counting encoder).
+  [[nodiscard]] std::string_view written_since(std::size_t at) const {
+    return std::string_view(buf_).substr(counting_ ? buf_.size() : at);
+  }
+
   [[nodiscard]] const std::string& buffer() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    return counting_ ? counted_ : buf_.size();
+  }
 
  private:
+  void put(const void* data, std::size_t n) {
+    if (counting_) {
+      counted_ += n;
+    } else {
+      buf_.append(static_cast<const char*>(data), n);
+    }
+  }
+  template <typename T>
+  void raw(std::span<const T> v);
+
   std::string buf_;
+  bool counting_ = false;
+  std::size_t counted_ = 0;
 };
 
 /// Bounds-checked little-endian reader over a borrowed buffer. Every
@@ -113,6 +152,8 @@ class Decoder {
   /// Length sanity bound for vector/string prefixes: a length that cannot
   /// fit in the remaining bytes is corruption, caught before allocation.
   void check_count(std::uint64_t count, std::size_t elem_size);
+  template <typename T>
+  [[nodiscard]] std::vector<T> vec();
 
   std::string_view data_;
   std::string context_;
@@ -132,16 +173,28 @@ class Decoder {
 
 [[nodiscard]] std::string section_tag_name(std::uint32_t tag);
 
-/// Writes the file header then CRC-framed sections.
+/// Writes the file header then CRC-framed sections, each framed in place:
+/// the payload is encoded straight into the file buffer and its length and
+/// CRC are patched in when the section closes.
 class FileWriter {
  public:
-  FileWriter(std::uint32_t magic, std::uint16_t version, std::uint16_t kind);
+  /// `enc` receives the file: pass one pre-sized to the exact file size, or
+  /// Encoder::counting() to measure a file without building it.
+  FileWriter(std::uint32_t magic, std::uint16_t version, std::uint16_t kind,
+             Encoder enc = {});
   /// Append one section (tag | len | crc32(payload) | payload).
   void section(std::uint32_t tag, std::string_view payload);
+  /// Open a section and return the encoder its payload goes into; the
+  /// section stays open until end_section().
+  [[nodiscard]] Encoder& begin_section(std::uint32_t tag);
+  /// Patch the open section's length and CRC.
+  void end_section();
+  [[nodiscard]] std::size_t size() const { return enc_.size(); }
   [[nodiscard]] std::string take() { return enc_.take(); }
 
  private:
   Encoder enc_;
+  std::size_t open_ = 0;  // offset of the open section's tag
 };
 
 /// Validates the file header, then hands out sections strictly in the order

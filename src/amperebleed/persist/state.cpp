@@ -36,19 +36,32 @@ obs::StreamingSketch decode_sketch(Decoder& dec) {
   return obs::StreamingSketch::from_raw(std::move(raw));
 }
 
-void encode_tenant(Encoder& enc, const TenantState& tenant) {
+void encode_tenant(Encoder& enc, const TenantView& tenant) {
   enc.str(tenant.name);
   enc.u8(tenant.state);
   enc.u64(tenant.enrolled);
   enc.u64(tenant.classified);
   enc.u64(tenant.feature_count);
-  enc.u64(tenant.class_names.size());
-  for (const std::string& name : tenant.class_names) enc.str(name);
-  encode_dataset(enc, tenant.data);
-  enc.u8(tenant.trained ? 1 : 0);
-  if (tenant.trained) encode_arena(enc, tenant.arena);
-  enc.u8(tenant.has_profile ? 1 : 0);
-  if (tenant.has_profile) encode_profile(enc, tenant.profile);
+  enc.u64(tenant.class_names->size());
+  for (const std::string& name : *tenant.class_names) enc.str(name);
+  encode_dataset(enc, *tenant.data);
+  enc.u8(tenant.arena != nullptr ? 1 : 0);
+  if (tenant.arena != nullptr) encode_arena(enc, *tenant.arena);
+  enc.u8(tenant.profile != nullptr ? 1 : 0);
+  if (tenant.profile != nullptr) encode_profile(enc, *tenant.profile);
+}
+
+/// Every section of the snapshot file, into `file` (which may count).
+void write_snapshot_sections(FileWriter& file, std::uint64_t last_seq,
+                             std::span<const TenantView> tenants) {
+  Encoder& meta = file.begin_section(kTagMeta);
+  meta.u64(last_seq);
+  meta.u64(tenants.size());
+  file.end_section();
+  for (const TenantView& tenant : tenants) {
+    encode_tenant(file.begin_section(kTagTenant), tenant);
+    file.end_section();
+  }
 }
 
 TenantState decode_tenant(Decoder& dec) {
@@ -160,9 +173,7 @@ void encode_dataset(Encoder& enc, const ml::Dataset& data) {
   enc.u64(data.feature_count());
   enc.i32_vec(data.labels());
   enc.u64(data.size() * data.feature_count());
-  for (std::size_t r = 0; r < data.size(); ++r) {
-    for (const double v : data.row(r)) enc.f64(v);
-  }
+  for (std::size_t r = 0; r < data.size(); ++r) enc.f64_raw(data.row(r));
 }
 
 ml::Dataset decode_dataset(Decoder& dec) {
@@ -223,18 +234,44 @@ obs::ReferenceProfile decode_profile(Decoder& dec) {
 // ---------------------------------------------------------------------------
 // Snapshot file.
 
-std::string encode_snapshot(const ServiceSnapshot& snap) {
-  FileWriter file(kFileMagic, kFormatVersion, kKindSnapshot);
-  Encoder meta;
-  meta.u64(snap.last_seq);
-  meta.u64(snap.tenants.size());
-  file.section(kTagMeta, meta.buffer());
+std::vector<TenantView> views_of(const ServiceSnapshot& snap) {
+  std::vector<TenantView> views;
+  views.reserve(snap.tenants.size());
   for (const TenantState& tenant : snap.tenants) {
-    Encoder body;
-    encode_tenant(body, tenant);
-    file.section(kTagTenant, body.buffer());
+    TenantView& view = views.emplace_back();
+    view.name = tenant.name;
+    view.state = tenant.state;
+    view.enrolled = tenant.enrolled;
+    view.classified = tenant.classified;
+    view.feature_count = tenant.feature_count;
+    view.class_names = &tenant.class_names;
+    view.data = &tenant.data;
+    if (tenant.trained) view.arena = &tenant.arena;
+    if (tenant.has_profile) view.profile = &tenant.profile;
   }
+  return views;
+}
+
+std::size_t snapshot_size(std::uint64_t last_seq,
+                          std::span<const TenantView> tenants) {
+  FileWriter counter(kFileMagic, kFormatVersion, kKindSnapshot,
+                     Encoder::counting());
+  write_snapshot_sections(counter, last_seq, tenants);
+  return counter.size();
+}
+
+std::string encode_snapshot(std::uint64_t last_seq,
+                            std::span<const TenantView> tenants) {
+  // Sized once up front: a file buffer that grows by doubling would hold up
+  // to three times the snapshot in flight while it copies.
+  FileWriter file(kFileMagic, kFormatVersion, kKindSnapshot,
+                  Encoder(snapshot_size(last_seq, tenants)));
+  write_snapshot_sections(file, last_seq, tenants);
   return file.take();
+}
+
+std::string encode_snapshot(const ServiceSnapshot& snap) {
+  return encode_snapshot(snap.last_seq, views_of(snap));
 }
 
 ServiceSnapshot decode_snapshot(std::string_view bytes,

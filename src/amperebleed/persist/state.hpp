@@ -2,14 +2,19 @@
 // Typed binary codecs for the service's durable state (DESIGN.md §15):
 // field codecs for ForestArena, the enrollment Dataset and
 // obs::ReferenceProfile, composed into the one whole-file format, the
-// per-tenant / whole-service snapshot. The snapshot is a versioned,
+// per-tenant / whole-service snapshot. The service encodes it straight from
+// its live tenants through borrowed TenantViews, into one buffer allocated
+// at the file's exact size; decoding yields owned TenantStates that
+// recovery moves into the restored tenants. The snapshot is a versioned,
 // CRC-framed little-endian file built on persist/codec.hpp; decoding
 // validates not just framing but structure (node indices in bounds,
 // strictly increasing child links, matching array lengths), so even a
 // CRC-valid but nonsensical file yields a DecodeError rather than an
 // out-of-bounds arena walk.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,6 +72,31 @@ struct ServiceSnapshot {
   std::vector<TenantState> tenants;
 };
 
+/// One tenant borrowed for encoding: the live session's fields, read in
+/// place. The pointed-to objects must outlive the encode call.
+struct TenantView {
+  std::string_view name;
+  std::uint8_t state = 0;  // serve::TenantSession::State ordinal
+  std::uint64_t enrolled = 0;
+  std::uint64_t classified = 0;
+  std::uint64_t feature_count = 0;
+  const std::vector<std::string>* class_names = nullptr;  // never null
+  const ml::Dataset* data = nullptr;                      // never null
+  const ml::ForestArena* arena = nullptr;  // null unless trained
+  const obs::ReferenceProfile* profile = nullptr;  // null: no drift profile
+};
+
+/// Views of `snap`'s tenants, in order.
+[[nodiscard]] std::vector<TenantView> views_of(const ServiceSnapshot& snap);
+
+/// The snapshot file of `tenants` as of journal seq `last_seq`.
+[[nodiscard]] std::string encode_snapshot(
+    std::uint64_t last_seq, std::span<const TenantView> tenants);
+/// Exact byte size of encode_snapshot(last_seq, tenants), counted without
+/// building the file.
+[[nodiscard]] std::size_t snapshot_size(std::uint64_t last_seq,
+                                        std::span<const TenantView> tenants);
+/// encode_snapshot over views of `snap`'s tenants.
 [[nodiscard]] std::string encode_snapshot(const ServiceSnapshot& snap);
 [[nodiscard]] ServiceSnapshot decode_snapshot(std::string_view bytes,
                                               const std::string& context);

@@ -154,14 +154,19 @@ void TenantStore::append(const JournalRecord& record) {
 }
 
 void TenantStore::write_snapshot(const ServiceSnapshot& snap) {
+  write_snapshot(snap.last_seq, views_of(snap));
+}
+
+void TenantStore::write_snapshot(std::uint64_t last_seq,
+                                 std::span<const TenantView> tenants) {
   if (!faults::storage_io_ok("snapshot.write")) {
     throw IoError("snapshot: injected IO failure in '" + config_.dir + "'");
   }
   const std::string name = std::string(kSnapshotPrefix) +
-                           std::to_string(snap.last_seq) +
+                           std::to_string(last_seq) +
                            std::string(kSnapshotSuffix);
   const std::string path = join(config_.dir, name);
-  util::atomic_write_file(path, encode_snapshot(snap),
+  util::atomic_write_file(path, encode_snapshot(last_seq, tenants),
                           [](std::string_view phase) {
                             if (phase == "tmp-partial") {
                               faults::storage_point("snapshot.tmp_partial");
@@ -179,7 +184,7 @@ void TenantStore::write_snapshot(const ServiceSnapshot& snap) {
   records_since_snapshot_ = 0;
   for (const std::string& other : util::list_dir(config_.dir)) {
     const auto seq = snapshot_seq_of(other);
-    if (seq.has_value() && *seq != snap.last_seq) {
+    if (seq.has_value() && *seq != last_seq) {
       util::remove_file(join(config_.dir, other));
     }
   }

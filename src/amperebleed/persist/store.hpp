@@ -19,7 +19,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "amperebleed/persist/journal.hpp"
@@ -57,9 +59,14 @@ class TenantStore {
   TenantStore(const TenantStore&) = delete;
   TenantStore& operator=(const TenantStore&) = delete;
 
-  /// The snapshot recovery loaded, if any.
+  /// The snapshot recovery loaded, if any, until take_snapshot().
   [[nodiscard]] const std::optional<ServiceSnapshot>& snapshot() const {
     return snapshot_;
+  }
+  /// Hand the loaded snapshot over (so its tenants can be moved into the
+  /// service); the store keeps none afterwards.
+  [[nodiscard]] std::optional<ServiceSnapshot> take_snapshot() {
+    return std::exchange(snapshot_, std::nullopt);
   }
   /// Journal records past the snapshot, in seq order — replay these.
   [[nodiscard]] const std::vector<JournalRecord>& tail() const {
@@ -82,8 +89,11 @@ class TenantStore {
   /// on medium failure — the caller must NOT apply the transition then.
   void append(const JournalRecord& record);
 
-  /// Write `snap` as snapshot-<last_seq>.bin via atomic rename, then reset
-  /// the journal and prune older snapshots. Throws IoError.
+  /// Write `tenants` as snapshot-<last_seq>.bin via atomic rename, then
+  /// reset the journal and prune older snapshots. Throws IoError.
+  void write_snapshot(std::uint64_t last_seq,
+                      std::span<const TenantView> tenants);
+  /// write_snapshot over views of `snap`'s tenants.
   void write_snapshot(const ServiceSnapshot& snap);
 
   /// Release the journal fd so the tail can be replayed/inspected by a new

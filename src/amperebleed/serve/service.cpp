@@ -1,7 +1,9 @@
 #include "amperebleed/serve/service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "amperebleed/obs/obs.hpp"
 #include "amperebleed/persist/journal.hpp"
@@ -85,15 +87,18 @@ ClassificationService::ClassificationService(ServiceConfig config)
 ClassificationService::~ClassificationService() = default;
 
 void ClassificationService::recover_from_store() {
-  if (store_->snapshot().has_value()) {
-    for (const persist::TenantState& t : store_->snapshot()->tenants) {
+  // The decoded snapshot is taken from the store and its tenants' state is
+  // moved, not copied, into the restored fingerprinters.
+  if (std::optional<persist::ServiceSnapshot> snapshot =
+          store_->take_snapshot()) {
+    for (persist::TenantState& t : snapshot->tenants) {
       core::OnlineFingerprinter::RestoredState state;
       state.feature_count = t.feature_count;
-      state.class_names = t.class_names;
-      state.data = t.data;
+      state.class_names = std::move(t.class_names);
+      state.data = std::move(t.data);
       state.trained = t.trained;
-      state.arena = t.arena;
-      if (t.has_profile) state.drift_reference = t.profile;
+      state.arena = std::move(t.arena);
+      if (t.has_profile) state.drift_reference = std::move(t.profile);
       // CRC-valid but semantically inconsistent tenants are skipped — the
       // rest of the snapshot still recovers (replay handles any dangling
       // references with UnknownTenant).
@@ -439,35 +444,28 @@ Response ClassificationService::apply_control(const Request& request) {
   return r;
 }
 
-persist::ServiceSnapshot ClassificationService::build_snapshot() const {
-  persist::ServiceSnapshot snap;
-  snap.last_seq = store_->last_seq();
-  snap.tenants.reserve(tenant_order_.size());
+bool ClassificationService::write_snapshot_guarded() {
+  // The snapshot encodes straight from the live tenants, borrowed in place.
+  std::vector<persist::TenantView> views;
+  views.reserve(tenant_order_.size());
   for (const std::string& name : tenant_order_) {
     const TenantSession& session = *tenants_.at(name);
     const core::OnlineFingerprinter& fp = session.fingerprinter();
-    persist::TenantState t;
-    t.name = name;
-    t.state = static_cast<std::uint8_t>(session.state());
-    t.enrolled = session.enrolled();
-    t.classified = session.classified();
-    t.feature_count = fp.feature_count();
-    t.class_names = fp.class_names();
-    t.data = fp.enrollment_data();
-    t.trained = fp.trained();
-    if (t.trained) t.arena = fp.forest().arena();
+    persist::TenantView& view = views.emplace_back();
+    view.name = name;
+    view.state = static_cast<std::uint8_t>(session.state());
+    view.enrolled = session.enrolled();
+    view.classified = session.classified();
+    view.feature_count = fp.feature_count();
+    view.class_names = &fp.class_names();
+    view.data = &fp.enrollment_data();
+    if (fp.trained()) view.arena = &fp.forest().arena();
     if (const obs::DriftMonitor* monitor = fp.drift_monitor()) {
-      t.has_profile = true;
-      t.profile = monitor->reference();
+      view.profile = &monitor->reference();
     }
-    snap.tenants.push_back(std::move(t));
   }
-  return snap;
-}
-
-bool ClassificationService::write_snapshot_guarded() {
   try {
-    store_->write_snapshot(build_snapshot());
+    store_->write_snapshot(store_->last_seq(), views);
   } catch (const persist::IoError&) {
     // The journal still holds every record, so durability is intact; the
     // snapshot retries once the journal grows past the threshold again.

@@ -47,7 +47,6 @@
 
 namespace amperebleed::persist {
 struct JournalRecord;
-struct ServiceSnapshot;
 class TenantStore;
 }  // namespace amperebleed::persist
 
@@ -217,8 +216,6 @@ class ClassificationService {
   [[nodiscard]] Response apply_control(const Request& request);
   /// Rebuild tenants from the store's snapshot and replay its journal tail.
   void recover_from_store();
-  /// Current in-memory state as a persistable snapshot.
-  [[nodiscard]] persist::ServiceSnapshot build_snapshot() const;
   /// Write a snapshot when the journal grew past durability.snapshot_every.
   void maybe_snapshot();
   bool write_snapshot_guarded();

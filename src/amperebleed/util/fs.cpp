@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include <dirent.h>
@@ -86,12 +84,27 @@ void fsync_dir(const std::string& path) {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_file: cannot open '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  if (in.bad()) throw std::runtime_error("read_file: read failed '" + path + "'");
-  return std::move(out).str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("read_file: cannot open '" + path + "'");
+  // One allocation at the file's size: no doubling buffer, no final copy.
+  struct stat st{};
+  std::string bytes;
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) bytes.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (ok && got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ok = n == 0;  // the file shrank under us: keep what was there
+      break;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  if (!ok) throw std::runtime_error("read_file: read failed '" + path + "'");
+  bytes.resize(got);
+  return bytes;
 }
 
 bool path_exists(const std::string& path) {

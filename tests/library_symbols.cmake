@@ -19,6 +19,7 @@ endif()
 set(failures "")
 foreach(pattern
     "core::reference::"
+    "persist::reference::"
     "predict_proba_reference"
     "build_reference"
     "TreeConfig::Splitter"

@@ -13,6 +13,7 @@
 #include "amperebleed/ml/random_forest.hpp"
 #include "amperebleed/persist/state.hpp"
 #include "amperebleed/util/rng.hpp"
+#include "support/reference_crc32.hpp"
 
 namespace amperebleed::persist {
 namespace {
@@ -28,6 +29,34 @@ TEST(Crc32, SeedChainsIncrementally) {
   const std::uint32_t whole = crc32(all);
   // Chaining halves through `seed` must equal one pass over the whole.
   EXPECT_EQ(crc32(all.substr(4), crc32(all.substr(0, 4))), whole);
+}
+
+// The slicing-by-8 loop against the bytewise oracle: every length through
+// the 8-byte steps and the tail, at every start alignment, plus seeds
+// chained across a split at every offset.
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  constexpr std::size_t kBig = 1536 * 1024;
+  util::Rng rng(0xC2C);
+  std::string buf(kBig + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.uniform_below(256));
+  const std::string_view all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::string_view bytes = all.substr(offset, len);
+      ASSERT_EQ(crc32(bytes), reference::crc32(bytes))
+          << "length " << len << " at offset " << offset;
+    }
+    const std::string_view big = all.substr(offset, kBig);
+    ASSERT_EQ(crc32(big), reference::crc32(big))
+        << "1.5 MiB at offset " << offset;
+  }
+  const std::string_view whole = all.substr(0, 203);
+  for (std::size_t split = 0; split <= 64; ++split) {
+    const std::uint32_t seed = crc32(whole.substr(0, split));
+    ASSERT_EQ(seed, reference::crc32(whole.substr(0, split)));
+    ASSERT_EQ(crc32(whole.substr(split), seed), reference::crc32(whole))
+        << "split at " << split;
+  }
 }
 
 TEST(Codec, ScalarRoundTrip) {
@@ -297,6 +326,86 @@ TEST(StateCodec, SnapshotRoundTripPreservesTenants) {
   EXPECT_EQ(loaded.tenants[1].arena.threshold, forest.arena().threshold);
   EXPECT_TRUE(loaded.tenants[1].has_profile);
   EXPECT_TRUE(loaded.tenants[1].profile == serving.profile);
+}
+
+// A snapshot built from integer-valued data and a hand-made arena, so its
+// bytes depend on the codec alone: an enrolling tenant and a trained one
+// with a drift profile, -0.0 and NaN among the arena thresholds.
+ServiceSnapshot golden_snapshot() {
+  util::Rng rng(0x601D);
+  ml::Dataset data(5);
+  for (int r = 0; r < 9; ++r) {
+    std::vector<double> row(5);
+    for (double& v : row) {
+      v = static_cast<double>(rng.uniform_below(4000)) - 2000.0;
+    }
+    data.add(row, r % 3);
+  }
+  ServiceSnapshot snap;
+  snap.last_seq = 77;
+  TenantState enrolling;
+  enrolling.name = "tenant-enrolling";
+  enrolling.state = 0;
+  enrolling.enrolled = 9;
+  enrolling.feature_count = 5;
+  enrolling.class_names = {"net-a", "net-b", "net-c"};
+  enrolling.data = data;
+  snap.tenants.push_back(enrolling);
+
+  TenantState trained = enrolling;
+  trained.name = "tenant-trained";
+  trained.state = 1;
+  trained.classified = 1234;
+  trained.trained = true;
+  constexpr std::int32_t kLeaf = ml::ForestArena::kLeaf;
+  trained.arena.class_count = 3;
+  trained.arena.feature = {0, kLeaf, 4, kLeaf, kLeaf, 2, kLeaf, kLeaf};
+  trained.arena.threshold = {-0.0, 0.0, 17.5, 0.0, 0.0,
+                             std::numeric_limits<double>::quiet_NaN(), 0.0,
+                             0.0};
+  trained.arena.right = {2, 0, 4, 3, 6, 7, 9, 0};
+  trained.arena.dists = {1.0, 0.0, 0.0,  0.0,  1.0, 0.0,
+                         0.25, 0.5, 0.25, 0.0, 0.0, 1.0};
+  trained.arena.roots = {0, 5};
+  trained.has_profile = true;
+  trained.profile = obs::ReferenceProfile::from_dataset(data, 8);
+  snap.tenants.push_back(std::move(trained));
+  return snap;
+}
+
+// The snapshot file's bytes are pinned: length and CRC-32 of the whole
+// image, computed with the bytewise oracle. The constants were taken from
+// the byte-at-a-time codec this one replaced.
+TEST(StateCodec, SnapshotBytesMatchGolden) {
+  const ServiceSnapshot snap = golden_snapshot();
+  const std::string bytes = encode_snapshot(snap);
+  EXPECT_EQ(bytes.size(), 2470u);
+  EXPECT_EQ(reference::crc32(bytes), 0xC7D5740Fu);
+
+  // Views built here by hand give the same bytes as the adapter's, and the
+  // counting pass sizes the file exactly.
+  std::vector<TenantView> views;
+  for (const TenantState& t : snap.tenants) {
+    TenantView view;
+    view.name = t.name;
+    view.state = t.state;
+    view.enrolled = t.enrolled;
+    view.classified = t.classified;
+    view.feature_count = t.feature_count;
+    view.class_names = &t.class_names;
+    view.data = &t.data;
+    view.arena = t.trained ? &t.arena : nullptr;
+    view.profile = t.has_profile ? &t.profile : nullptr;
+    views.push_back(view);
+  }
+  EXPECT_EQ(encode_snapshot(snap.last_seq, views), bytes);
+  EXPECT_EQ(snapshot_size(snap.last_seq, views), bytes.size());
+
+  const ServiceSnapshot loaded = decode_snapshot(bytes, "golden.bin");
+  ASSERT_EQ(loaded.tenants.size(), 2u);
+  EXPECT_TRUE(std::signbit(loaded.tenants[1].arena.threshold[0]));
+  EXPECT_TRUE(std::isnan(loaded.tenants[1].arena.threshold[5]));
+  EXPECT_EQ(encode_snapshot(loaded), bytes);
 }
 
 TEST(StateCodec, StructurallyInvalidArenaIsRejected) {

@@ -9,6 +9,7 @@
 #include "amperebleed/faults/faults.hpp"
 #include "amperebleed/persist/state.hpp"
 #include "amperebleed/util/fs.hpp"
+#include "support/reference_crc32.hpp"
 #include "support/temp_path.hpp"
 
 namespace amperebleed::persist {
@@ -79,6 +80,37 @@ TEST_F(JournalTest, RecordRoundTripsIncludingGappyTrace) {
   EXPECT_FALSE(trace.valid(1));  // the gap survived the round trip
   EXPECT_TRUE(trace.valid(2));
   EXPECT_EQ(trace.gap_count(), 1u);
+}
+
+// A journal file holding one enroll with a gappy trace, written by the
+// writer: its length and CRC-32 (bytewise oracle) are pinned. The constants
+// were taken from the byte-at-a-time codec this one replaced.
+TEST_F(JournalTest, RecordBytesMatchGolden) {
+  JournalRecord record;
+  record.seq = 41;
+  record.op = JournalOp::Enroll;
+  record.tenant = "tenant-golden";
+  record.label = "net-7";
+  core::Trace trace({power::Rail::Ddr, core::Quantity::Power},
+                    sim::milliseconds(40), sim::milliseconds(35));
+  for (int i = 0; i < 37; ++i) {
+    if (i % 5 == 3) {
+      trace.push_gap();
+    } else {
+      trace.push(i == 8 ? -0.0 : 1000.0 + 12.25 * i);
+    }
+  }
+  record_set_trace(record, trace);
+  {
+    JournalWriter writer(path_, 0);
+    writer.append(record);
+  }
+  const std::string bytes = util::read_file(path_);
+  EXPECT_EQ(bytes.size(), 427u);
+  EXPECT_EQ(reference::crc32(bytes), 0x54D3F3A6u);
+  EXPECT_EQ(encode_record(decode_record(bytes.substr(kJournalHeaderBytes + 8),
+                                        "golden")),
+            bytes.substr(kJournalHeaderBytes + 8));
 }
 
 TEST_F(JournalTest, DecodeRejectsBadOpRailQuantity) {

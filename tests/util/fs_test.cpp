@@ -60,6 +60,23 @@ TEST_F(FsTest, ThrowingObserverLeavesTargetUntouched) {
   EXPECT_TRUE(path_exists(path_ + ".tmp"));
 }
 
+// Empty, one byte, and over 1 MiB holding every byte value (NUL and 0xFF
+// included) all come back exactly, at exactly their size.
+TEST_F(FsTest, ReadFileReturnsExactBytes) {
+  atomic_write_file(path_, "");
+  EXPECT_EQ(read_file(path_), "");
+  atomic_write_file(path_, "\x7f");
+  EXPECT_EQ(read_file(path_), "\x7f");
+  std::string big((1u << 20) + 4099, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 131 + i / 256) & 0xFF);
+  }
+  atomic_write_file(path_, big);
+  const std::string back = read_file(path_);
+  EXPECT_EQ(back.size(), big.size());
+  EXPECT_TRUE(back == big);
+}
+
 TEST_F(FsTest, ReadMissingFileThrows) {
   EXPECT_THROW((void)read_file(path_ + ".does-not-exist"),
                std::runtime_error);
