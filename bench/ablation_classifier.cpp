@@ -27,9 +27,6 @@ int main(int argc, char** argv) {
   config.durations_s = {3.0};
   config.folds = static_cast<std::size_t>(args.get_int("folds", 6));
   config.seed = 0xab7;
-  // Per-call concurrency cap for trace collection; the pool itself is sized
-  // by ObsSession from --threads / AMPEREBLEED_THREADS. 0 = whole pool.
-  config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
 
   std::printf("Ablation: classifier choice on the FPGA-current channel "
               "(%zu models, %zu traces each, 3 s window)\n\n",

@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
       args.get_int("trees", args.has("quick") ? 30 : 60));
   config.forest.tree.max_depth = 32;
   config.folds = static_cast<std::size_t>(args.get_int("folds", 3));
-  config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0xdf3));
   config.trace_duration = sim::seconds(1);
   config.durations_s = {1.0};

@@ -113,19 +113,16 @@ core::Trace record_trace(const dnn::Model& model, std::size_t n_samples,
 std::vector<std::vector<core::Trace>> record_batches(
     const std::vector<dnn::Model>& zoo, std::size_t batches,
     std::size_t n_samples, std::uint64_t stream_seed,
-    const StreamConfig& stream, std::size_t threads) {
+    const StreamConfig& stream) {
   // Trace has no default constructor; seed the slots with placeholder
   // copies that every worker overwrites.
   std::vector<core::Trace> flat(
       batches * zoo.size(),
       core::Trace(kChannel, sim::TimeNs{0}, sim::milliseconds(35)));
-  util::parallel_for(
-      flat.size(),
-      [&](std::size_t i) {
-        flat[i] = record_trace(zoo[i % zoo.size()], n_samples,
-                               util::hash_combine(stream_seed, i), stream);
-      },
-      threads);
+  util::parallel_for(flat.size(), [&](std::size_t i) {
+    flat[i] = record_trace(zoo[i % zoo.size()], n_samples,
+                           util::hash_combine(stream_seed, i), stream);
+  });
   std::vector<std::vector<core::Trace>> out(batches);
   for (std::size_t b = 0; b < batches; ++b) {
     out[b].assign(flat.begin() + static_cast<std::ptrdiff_t>(b * zoo.size()),
@@ -173,8 +170,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("batches", 8));
   const std::size_t n_trees =
       static_cast<std::size_t>(args.get_int("trees", quick ? 24 : 40));
-  const std::size_t threads =
-      static_cast<std::size_t>(args.get_int("threads", 0));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 0x9a1));
   const double shift = args.get_double("shift", 1.10);
   std::uint64_t fault_seed = faults::FaultPlan::from_env().seed;
@@ -207,14 +202,11 @@ int main(int argc, char** argv) {
   std::vector<core::Trace> enroll_traces(
       zoo.size() * train_traces,
       core::Trace(kChannel, sim::TimeNs{0}, sim::milliseconds(35)));
-  util::parallel_for(
-      enroll_traces.size(),
-      [&](std::size_t i) {
-        enroll_traces[i] =
-            record_trace(zoo[i / train_traces], n_samples,
-                         util::hash_combine(seed, 0xe0000 + i), clean_stream);
-      },
-      threads);
+  util::parallel_for(enroll_traces.size(), [&](std::size_t i) {
+    enroll_traces[i] =
+        record_trace(zoo[i / train_traces], n_samples,
+                     util::hash_combine(seed, 0xe0000 + i), clean_stream);
+  });
 
   core::OnlineFingerprinterConfig config;
   config.forest.n_trees = n_trees;
@@ -248,17 +240,16 @@ int main(int argc, char** argv) {
     legs.push_back(run_leg(
         service, util::format("clean-%llu", static_cast<unsigned long long>(s)),
         record_batches(zoo, batches, n_samples,
-                       util::hash_combine(seed, 0xc1ea0 + s), clean_stream,
-                       threads)));
+                       util::hash_combine(seed, 0xc1ea0 + s), clean_stream)));
   }
   legs.push_back(run_leg(
       service, "frozen-sensor",
       record_batches(zoo, batches, n_samples, util::hash_combine(seed, 0xf0),
-                     frozen_stream, threads)));
+                     frozen_stream)));
   legs.push_back(run_leg(
       service, "dvfs-shift",
       record_batches(zoo, batches, n_samples, util::hash_combine(seed, 0xd0),
-                     shift_stream, threads)));
+                     shift_stream)));
 
   core::TextTable table({"Stream", "Obs", "Evals", "State", "First warn",
                          "First drift", "PSI mean", "KS min p"});

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
     config.durations_s = {2.0};
     config.sample_period = sim::microseconds(2'200LL * s.avg);
     config.sensor_avg_override = s.avg;
-    config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
     config.seed = 0xab1;
 
     const auto traces = core::collect_fingerprint_traces(config);

@@ -41,9 +41,6 @@ int main(int argc, char** argv) {
   config.trace_duration =
       sim::from_seconds(args.get_double("duration", 5.0));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0xf163));
-  // Per-call concurrency cap; the pool itself is sized by ObsSession from
-  // --threads / AMPEREBLEED_THREADS. 0 = use the whole pool.
-  config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
 
   std::printf("Fig 3: current traces during DNN inference (%.1f s, 35 ms "
               "hwmon cadence)\n",

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
       args.get_int("trees", args.has("quick") ? 40 : 100));
   config.forest.tree.max_depth = 32;
   config.folds = static_cast<std::size_t>(args.get_int("folds", 10));
-  config.threads = static_cast<std::size_t>(args.get_int("threads", 0));
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 0xdf3));
 
   std::printf("Table III: encrypted-accelerator fingerprinting — %zu models, "

@@ -110,14 +110,11 @@ FingerprintTraceSet collect_fingerprint_traces(
   // Record runs in parallel into pre-sized slots, then assemble datasets in
   // deterministic order.
   std::vector<std::vector<Trace>> recorded(runs);
-  util::parallel_for(
-      runs,
-      [&](std::size_t r) {
-        const std::size_t model_idx = r / config.traces_per_model;
-        recorded[r] = record_run(zoo[model_idx], config, out.samples_per_trace,
-                                 util::hash_combine(config.seed, r));
-      },
-      config.threads);
+  util::parallel_for(runs, [&](std::size_t r) {
+    const std::size_t model_idx = r / config.traces_per_model;
+    recorded[r] = record_run(zoo[model_idx], config, out.samples_per_trace,
+                             util::hash_combine(config.seed, r));
+  });
 
   out.per_channel.assign(table3_channels().size(),
                          ml::Dataset(out.samples_per_trace));
@@ -152,29 +149,26 @@ Table3Result evaluate_fingerprint(const FingerprintTraceSet& traces,
                       std::vector<Table3Cell>(n_durations));
 
   // Each (channel, duration) cell is an independent CV job.
-  util::parallel_for(
-      n_channels * n_durations,
-      [&](std::size_t job) {
-        const std::size_t c = job / n_durations;
-        const std::size_t d = job % n_durations;
-        // Classify stage: one (channel, duration) cross-validation cell.
-        obs::StageSpan stage(obs::Stage::Classify);
-        stage.span().set_attr("channel", result.channel_names[c]);
-        stage.span().set_arg("duration_s", config.durations_s[d]);
-        const std::size_t features = samples_for_duration(
-            sim::from_seconds(config.durations_s[d]), traces.sample_period);
-        if (features == 0 || features > traces.samples_per_trace) {
-          throw std::invalid_argument("fingerprint: bad duration");
-        }
-        const ml::Dataset data =
-            traces.per_channel[c].truncated_features(features);
-        ml::ForestConfig fc = config.forest;
-        fc.seed = util::hash_combine(config.seed, 0xf0 + job);
-        const auto cv = ml::cross_validate(
-            data, fc, config.folds, util::hash_combine(config.seed, job));
-        result.cells[c][d] = Table3Cell{cv.top1_accuracy, cv.top5_accuracy};
-      },
-      config.threads);
+  util::parallel_for(n_channels * n_durations, [&](std::size_t job) {
+    const std::size_t c = job / n_durations;
+    const std::size_t d = job % n_durations;
+    // Classify stage: one (channel, duration) cross-validation cell.
+    obs::StageSpan stage(obs::Stage::Classify);
+    stage.span().set_attr("channel", result.channel_names[c]);
+    stage.span().set_arg("duration_s", config.durations_s[d]);
+    const std::size_t features = samples_for_duration(
+        sim::from_seconds(config.durations_s[d]), traces.sample_period);
+    if (features == 0 || features > traces.samples_per_trace) {
+      throw std::invalid_argument("fingerprint: bad duration");
+    }
+    const ml::Dataset data =
+        traces.per_channel[c].truncated_features(features);
+    ml::ForestConfig fc = config.forest;
+    fc.seed = util::hash_combine(config.seed, 0xf0 + job);
+    const auto cv = ml::cross_validate(
+        data, fc, config.folds, util::hash_combine(config.seed, job));
+    result.cells[c][d] = Table3Cell{cv.top1_accuracy, cv.top5_accuracy};
+  });
 
   return result;
 }
@@ -189,41 +183,38 @@ std::vector<Fig3Trace> collect_fig3_traces(const FingerprintConfig& config) {
   // values the former serial loop derived from out.size() — so the traces
   // are bit-identical at any thread count.
   std::vector<Fig3Trace> out(names.size());
-  util::parallel_for(
-      names.size(),
-      [&](std::size_t m) {
-        const dnn::Model model = dnn::build_model(names[m]);
+  util::parallel_for(names.size(), [&](std::size_t m) {
+    const dnn::Model model = dnn::build_model(names[m]);
 
-        dpu::DpuAccelerator dpu(config.dpu);
-        const sim::TimeNs run_end{config.trace_duration.ns +
-                                  sim::milliseconds(200).ns};
-        auto run = dpu.run(model, sim::TimeNs{0}, run_end,
-                           util::hash_combine(config.seed, model.total_macs()));
+    dpu::DpuAccelerator dpu(config.dpu);
+    const sim::TimeNs run_end{config.trace_duration.ns +
+                              sim::milliseconds(200).ns};
+    auto run = dpu.run(model, sim::TimeNs{0}, run_end,
+                       util::hash_combine(config.seed, model.total_macs()));
 
-        soc::Soc soc(
-            soc::zcu102_config(util::hash_combine(config.seed, 0xf13 + m)));
-        soc.fabric().deploy(dpu.descriptor());
-        soc.add_activity(run.activity);
-        soc.add_activity(soc::make_background_os_activity(
-            config.background, run_end,
-            util::hash_combine(config.seed, 0xb05 + m)));
-        soc.finalize();
+    soc::Soc soc(
+        soc::zcu102_config(util::hash_combine(config.seed, 0xf13 + m)));
+    soc.fabric().deploy(dpu.descriptor());
+    soc.add_activity(run.activity);
+    soc.add_activity(soc::make_background_os_activity(
+        config.background, run_end,
+        util::hash_combine(config.seed, 0xb05 + m)));
+    soc.finalize();
 
-        Sampler sampler(soc);
-        SamplerConfig sc;
-        sc.period = config.sample_period;
-        sc.sample_count = n_samples;
+    Sampler sampler(soc);
+    SamplerConfig sc;
+    sc.period = config.sample_period;
+    sc.sample_count = n_samples;
 
-        std::vector<Channel> channels;
-        for (power::Rail rail : power::kAllRails) {
-          channels.push_back(Channel{rail, Quantity::Current});
-        }
-        Fig3Trace& ft = out[m];
-        ft.model_name = names[m];
-        ft.model_size_bytes = model.total_weight_bytes();
-        ft.rail_current = sampler.collect_multi(channels, sim::TimeNs{0}, sc);
-      },
-      config.threads);
+    std::vector<Channel> channels;
+    for (power::Rail rail : power::kAllRails) {
+      channels.push_back(Channel{rail, Quantity::Current});
+    }
+    Fig3Trace& ft = out[m];
+    ft.model_name = names[m];
+    ft.model_size_bytes = model.total_weight_bytes();
+    ft.rail_current = sampler.collect_multi(channels, sim::TimeNs{0}, sc);
+  });
   return out;
 }
 

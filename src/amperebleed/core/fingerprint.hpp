@@ -61,8 +61,6 @@ struct FingerprintConfig {
   /// vectors (only holey traces take this path).
   GapPolicy gap_policy = GapPolicy::HoldLast;
   std::uint64_t seed = 0xdf3;
-  /// Worker threads for collection/evaluation (0 = hardware concurrency).
-  std::size_t threads = 0;
 };
 
 /// Labelled full-length traces for every channel.

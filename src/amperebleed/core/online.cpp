@@ -8,6 +8,20 @@
 
 namespace amperebleed::core {
 
+namespace {
+
+/// The first `width` samples of a trace as a borrowed feature row. Throws
+/// std::invalid_argument if the trace is shorter.
+std::span<const double> feature_row(const Trace& trace, std::size_t width) {
+  if (trace.size() < width) {
+    throw std::invalid_argument(
+        "OnlineFingerprinter: trace shorter than the feature width");
+  }
+  return trace.values().first(width);
+}
+
+}  // namespace
+
 OnlineFingerprinter::OnlineFingerprinter(OnlineFingerprinterConfig config)
     : config_(config), forest_(config.forest) {}
 
@@ -82,7 +96,7 @@ void OnlineFingerprinter::enroll(const Trace& trace,
   // Nothing is committed until the row is accepted (long enough, finite):
   // a failed enroll must leave no phantom class and no feature width.
   const std::size_t width = feature_count_ == 0 ? trace.size() : feature_count_;
-  const auto features = trace.prefix(width);
+  const auto features = feature_row(trace, width);
   const auto it =
       std::find(class_names_.begin(), class_names_.end(), model_name);
   const auto label =
@@ -116,15 +130,12 @@ void OnlineFingerprinter::reset_drift_window() {
 OnlineFingerprinter::Verdict OnlineFingerprinter::verdict_from_proba(
     std::span<const double> proba) const {
   Verdict verdict;
-  verdict.ranking.reserve(proba.size());
-  for (std::size_t c = 0; c < proba.size(); ++c) {
-    verdict.ranking.emplace_back(class_names_[c], proba[c]);
+  const auto order = ml::top_k_from_proba(proba, proba.size());
+  verdict.ranking.reserve(order.size());
+  for (const int c : order) {
+    verdict.ranking.emplace_back(c, proba[static_cast<std::size_t>(c)]);
   }
-  std::stable_sort(verdict.ranking.begin(), verdict.ranking.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second > b.second;
-                   });
-  verdict.model_name = verdict.ranking[0].first;
+  verdict.model_name = class_names_[static_cast<std::size_t>(order[0])];
   verdict.confidence = verdict.ranking[0].second;
   verdict.margin = verdict.ranking.size() > 1
                        ? verdict.confidence - verdict.ranking[1].second
@@ -136,14 +147,9 @@ OnlineFingerprinter::Verdict OnlineFingerprinter::verdict_from_proba(
 
 OnlineFingerprinter::Verdict OnlineFingerprinter::classify(
     const Trace& trace) const {
-  if (!trained_) throw std::logic_error("OnlineFingerprinter: not trained");
-  // Classify stage: one online request, the unit the SLO engine meters.
-  obs::StageSpan stage(obs::Stage::Classify);
-  stage.span().set_attr("channel", channel_name(trace.channel()));
-  const auto features = trace.prefix(feature_count_);
-  Verdict verdict = verdict_from_proba(forest_.predict_proba(features));
-  if (monitor_) feed_monitor(features, verdict);
-  return verdict;
+  const Trace* const row = &trace;
+  return std::move(
+      classify_many(std::span<const Trace* const>(&row, 1)).front());
 }
 
 std::vector<OnlineFingerprinter::Verdict> OnlineFingerprinter::classify_many(
@@ -159,42 +165,30 @@ std::vector<OnlineFingerprinter::Verdict> OnlineFingerprinter::classify_many(
   if (!trained_) throw std::logic_error("OnlineFingerprinter: not trained");
   obs::StageSpan stage(obs::Stage::Classify);
   stage.span().set_arg("batch", static_cast<double>(traces.size()));
-  // Materialize feature rows first (prefix() copies), then hand the whole
-  // batch to the forest in one predict_proba_many call: the cache-blocked
-  // SoA arena kernel streams the packed trees once per block of rows (no
-  // per-tree pointer chasing), blocks run in parallel on the thread pool,
-  // and results come back in input order.
-  std::vector<std::vector<double>> rows;
+  // Borrow every row's feature prefix, then hand the whole batch to the
+  // forest in one predict_proba_many call: the cache-blocked SoA arena
+  // kernel streams the packed trees once per block of rows, blocks run in
+  // parallel on the thread pool, and results come back in input order.
+  std::vector<std::span<const double>> rows;
   rows.reserve(traces.size());
   for (const Trace* trace : traces) {
-    rows.push_back(trace->prefix(feature_count_));
+    rows.push_back(feature_row(*trace, feature_count_));
   }
-  std::vector<std::span<const double>> row_spans;
-  row_spans.reserve(rows.size());
-  for (const auto& row : rows) row_spans.emplace_back(row);
-
-  const auto probas = forest_.predict_proba_many(row_spans);
+  const auto probas = forest_.predict_proba_many(rows);
   std::vector<Verdict> verdicts;
   verdicts.reserve(probas.size());
   for (std::size_t i = 0; i < probas.size(); ++i) {
     verdicts.push_back(verdict_from_proba(probas[i]));
     // Feed the monitor serially in input order — drift evaluation is a pure
-    // function of the observation sequence, so batch classification stays
-    // bit-identical to per-trace classify() at any pool size.
-    if (monitor_) feed_monitor(rows[i], verdicts.back());
+    // function of the observation sequence, so it is the same at any pool
+    // size and however the traces were batched.
+    if (monitor_) {
+      const Verdict& verdict = verdicts.back();
+      monitor_->observe(rows[i], verdict.ranking[0].first,
+                        verdict.confidence);
+    }
   }
   return verdicts;
-}
-
-void OnlineFingerprinter::feed_monitor(std::span<const double> features,
-                                       const Verdict& verdict) const {
-  // Winner index = position of the verdict's model in enrollment order;
-  // matches verdict_from_proba's stable_sort first-max tie-break.
-  const auto it = std::find(class_names_.begin(), class_names_.end(),
-                            verdict.model_name);
-  const int winner =
-      static_cast<int>(std::distance(class_names_.begin(), it));
-  monitor_->observe(features, winner, verdict.confidence);
 }
 
 }  // namespace amperebleed::core

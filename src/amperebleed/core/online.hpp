@@ -72,24 +72,30 @@ class OnlineFingerprinter {
     std::string model_name;   // winner (also set when rejected, for triage)
     double confidence = 0.0;  // winner's probability
     double margin = 0.0;      // top1 - top2 probability
-    /// Full (name, probability) ranking, most probable first.
-    std::vector<std::pair<std::string, double>> ranking;
+    /// Every class as (class index, probability), ranked by the Table III
+    /// rule ml::top_k_from_proba: most probable first, the smaller class
+    /// index first on a tie. Indices name class_names() entries; model_name
+    /// is the only name a verdict resolves.
+    std::vector<std::pair<int, double>> ranking;
   };
 
-  /// Online phase: classify one observed trace. Throws if not trained or
-  /// the trace is shorter than the enrolled feature width.
+  /// Online phase: classify one observed trace — classify_many over a batch
+  /// of one. Throws if not trained or the trace is shorter than the enrolled
+  /// feature width.
   [[nodiscard]] Verdict classify(const Trace& trace) const;
 
   /// Classify a batch of observed traces in one pass. Forest inference for
   /// the whole batch runs through RandomForest::predict_proba_many, so the
   /// rows are scored in parallel on the util::ThreadPool while the verdicts
-  /// come back in input order, identical to calling classify() per trace.
+  /// come back in input order. Throws std::invalid_argument if any trace is
+  /// shorter than the enrolled feature width.
   [[nodiscard]] std::vector<Verdict> classify_many(
       const std::vector<Trace>& traces) const;
 
-  /// Same batched path over borrowed traces — no copies of the inputs. The
-  /// serving layer coalesces queued requests into one sweep through here.
-  /// Every pointer must be non-null and outlive the call.
+  /// The one scoring path. Traces are borrowed and so are their feature
+  /// prefixes: no trace or feature row is copied. The serving layer
+  /// coalesces queued requests into one sweep through here. Every pointer
+  /// must be non-null and outlive the call.
   [[nodiscard]] std::vector<Verdict> classify_many(
       std::span<const Trace* const> traces) const;
 
@@ -115,15 +121,9 @@ class OnlineFingerprinter {
   void reset_drift_window();
 
  private:
-  /// Shared verdict construction: rank classes by probability and apply the
-  /// open-set rejection thresholds. classify and classify_many both funnel
-  /// through here so single and batched paths agree bit-for-bit.
+  /// Rank classes by probability and apply the open-set rejection
+  /// thresholds.
   [[nodiscard]] Verdict verdict_from_proba(std::span<const double> proba) const;
-
-  /// Feed one classified observation to the drift monitor (caller checks
-  /// monitor_ is live).
-  void feed_monitor(std::span<const double> features,
-                    const Verdict& verdict) const;
 
   OnlineFingerprinterConfig config_;
   std::size_t feature_count_ = 0;

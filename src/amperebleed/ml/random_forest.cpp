@@ -18,7 +18,7 @@ void RandomForest::fit(const Dataset& data) {
   span.set_arg("trees", static_cast<double>(config_.n_trees));
   span.set_arg("samples", static_cast<double>(data.size()));
 
-  class_count_ = data.class_count();
+  const int class_count = data.class_count();
   arena_.clear();
 
   const util::Rng master(config_.seed);
@@ -51,7 +51,7 @@ void RandomForest::fit(const Dataset& data) {
       std::iota(indices.begin(), indices.end(), std::size_t{0});
     }
     trees[t] =
-        fit_tree(config_.tree, data, ranks, indices, class_count_, tree_rng);
+        fit_tree(config_.tree, data, ranks, indices, class_count, tree_rng);
     if (instrumented) {
       obs::count("ml.trees_fitted");
       obs::observe("ml.tree_fit_wall_ns",
@@ -63,7 +63,7 @@ void RandomForest::fit(const Dataset& data) {
   //
   // Append the one-tree arenas in tree order into the forest arena that
   // all predict paths walk; the slots are dropped when this fit returns.
-  arena_.class_count = class_count_;
+  arena_.class_count = class_count;
   std::size_t total_nodes = 0;
   std::size_t total_dists = 0;
   for (const auto& tree : trees) {
@@ -84,7 +84,6 @@ RandomForest RandomForest::from_arena(ForestConfig config, ForestArena arena) {
     throw std::invalid_argument("RandomForest::from_arena: empty arena");
   }
   RandomForest forest(config);
-  forest.class_count_ = arena.class_count;
   forest.arena_ = std::move(arena);
   obs::gauge_set("ml.forest.arena_bytes",
                  static_cast<double>(forest.arena_.bytes()));
@@ -94,7 +93,7 @@ RandomForest RandomForest::from_arena(ForestConfig config, ForestArena arena) {
 std::vector<double> RandomForest::predict_proba(
     std::span<const double> features) const {
   if (!fitted()) throw std::logic_error("RandomForest: not fitted");
-  std::vector<double> acc(static_cast<std::size_t>(class_count_), 0.0);
+  std::vector<double> acc(static_cast<std::size_t>(arena_.class_count), 0.0);
   arena_.accumulate(features.data(), acc.data());
   const double inv = 1.0 / static_cast<double>(arena_.tree_count());
   for (double& v : acc) v *= inv;

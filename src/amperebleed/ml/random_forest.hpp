@@ -77,13 +77,12 @@ class RandomForest {
   [[nodiscard]] bool fitted() const { return !arena_.empty(); }
   [[nodiscard]] std::size_t tree_count() const { return arena_.tree_count(); }
   [[nodiscard]] const ForestConfig& config() const { return config_; }
-  [[nodiscard]] int class_count() const { return class_count_; }
+  [[nodiscard]] int class_count() const { return arena_.class_count; }
   /// The packed SoA forest (valid once fitted).
   [[nodiscard]] const ForestArena& arena() const { return arena_; }
 
  private:
   ForestConfig config_;
-  int class_count_ = 0;
   ForestArena arena_;
 };
 

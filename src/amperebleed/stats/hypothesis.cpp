@@ -178,65 +178,4 @@ KsResult ks_test(std::span<const double> a, std::span<const double> b) {
   return result;
 }
 
-MannWhitneyResult mann_whitney_u(std::span<const double> a,
-                                 std::span<const double> b) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("mann_whitney_u: empty sample");
-  }
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
-  const std::size_t n = na + nb;
-
-  // Pool, remembering group membership, and assign midranks.
-  std::vector<std::pair<double, bool>> pooled;  // value, is_from_a
-  pooled.reserve(n);
-  for (double v : a) pooled.emplace_back(v, true);
-  for (double v : b) pooled.emplace_back(v, false);
-  std::sort(pooled.begin(), pooled.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-
-  double rank_sum_a = 0.0;
-  double tie_term = 0.0;  // sum over tie groups of t^3 - t
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j < n && pooled[j].first == pooled[i].first) ++j;
-    const double t = static_cast<double>(j - i);
-    // Midrank of the tie group [i, j) with 1-based ranks.
-    const double midrank = (static_cast<double>(i + 1) +
-                            static_cast<double>(j)) / 2.0;
-    for (std::size_t k = i; k < j; ++k) {
-      if (pooled[k].second) rank_sum_a += midrank;
-    }
-    tie_term += t * t * t - t;
-    i = j;
-  }
-
-  MannWhitneyResult result;
-  const double dna = static_cast<double>(na);
-  const double dnb = static_cast<double>(nb);
-  result.u = rank_sum_a - dna * (dna + 1.0) / 2.0;
-
-  const double mu = dna * dnb / 2.0;
-  const double dn = static_cast<double>(n);
-  double var = dna * dnb / 12.0 * (dn + 1.0);
-  if (dn > 1.0) {
-    var = dna * dnb / 12.0 * ((dn + 1.0) - tie_term / (dn * (dn - 1.0)));
-  }
-  if (var <= 0.0) {
-    // All pooled values identical: no evidence of a shift.
-    result.z = 0.0;
-    result.p_value = 1.0;
-    return result;
-  }
-  // Continuity correction towards the mean.
-  const double diff = result.u - mu;
-  const double corrected =
-      diff > 0.5 ? diff - 0.5 : (diff < -0.5 ? diff + 0.5 : 0.0);
-  result.z = corrected / std::sqrt(var);
-  result.p_value =
-      std::clamp(std::erfc(std::fabs(result.z) / std::sqrt(2.0)), 0.0, 1.0);
-  return result;
-}
-
 }  // namespace amperebleed::stats

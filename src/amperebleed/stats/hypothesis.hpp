@@ -1,8 +1,7 @@
 #pragma once
 // Two-sample hypothesis tests: the Kolmogorov-Smirnov test (whole-
 // distribution difference, which catches quantization-shape effects a mean
-// test misses), the Mann-Whitney U test the perf gate runs on repetition
-// samples, and the chi-square goodness-of-fit the drift monitor runs on
+// test misses) and the chi-square goodness-of-fit the drift monitor runs on
 // class-mix windows.
 
 #include <span>
@@ -17,21 +16,6 @@ struct KsResult {
 /// Two-sample Kolmogorov-Smirnov test (asymptotic p-value; adequate for the
 /// hundreds-to-thousands sample sizes used here). Throws on empty samples.
 KsResult ks_test(std::span<const double> a, std::span<const double> b);
-
-struct MannWhitneyResult {
-  double u = 0.0;        // U statistic of sample `a`
-  double z = 0.0;        // tie-corrected normal approximation (0 when df)
-  double p_value = 1.0;  // two-sided
-};
-
-/// Two-sample Mann-Whitney U (Wilcoxon rank-sum) test: distribution-free
-/// location shift, robust to the outliers wall-clock benchmark samples carry.
-/// Uses midranks for ties, the tie-corrected normal approximation and a 0.5
-/// continuity correction (fine for the n >= ~8 repetition counts the bench
-/// harness records). Throws on empty samples; two all-identical samples give
-/// p = 1.
-MannWhitneyResult mann_whitney_u(std::span<const double> a,
-                                 std::span<const double> b);
 
 struct ChiSquareResult {
   double chi2 = 0.0;          // Pearson statistic over the merged buckets

@@ -6,10 +6,9 @@
 // bit-for-bit reproducible regardless of the pool size.
 //
 // Semantics:
-//   * `max_threads` caps how many pool executors participate (0 = the
-//     pool's configured size). It never grows the pool — size the pool with
+//   * Every pool executor may participate; size the pool with
 //     AMPEREBLEED_THREADS / --threads / ThreadPool::set_global_threads().
-//   * With an effective thread count of 1, or when already inside another
+//   * With a pool of size 1, a single item, or when already inside another
 //     parallel region (nested call), the loop runs serially inline on the
 //     caller, in index order.
 //   * Fail-fast: the first exception thrown by fn cancels the remaining
@@ -25,12 +24,11 @@
 namespace amperebleed::util {
 
 template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t max_threads = 0) {
+void parallel_for(std::size_t n, Fn&& fn) {
   if (n == 0) return;
   ThreadPool& pool = ThreadPool::global();
   if (!obs::tracing_enabled() &&
-      (n == 1 || max_threads == 1 || pool.size() <= 1 ||
-       ThreadPool::in_worker())) {
+      (n == 1 || pool.size() <= 1 || ThreadPool::in_worker())) {
     // Untraced serial fast path: no type erasure, no region bookkeeping.
     // With tracing on, every invocation goes through pool.run() instead so
     // each iteration gets the same TaskScope (task parentage + region/task
@@ -44,7 +42,7 @@ void parallel_for(std::size_t n, Fn&& fn, std::size_t max_threads = 0) {
   const std::function<void(std::size_t)> erased = [&fn](std::size_t i) {
     fn(i);
   };
-  pool.run(n, erased, max_threads);
+  pool.run(n, erased);
 }
 
 }  // namespace amperebleed::util

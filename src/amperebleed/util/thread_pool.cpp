@@ -109,14 +109,9 @@ void ThreadPool::resize(std::size_t threads) {
 }
 
 void ThreadPool::run(std::size_t n,
-                     const std::function<void(std::size_t)>& fn,
-                     std::size_t max_participants) {
+                     const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  std::size_t participants = size();
-  if (max_participants != 0) {
-    participants = std::min(participants, max_participants);
-  }
-  participants = std::min(participants, n);
+  const std::size_t participants = std::min(size(), n);
 
   if (participants <= 1 || in_worker()) {
     // Exact serial fallback: caller's thread, index order; the first throw

@@ -60,13 +60,11 @@ class ThreadPool {
   }
 
   /// Execute fn(i) exactly once for every i in [0, n). The calling thread
-  /// participates; at most min(size(), n, max_participants) threads execute
-  /// tasks (max_participants == 0 means "no extra cap"). Blocks until every
-  /// task has finished or the sweep was cancelled by an exception, which is
-  /// then rethrown here. Concurrent run() calls from different threads are
-  /// serialized (one region at a time).
-  void run(std::size_t n, const std::function<void(std::size_t)>& fn,
-           std::size_t max_participants = 0);
+  /// participates; at most min(size(), n) threads execute tasks. Blocks
+  /// until every task has finished or the sweep was cancelled by an
+  /// exception, which is then rethrown here. Concurrent run() calls from
+  /// different threads are serialized (one region at a time).
+  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Join all workers and respawn at the new size (0 = default_size()).
   /// Blocks until the pool is idle; must not be called from inside a task.

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "amperebleed/ml/random_forest.hpp"
+#include "amperebleed/obs/drift.hpp"
 #include "amperebleed/util/rng.hpp"
 
 namespace amperebleed::core {
@@ -65,7 +68,7 @@ TEST(OnlineFingerprinter, RankingIsSortedAndComplete) {
   EXPECT_GE(verdict.ranking[0].second, verdict.ranking[1].second);
   EXPECT_GE(verdict.ranking[1].second, verdict.ranking[2].second);
   double total = 0.0;
-  for (const auto& [name, p] : verdict.ranking) total += p;
+  for (const auto& [label, p] : verdict.ranking) total += p;
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
@@ -122,7 +125,9 @@ TEST(OnlineFingerprinter, FailedEnrollUnderNewNameRegistersNoClass) {
   service.train();
   const auto verdict = service.classify(synthetic_trace(1, 7, 8));
   ASSERT_EQ(verdict.ranking.size(), 2u);
-  for (const auto& [name, p] : verdict.ranking) {
+  for (const auto& [label, p] : verdict.ranking) {
+    const std::string& name =
+        service.class_names()[static_cast<std::size_t>(label)];
     EXPECT_TRUE(name == "a" || name == "b") << name;
   }
 }
@@ -194,6 +199,114 @@ TEST(OnlineFingerprinter, HighThresholdsRejectEverything) {
   }
   service.train();
   EXPECT_FALSE(service.classify(synthetic_trace(0, 77)).known);
+}
+
+// Two one-split trees over four classes that always disagree, so every
+// averaged probability ties exactly with another: a row with feature 0 <= 0
+// scores (0, .5, .5, 0) and any other row (.5, 0, 0, .5).
+ml::ForestArena tied_arena() {
+  ml::ForestArena arena;
+  arena.class_count = 4;
+  arena.feature = {0, ml::ForestArena::kLeaf, ml::ForestArena::kLeaf,
+                   0, ml::ForestArena::kLeaf, ml::ForestArena::kLeaf};
+  arena.threshold = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  arena.right = {2, 0, 4, 5, 8, 12};
+  arena.dists = {0, 0, 1, 0, 0, 0, 0, 1,   // tree 0: class 2 | class 3
+                 0, 1, 0, 0, 1, 0, 0, 0};  // tree 1: class 1 | class 0
+  arena.roots = {0, 3};
+  return arena;
+}
+
+OnlineFingerprinter tied_service(obs::DriftConfig drift = {}) {
+  OnlineFingerprinter::RestoredState state;
+  state.feature_count = 3;
+  state.class_names = {"w", "x", "y", "z"};
+  state.data = ml::Dataset(3);
+  for (int i = 0; i < 16; ++i) {
+    const double f0 = i % 2 == 0 ? -1.0 : 1.0;
+    state.data.add(std::vector<double>{f0, 0.25 * i, 2.0}, i % 4);
+  }
+  state.trained = true;
+  state.arena = tied_arena();
+  if (drift.enabled) {
+    state.drift_reference = obs::ReferenceProfile::from_dataset(state.data);
+  }
+  OnlineFingerprinterConfig config;
+  config.drift = drift;
+  return OnlineFingerprinter::restore(config, std::move(state));
+}
+
+Trace tied_probe(double f0) {
+  Trace t({}, sim::TimeNs{0}, sim::milliseconds(35));
+  for (const double v : {f0, 1.0, 2.0, 3.0}) t.push(v);
+  return t;
+}
+
+TEST(OnlineFingerprinter, ExactTiesRankByTheTableIIIRule) {
+  const auto service = tied_service();
+  for (const double f0 : {-1.0, 1.0}) {
+    SCOPED_TRACE(f0);
+    const Trace probe = tied_probe(f0);
+    const auto verdict = service.classify(probe);
+    const auto proba = service.forest().predict_proba(
+        probe.values().first(service.feature_count()));
+    const auto order = ml::top_k_from_proba(proba, proba.size());
+    ASSERT_EQ(verdict.ranking.size(), order.size());
+    std::vector<int> seen;
+    for (std::size_t r = 0; r < order.size(); ++r) {
+      EXPECT_EQ(verdict.ranking[r].first, order[r]) << r;
+      EXPECT_EQ(verdict.ranking[r].second,
+                proba[static_cast<std::size_t>(order[r])])
+          << r;
+      seen.push_back(verdict.ranking[r].first);
+    }
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(verdict.model_name,
+              service.class_names()[static_cast<std::size_t>(
+                  verdict.ranking[0].first)]);
+    EXPECT_EQ(verdict.margin, 0.0);
+    EXPECT_FALSE(verdict.known);
+  }
+  // The smaller class index wins each tie.
+  EXPECT_EQ(service.classify(tied_probe(-1.0)).ranking,
+            (std::vector<std::pair<int, double>>{
+                {1, 0.5}, {2, 0.5}, {0, 0.0}, {3, 0.0}}));
+  EXPECT_EQ(service.classify(tied_probe(1.0)).ranking,
+            (std::vector<std::pair<int, double>>{
+                {0, 0.5}, {3, 0.5}, {1, 0.0}, {2, 0.0}}));
+}
+
+TEST(OnlineFingerprinter, DriftMonitorGetsTheTiedWinnersIndex) {
+  obs::DriftConfig drift;
+  drift.enabled = true;
+  drift.window = 8;
+  drift.stride = 4;
+  const auto service = tied_service(drift);
+  ASSERT_NE(service.drift_monitor(), nullptr);
+  obs::DriftMonitor by_hand(service.drift_monitor()->reference(), drift);
+
+  std::vector<Trace> probes;
+  for (int i = 0; i < 16; ++i) {
+    probes.push_back(tied_probe(i % 3 == 0 ? -1.0 : 1.0));
+  }
+  const auto verdicts = service.classify_many(probes);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    by_hand.observe(probes[i].values().first(service.feature_count()),
+                    verdicts[i].ranking[0].first, verdicts[i].confidence);
+  }
+  const auto report = service.drift_monitor()->report();
+  EXPECT_GT(report.evaluations, 0u);
+  EXPECT_EQ(report.to_json().dump(), by_hand.report().to_json().dump());
+}
+
+TEST(OnlineFingerprinter, ShortTraceInABatchThrows) {
+  const auto service = trained_service();
+  std::vector<Trace> probes;
+  probes.push_back(synthetic_trace(0, 11));
+  probes.push_back(synthetic_trace(1, 12, 10));  // shorter than enrolled 40
+  probes.push_back(synthetic_trace(2, 13));
+  EXPECT_THROW((void)service.classify_many(probes), std::invalid_argument);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@ foreach(pattern
     "load_records"
     "compare_records"
     "CompareReport"
+    "mann_whitney_u"
     "DecisionTree::"
     "encode_forest_file"
     "encode_dataset_file"

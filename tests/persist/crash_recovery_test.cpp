@@ -130,8 +130,10 @@ std::string probe(const ClassificationService& service, std::uint64_t seed) {
       const auto verdict =
           tenant->fingerprinter().classify(make_trace(cls, seed + 900 + cls));
       out += "  " + verdict.model_name + (verdict.known ? "+" : "-");
+      const auto& names = tenant->fingerprinter().class_names();
       for (const auto& [label, proba] : verdict.ranking) {
-        std::snprintf(buf, sizeof(buf), " %s=%.17g", label.c_str(), proba);
+        std::snprintf(buf, sizeof(buf), " %s=%.17g",
+                      names[static_cast<std::size_t>(label)].c_str(), proba);
         out += buf;
       }
       out += '\n';

@@ -15,23 +15,26 @@ namespace {
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   const std::size_t n = 1000;
   std::vector<int> hits(n, 0);
-  parallel_for(n, [&](std::size_t i) { ++hits[i]; }, 4);
+  parallel_for(n, [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(hits[i], 1) << i;
   }
 }
 
 TEST(ParallelFor, SingleThreadFallback) {
+  const std::size_t before = ThreadPool::global().size();
+  ThreadPool::set_global_threads(1);
   std::vector<std::size_t> order;
-  parallel_for(5, [&](std::size_t i) { order.push_back(i); }, 1);
+  parallel_for(5, [&](std::size_t i) { order.push_back(i); });
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  ThreadPool::set_global_threads(before);
 }
 
 TEST(ParallelFor, ZeroAndOneItems) {
   int calls = 0;
-  parallel_for(0, [&](std::size_t) { ++calls; }, 8);
+  parallel_for(0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallel_for(1, [&](std::size_t) { ++calls; }, 8);
+  parallel_for(1, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
 }
 
@@ -42,20 +45,21 @@ TEST(ParallelFor, ResultsIndependentOfThreadCount) {
   const auto work = [](std::size_t i) {
     return static_cast<double>(i) * 1.5 + 1.0;
   };
-  parallel_for(n, [&](std::size_t i) { a[i] = work(i); }, 1);
-  parallel_for(n, [&](std::size_t i) { b[i] = work(i); }, 7);
+  const std::size_t before = ThreadPool::global().size();
+  ThreadPool::set_global_threads(1);
+  parallel_for(n, [&](std::size_t i) { a[i] = work(i); });
+  ThreadPool::set_global_threads(7);
+  parallel_for(n, [&](std::size_t i) { b[i] = work(i); });
+  ThreadPool::set_global_threads(before);
   EXPECT_EQ(a, b);
 }
 
 TEST(ParallelFor, PropagatesFirstException) {
-  EXPECT_THROW(
-      parallel_for(
-          100,
-          [](std::size_t i) {
-            if (i == 42) throw std::runtime_error("boom");
-          },
-          4),
-      std::runtime_error);
+  EXPECT_THROW(parallel_for(100,
+                            [](std::size_t i) {
+                              if (i == 42) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
 }
 
 TEST(ParallelFor, FailFastCancelsRemainingSweep) {
@@ -108,14 +112,11 @@ TEST(ParallelFor, NestedCallsRunInlineWithoutDeadlock) {
 TEST(ParallelFor, WorkSharingCoversUnevenLoads) {
   // Tasks with wildly different costs must all still complete.
   std::atomic<int> done{0};
-  parallel_for(
-      64,
-      [&](std::size_t i) {
-        volatile double x = 0.0;
-        for (std::size_t k = 0; k < (i % 8) * 10'000; ++k) x = x + 1.0;
-        ++done;
-      },
-      8);
+  parallel_for(64, [&](std::size_t i) {
+    volatile double x = 0.0;
+    for (std::size_t k = 0; k < (i % 8) * 10'000; ++k) x = x + 1.0;
+    ++done;
+  });
   EXPECT_EQ(done.load(), 64);
 }
 

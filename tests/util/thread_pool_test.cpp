@@ -48,17 +48,6 @@ TEST(ThreadPool, RunVisitsEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 1) << i;
 }
 
-TEST(ThreadPool, MaxParticipantsCapStillCompletesAllWork) {
-  ThreadPool pool(8);
-  const std::size_t n = 300;
-  std::vector<int> hits(n, 0);
-  const std::function<void(std::size_t)> fn = [&](std::size_t i) {
-    ++hits[i];
-  };
-  pool.run(n, fn, /*max_participants=*/2);
-  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 1) << i;
-}
-
 TEST(ThreadPool, NestedRegionsRunSeriallyInline) {
   ThreadPool pool(4);
   std::atomic<int> inner_calls{0};

@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -135,6 +136,21 @@ struct CompareReport {
   /// Human-readable table (regressions and improvements first).
   [[nodiscard]] std::string to_table(bool verbose = false) const;
 };
+
+struct MannWhitneyResult {
+  double u = 0.0;        // U statistic of sample `a`
+  double z = 0.0;        // tie-corrected normal approximation (0 when df)
+  double p_value = 1.0;  // two-sided
+};
+
+/// Two-sample Mann-Whitney U (Wilcoxon rank-sum) test: distribution-free
+/// location shift, robust to the outliers wall-clock benchmark samples carry.
+/// Uses midranks for ties, the tie-corrected normal approximation and a 0.5
+/// continuity correction (fine for the n >= ~8 repetition counts the bench
+/// harness records). Throws on empty samples; two all-identical samples give
+/// p = 1.
+MannWhitneyResult mann_whitney_u(std::span<const double> a,
+                                 std::span<const double> b);
 
 /// Compare two snapshots (baseline vs current), matching records by bench
 /// name. A bench only the current snapshot has becomes a warning — a new
