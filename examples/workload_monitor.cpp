@@ -39,7 +39,7 @@ power::RailActivity make_activity(int cls, std::uint64_t seed,
                                   sim::TimeNs end) {
   switch (cls) {
     case 0:  // idle board
-      return {};
+      return power::RailActivity();
     case 1: {  // power virus at a seed-dependent level
       fpga::PowerVirus virus;
       util::Rng rng(seed);

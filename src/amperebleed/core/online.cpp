@@ -31,6 +31,11 @@ OnlineFingerprinter OnlineFingerprinter::restore(
     throw std::invalid_argument(
         "OnlineFingerprinter::restore: trained state without a forest");
   }
+  if (state.trained && state.data.empty()) {
+    throw std::invalid_argument(
+        "OnlineFingerprinter::restore: trained state without enrollment "
+        "data");
+  }
   if (!state.data.empty() &&
       state.data.feature_count() != state.feature_count) {
     throw std::invalid_argument(
@@ -75,12 +80,7 @@ OnlineFingerprinter OnlineFingerprinter::restore(
     fp.forest_ =
         ml::RandomForest::from_arena(config.forest, std::move(state.arena));
     fp.trained_ = true;
-    if (config.drift.enabled && state.drift_reference.has_value()) {
-      // Rebuilt with an empty observation window: drift monitoring is
-      // observation-only, so restored classify verdicts stay bit-identical.
-      fp.monitor_ = std::make_unique<obs::DriftMonitor>(
-          std::move(*state.drift_reference), config.drift);
-    }
+    fp.start_drift_monitor();
   }
   return fp;
 }
@@ -116,11 +116,14 @@ void OnlineFingerprinter::train() {
   forest_ = ml::RandomForest(config_.forest);
   forest_.fit(data_);
   trained_ = true;
-  if (config_.drift.enabled) {
-    monitor_ = std::make_unique<obs::DriftMonitor>(
-        obs::ReferenceProfile::from_dataset(data_, config_.drift.sketch_bins),
-        config_.drift);
-  }
+  start_drift_monitor();
+}
+
+void OnlineFingerprinter::start_drift_monitor() {
+  if (!config_.drift.enabled) return;
+  monitor_ = std::make_unique<obs::DriftMonitor>(
+      obs::ReferenceProfile::from_dataset(data_, config_.drift.sketch_bins),
+      config_.drift);
 }
 
 void OnlineFingerprinter::reset_drift_window() {

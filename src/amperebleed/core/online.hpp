@@ -7,7 +7,6 @@
 //     confidently wrong answer.
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -26,10 +25,10 @@ struct OnlineFingerprinterConfig {
   double min_confidence = 0.30;
   /// Reject when (top1 - top2) probability margin is below this.
   double min_margin = 0.05;
-  /// Drift monitoring (off by default). With drift.enabled, train() captures
-  /// an obs::ReferenceProfile from the enrollment dataset and classify /
-  /// classify_many feed every prediction to an obs::DriftMonitor — pure
-  /// observation, verdicts are unchanged.
+  /// Drift monitoring (off by default). With drift.enabled, train() and
+  /// restore() capture an obs::ReferenceProfile from the enrollment dataset
+  /// and classify / classify_many feed every prediction to an
+  /// obs::DriftMonitor — pure observation, verdicts are unchanged.
   obs::DriftConfig drift{};
 };
 
@@ -37,25 +36,26 @@ class OnlineFingerprinter {
  public:
   explicit OnlineFingerprinter(OnlineFingerprinterConfig config = {});
 
-  /// Everything a persisted fingerprinter needs to come back bit-identical
-  /// (persist/state.hpp carries this across restarts).
+  /// Everything a persisted fingerprinter needs to come back bit-identical,
+  /// and nothing that can be recomputed from it (persist::TenantState
+  /// extends this with a tenant's lifecycle fields).
   struct RestoredState {
     std::size_t feature_count = 0;
     std::vector<std::string> class_names;
     ml::Dataset data;
     bool trained = false;
     ml::ForestArena arena;  // the fitted forest; non-empty when trained
-    /// Drift reference captured at train time. The monitor is rebuilt with
-    /// an EMPTY observation window — drift state is observation-only, so
-    /// classify verdicts are unchanged either way.
-    std::optional<obs::ReferenceProfile> drift_reference;
   };
 
   /// Rebuild a fingerprinter from persisted state. Classify verdicts on the
   /// restored instance are bit-identical to the original (the forest arena
-  /// round-trips doubles exactly). Throws std::invalid_argument on
-  /// inconsistent state (trained without a forest, class/label mismatch, a
-  /// split feature >= feature_count, more forest classes than class_names).
+  /// round-trips doubles exactly). A trained instance with drift enabled
+  /// gets its monitor back as train() built it: the reference recomputed
+  /// from the dataset, the observation window empty (drift state is
+  /// observation-only, so verdicts are unchanged either way). Throws
+  /// std::invalid_argument on inconsistent state (trained without a forest
+  /// or without data, class/label mismatch, a split feature >=
+  /// feature_count, more forest classes than class_names).
   [[nodiscard]] static OnlineFingerprinter restore(
       OnlineFingerprinterConfig config, RestoredState state);
 
@@ -121,6 +121,8 @@ class OnlineFingerprinter {
   void reset_drift_window();
 
  private:
+  /// With drift enabled, a monitor over the reference profile of data_.
+  void start_drift_monitor();
   /// Rank classes by probability and apply the open-set rejection
   /// thresholds.
   [[nodiscard]] Verdict verdict_from_proba(std::span<const double> proba) const;

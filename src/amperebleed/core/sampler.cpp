@@ -364,7 +364,8 @@ std::vector<Trace> Sampler::collect_multi(const std::vector<Channel>& channels,
   if (span.active() && !channels.empty()) {
     std::string joined = channel_name(channels.front());
     for (std::size_t c = 1; c < channels.size(); ++c) {
-      joined += "," + channel_name(channels[c]);
+      joined += ',';
+      joined += channel_name(channels[c]);
     }
     span.set_attr("channel", std::move(joined));
   }

@@ -113,35 +113,6 @@ std::vector<double> StreamingSketch::fractions(double epsilon) const {
   return out;
 }
 
-StreamingSketch::Raw StreamingSketch::raw() const {
-  Raw raw;
-  raw.lo = lo_;
-  raw.hi = hi_;
-  raw.counts = counts_;
-  raw.n = n_;
-  raw.sum = sum_;
-  raw.sum_sq = sum_sq_;
-  raw.min = min_;
-  raw.max = max_;
-  return raw;
-}
-
-StreamingSketch StreamingSketch::from_raw(Raw raw) {
-  if (raw.counts.empty()) {
-    throw std::runtime_error("StreamingSketch::from_raw: no bins");
-  }
-  StreamingSketch s;
-  s.lo_ = raw.lo;
-  s.hi_ = raw.hi;
-  s.counts_ = std::move(raw.counts);
-  s.n_ = raw.n;
-  s.sum_ = raw.sum;
-  s.sum_sq_ = raw.sum_sq;
-  s.min_ = raw.min;
-  s.max_ = raw.max;
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // PSI
 

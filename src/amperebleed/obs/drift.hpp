@@ -75,22 +75,6 @@ class StreamingSketch {
   /// (n + bins * epsilon). Defined (uniform) even for an empty sketch.
   [[nodiscard]] std::vector<double> fractions(double epsilon = 0.5) const;
 
-  /// Exact internal state for the binary persistence codec (persist::):
-  /// raw() / from_raw round-trip the moment accumulators bit-for-bit, so a
-  /// sketch restored from a snapshot is operator== to the original.
-  struct Raw {
-    double lo = 0.0;
-    double hi = 1.0;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t n = 0;
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  [[nodiscard]] Raw raw() const;
-  static StreamingSketch from_raw(Raw raw);
-
   friend bool operator==(const StreamingSketch&,
                          const StreamingSketch&) = default;
 
@@ -117,8 +101,8 @@ double population_stability_index(const StreamingSketch& reference,
 /// Everything the drift monitor needs to remember about enrollment:
 /// per-dimension sketches + deterministic value subsamples (row-stride
 /// sampling, so the subsample is a pure function of the dataset), and the
-/// class priors. The persist:: snapshot codec stores it exactly, so a
-/// recovered serving process re-hydrates the enrollment-time profile.
+/// class priors. It is never persisted: a recovered serving process rebuilds
+/// it from the restored enrollment dataset, the same way train() built it.
 struct ReferenceProfile {
   /// Cap on retained raw values per dimension (feeds the KS test).
   static constexpr std::size_t kMaxSubsample = 128;

@@ -20,7 +20,7 @@ std::string prometheus_metric_name(std::string_view raw) {
     const bool ok = alpha || c == '_' || c == ':' || (digit && i > 0);
     out.push_back(ok ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

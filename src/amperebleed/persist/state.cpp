@@ -1,7 +1,6 @@
 #include "amperebleed/persist/state.hpp"
 
 #include <cmath>
-#include <utility>
 
 namespace amperebleed::persist {
 
@@ -10,30 +9,24 @@ namespace {
 constexpr std::uint32_t kTagMeta = section_tag("META");
 constexpr std::uint32_t kTagTenant = section_tag("TENT");
 
-void encode_sketch(Encoder& enc, const obs::StreamingSketch& sketch) {
-  const obs::StreamingSketch::Raw raw = sketch.raw();
-  enc.f64(raw.lo);
-  enc.f64(raw.hi);
-  enc.u64_vec(raw.counts);
-  enc.u64(raw.n);
-  enc.f64(raw.sum);
-  enc.f64(raw.sum_sq);
-  enc.f64(raw.min);
-  enc.f64(raw.max);
-}
-
-obs::StreamingSketch decode_sketch(Decoder& dec) {
-  obs::StreamingSketch::Raw raw;
-  raw.lo = dec.f64();
-  raw.hi = dec.f64();
-  raw.counts = dec.u64_vec();
-  raw.n = dec.u64();
-  raw.sum = dec.f64();
-  raw.sum_sq = dec.f64();
-  raw.min = dec.f64();
-  raw.max = dec.f64();
-  if (raw.counts.empty()) dec.fail("sketch with zero bins");
-  return obs::StreamingSketch::from_raw(std::move(raw));
+/// Snapshots written before the drift reference was rebuilt on restore
+/// carry it after the forest: rows, class priors, then per dimension a
+/// sketch (lo, hi, bin counts, n, sum, sum of squares, min, max) and a value
+/// subsample. The block is checked as strictly as when it was decoded and
+/// then dropped, so those files still recover.
+void skip_legacy_profile(Decoder& dec) {
+  (void)dec.u64();
+  (void)dec.u64_vec();
+  const std::uint64_t dims = dec.u64();
+  if (dims > dec.remaining()) dec.fail("implausible profile dimension count");
+  for (std::uint64_t d = 0; d < dims; ++d) {
+    (void)dec.f64();
+    (void)dec.f64();
+    if (dec.u64_vec().empty()) dec.fail("sketch with zero bins");
+    (void)dec.u64();
+    for (int moment = 0; moment < 4; ++moment) (void)dec.f64();
+    (void)dec.f64_vec();
+  }
 }
 
 void encode_tenant(Encoder& enc, const TenantView& tenant) {
@@ -47,8 +40,7 @@ void encode_tenant(Encoder& enc, const TenantView& tenant) {
   encode_dataset(enc, *tenant.data);
   enc.u8(tenant.arena != nullptr ? 1 : 0);
   if (tenant.arena != nullptr) encode_arena(enc, *tenant.arena);
-  enc.u8(tenant.profile != nullptr ? 1 : 0);
-  if (tenant.profile != nullptr) encode_profile(enc, *tenant.profile);
+  enc.u8(0);  // no drift profile: restore rebuilds it from the dataset
 }
 
 /// Every section of the snapshot file, into `file` (which may count).
@@ -90,8 +82,7 @@ TenantState decode_tenant(Decoder& dec) {
     tenant.arena = decode_arena(dec);
     if (tenant.arena.empty()) dec.fail("trained tenant with empty forest");
   }
-  tenant.has_profile = dec.u8() != 0;
-  if (tenant.has_profile) tenant.profile = decode_profile(dec);
+  if (dec.u8() != 0) skip_legacy_profile(dec);
   return tenant;
 }
 
@@ -204,34 +195,6 @@ ml::Dataset decode_dataset(Decoder& dec) {
 }
 
 // ---------------------------------------------------------------------------
-// ReferenceProfile.
-
-void encode_profile(Encoder& enc, const obs::ReferenceProfile& profile) {
-  enc.u64(profile.rows);
-  enc.u64_vec(profile.class_counts);
-  enc.u64(profile.dims());
-  for (std::size_t d = 0; d < profile.dims(); ++d) {
-    encode_sketch(enc, profile.feature_sketches[d]);
-    enc.f64_vec(profile.feature_samples[d]);
-  }
-}
-
-obs::ReferenceProfile decode_profile(Decoder& dec) {
-  obs::ReferenceProfile profile;
-  profile.rows = dec.u64();
-  profile.class_counts = dec.u64_vec();
-  const std::uint64_t dims = dec.u64();
-  if (dims > dec.remaining()) dec.fail("implausible profile dimension count");
-  profile.feature_sketches.reserve(dims);
-  profile.feature_samples.reserve(dims);
-  for (std::uint64_t d = 0; d < dims; ++d) {
-    profile.feature_sketches.push_back(decode_sketch(dec));
-    profile.feature_samples.push_back(dec.f64_vec());
-  }
-  return profile;
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot file.
 
 std::vector<TenantView> views_of(const ServiceSnapshot& snap) {
@@ -247,7 +210,6 @@ std::vector<TenantView> views_of(const ServiceSnapshot& snap) {
     view.class_names = &tenant.class_names;
     view.data = &tenant.data;
     if (tenant.trained) view.arena = &tenant.arena;
-    if (tenant.has_profile) view.profile = &tenant.profile;
   }
   return views;
 }

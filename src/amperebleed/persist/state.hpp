@@ -1,8 +1,10 @@
 #pragma once
 // Typed binary codecs for the service's durable state (DESIGN.md §15):
-// field codecs for ForestArena, the enrollment Dataset and
-// obs::ReferenceProfile, composed into the one whole-file format, the
-// per-tenant / whole-service snapshot. The service encodes it straight from
+// field codecs for ForestArena and the enrollment Dataset, composed into the
+// one whole-file format, the per-tenant / whole-service snapshot. A snapshot
+// keeps only what cannot be recomputed: the drift reference profile is
+// rebuilt from the dataset on restore, and a profile block left by an older
+// writer is validated and skipped. The service encodes it straight from
 // its live tenants through borrowed TenantViews, into one buffer allocated
 // at the file's exact size; decoding yields owned TenantStates that
 // recovery moves into the restored tenants. The snapshot is a versioned,
@@ -19,9 +21,9 @@
 #include <string_view>
 #include <vector>
 
+#include "amperebleed/core/online.hpp"
 #include "amperebleed/ml/dataset.hpp"
 #include "amperebleed/ml/forest_arena.hpp"
-#include "amperebleed/obs/drift.hpp"
 #include "amperebleed/persist/codec.hpp"
 
 namespace amperebleed::persist {
@@ -43,25 +45,17 @@ void encode_arena(Encoder& enc, const ml::ForestArena& arena);
 void encode_dataset(Encoder& enc, const ml::Dataset& data);
 [[nodiscard]] ml::Dataset decode_dataset(Decoder& dec);
 
-void encode_profile(Encoder& enc, const obs::ReferenceProfile& profile);
-[[nodiscard]] obs::ReferenceProfile decode_profile(Decoder& dec);
-
 // --- Snapshot file ---------------------------------------------------------
 
 /// One tenant session as plain data, decoupled from serve:: so the codec
-/// layer has no dependency on the service (serve depends on persist).
-struct TenantState {
+/// layer has no dependency on the service (serve depends on persist): the
+/// fingerprinter's restorable state plus the session's lifecycle fields.
+/// Recovery moves the base into OnlineFingerprinter::restore whole.
+struct TenantState : core::OnlineFingerprinter::RestoredState {
   std::string name;
   std::uint8_t state = 0;  // serve::TenantSession::State ordinal
   std::uint64_t enrolled = 0;
   std::uint64_t classified = 0;
-  std::uint64_t feature_count = 0;
-  std::vector<std::string> class_names;
-  ml::Dataset data;
-  bool trained = false;
-  ml::ForestArena arena;  // fitted forest; empty unless trained
-  bool has_profile = false;
-  obs::ReferenceProfile profile;  // drift reference; valid when has_profile
 };
 
 /// Checkpoint of the whole service: every tenant in creation order, plus
@@ -83,7 +77,6 @@ struct TenantView {
   const std::vector<std::string>* class_names = nullptr;  // never null
   const ml::Dataset* data = nullptr;                      // never null
   const ml::ForestArena* arena = nullptr;  // null unless trained
-  const obs::ReferenceProfile* profile = nullptr;  // null: no drift profile
 };
 
 /// Views of `snap`'s tenants, in order.

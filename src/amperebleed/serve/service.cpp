@@ -87,29 +87,23 @@ ClassificationService::ClassificationService(ServiceConfig config)
 ClassificationService::~ClassificationService() = default;
 
 void ClassificationService::recover_from_store() {
-  // The decoded snapshot is taken from the store and its tenants' state is
-  // moved, not copied, into the restored fingerprinters.
+  // The decoded snapshot is taken from the store and each tenant's model
+  // state is moved, not copied, into its restored fingerprinter.
   if (std::optional<persist::ServiceSnapshot> snapshot =
           store_->take_snapshot()) {
     for (persist::TenantState& t : snapshot->tenants) {
-      core::OnlineFingerprinter::RestoredState state;
-      state.feature_count = t.feature_count;
-      state.class_names = std::move(t.class_names);
-      state.data = std::move(t.data);
-      state.trained = t.trained;
-      state.arena = std::move(t.arena);
-      if (t.has_profile) state.drift_reference = std::move(t.profile);
+      core::OnlineFingerprinter::RestoredState& model = t;
       // CRC-valid but semantically inconsistent tenants are skipped — the
       // rest of the snapshot still recovers (replay handles any dangling
       // references with UnknownTenant).
       try {
-        auto fingerprinter = core::OnlineFingerprinter::restore(
-            config_.fingerprinter, std::move(state));
         tenants_.emplace(
             t.name,
-            std::make_unique<TenantSession>(TenantSession::restore(
+            std::make_unique<TenantSession>(
                 t.name, static_cast<TenantSession::State>(t.state),
-                t.enrolled, t.classified, std::move(fingerprinter))));
+                t.enrolled, t.classified,
+                core::OnlineFingerprinter::restore(config_.fingerprinter,
+                                                   std::move(model))));
         tenant_order_.push_back(t.name);
       } catch (const std::invalid_argument&) {
         discarded_tenants_.push_back(t.name);
@@ -460,9 +454,6 @@ bool ClassificationService::write_snapshot_guarded() {
     view.class_names = &fp.class_names();
     view.data = &fp.enrollment_data();
     if (fp.trained()) view.arena = &fp.forest().arena();
-    if (const obs::DriftMonitor* monitor = fp.drift_monitor()) {
-      view.profile = &monitor->reference();
-    }
   }
   try {
     store_->write_snapshot(store_->last_seq(), views);

@@ -26,14 +26,6 @@ TenantSession::TenantSession(std::string name, State state,
       enrolled_(enrolled),
       classified_(classified) {}
 
-TenantSession TenantSession::restore(std::string name, State state,
-                                     std::uint64_t enrolled,
-                                     std::uint64_t classified,
-                                     core::OnlineFingerprinter fingerprinter) {
-  return TenantSession(std::move(name), state, enrolled, classified,
-                       std::move(fingerprinter));
-}
-
 ServeStatus TenantSession::enroll(const core::Trace& trace,
                                   const std::string& label,
                                   std::string* error) {

@@ -30,13 +30,13 @@ class TenantSession {
 
   TenantSession(std::string name, core::OnlineFingerprinterConfig config);
 
-  /// Rebuild a session from persisted state (serve/service.cpp recovery):
-  /// the fingerprinter comes back via OnlineFingerprinter::restore, the
+  /// A session rebuilt from persisted state (serve/service.cpp recovery):
+  /// adopts a fingerprinter from OnlineFingerprinter::restore and takes the
   /// lifecycle state and tallies verbatim. Classify verdicts on the
   /// restored session are bit-identical to the original.
-  [[nodiscard]] static TenantSession restore(
-      std::string name, State state, std::uint64_t enrolled,
-      std::uint64_t classified, core::OnlineFingerprinter fingerprinter);
+  TenantSession(std::string name, State state, std::uint64_t enrolled,
+                std::uint64_t classified,
+                core::OnlineFingerprinter fingerprinter);
 
   /// Add one labelled trace. Errors: TenantRetired, AlreadyTrained,
   /// InvalidRequest (empty trace / shorter than the namespace's feature
@@ -68,11 +68,6 @@ class TenantSession {
   void add_classified(std::uint64_t n) { classified_ += n; }
 
  private:
-  /// restore() only: adopts a rebuilt fingerprinter wholesale.
-  TenantSession(std::string name, State state, std::uint64_t enrolled,
-                std::uint64_t classified,
-                core::OnlineFingerprinter fingerprinter);
-
   std::string name_;
   State state_ = State::Enrolling;
   core::OnlineFingerprinter fingerprinter_;

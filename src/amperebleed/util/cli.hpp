@@ -34,7 +34,7 @@ class CliArgs {
                  std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
         values_[std::string(arg)] = argv[++i];
       } else {
-        values_[std::string(arg)] = "1";  // boolean flag
+        values_[std::string(arg)] = std::string("1");  // boolean flag
       }
     }
   }

@@ -228,9 +228,6 @@ OnlineFingerprinter tied_service(obs::DriftConfig drift = {}) {
   }
   state.trained = true;
   state.arena = tied_arena();
-  if (drift.enabled) {
-    state.drift_reference = obs::ReferenceProfile::from_dataset(state.data);
-  }
   OnlineFingerprinterConfig config;
   config.drift = drift;
   return OnlineFingerprinter::restore(config, std::move(state));
@@ -298,6 +295,43 @@ TEST(OnlineFingerprinter, DriftMonitorGetsTheTiedWinnersIndex) {
   const auto report = service.drift_monitor()->report();
   EXPECT_GT(report.evaluations, 0u);
   EXPECT_EQ(report.to_json().dump(), by_hand.report().to_json().dump());
+}
+
+// restore() builds the monitor as train() does: from the restored dataset
+// at the configured bin count, with an empty window, and only for a trained
+// state with drift enabled.
+TEST(OnlineFingerprinter, RestoreRebuildsTheDriftReferenceFromTheData) {
+  obs::DriftConfig drift;
+  drift.enabled = true;
+  drift.sketch_bins = 5;
+  const auto restored = tied_service(drift);
+  ASSERT_NE(restored.drift_monitor(), nullptr);
+  EXPECT_TRUE(restored.drift_monitor()->reference() ==
+              obs::ReferenceProfile::from_dataset(restored.enrollment_data(),
+                                                  5));
+  EXPECT_EQ(restored.drift_monitor()->report().observations, 0u);
+  EXPECT_EQ(tied_service().drift_monitor(), nullptr);
+
+  OnlineFingerprinter::RestoredState enrolling;
+  enrolling.feature_count = 3;
+  enrolling.class_names = {"w"};
+  enrolling.data = ml::Dataset(3);
+  enrolling.data.add(std::vector<double>{1.0, 2.0, 3.0}, 0);
+  OnlineFingerprinterConfig config;
+  config.drift = drift;
+  EXPECT_EQ(
+      OnlineFingerprinter::restore(config, std::move(enrolling)).drift_monitor(),
+      nullptr);
+}
+
+TEST(OnlineFingerprinter, RestoreRejectsATrainedStateWithoutData) {
+  OnlineFingerprinter::RestoredState state;
+  state.feature_count = 3;
+  state.class_names = {"w", "x", "y", "z"};
+  state.trained = true;
+  state.arena = tied_arena();
+  EXPECT_THROW((void)OnlineFingerprinter::restore({}, std::move(state)),
+               std::invalid_argument);
 }
 
 TEST(OnlineFingerprinter, ShortTraceInABatchThrows) {

@@ -45,8 +45,8 @@ TEST(PreprocessSimd, FillGapsMatchesReferenceAllPolicies) {
     std::vector<std::uint8_t> alternating(n, 1);
     for (std::size_t i = 0; i < n; i += 2) alternating[i] = 0;
     masks.push_back(alternating);                         // leading gap too
-    std::vector<std::uint8_t> trailing(n, 1);
-    trailing[n - 1] = 0;
+    std::vector<std::uint8_t> trailing(n - 1, 1);
+    trailing.push_back(0);
     masks.push_back(trailing);
     for (const auto& mask : masks) {
       for (const core::GapPolicy policy : core::kAllGapPolicies) {

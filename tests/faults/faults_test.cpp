@@ -49,7 +49,9 @@ TEST(FaultPlan, TransientOnlyIsPureEagain) {
   const auto plan = FaultPlan::transient_only(7, 0.2);
   EXPECT_DOUBLE_EQ(plan.rates[FaultKind::Transient], 0.2);
   for (const FaultKind k : kAllFaultKinds) {
-    if (k != FaultKind::Transient) EXPECT_DOUBLE_EQ(plan.rates[k], 0.0);
+    if (k != FaultKind::Transient) {
+      EXPECT_DOUBLE_EQ(plan.rates[k], 0.0);
+    }
   }
   EXPECT_DOUBLE_EQ(plan.burst.continue_probability, 0.0);
 }

@@ -24,6 +24,7 @@
 #include "amperebleed/ml/metrics.hpp"
 #include "amperebleed/ml/random_forest.hpp"
 #include "amperebleed/util/rng.hpp"
+#include "amperebleed/util/strings.hpp"
 #include "amperebleed/util/thread_pool.hpp"
 #include "support/reference_forest.hpp"
 #include "support/tree_depth.hpp"
@@ -254,10 +255,10 @@ std::string spec_name(const ::testing::TestParamInfo<DatasetSpec>& info) {
   static constexpr const char* kSuffix[] = {"", "hwmon", "half", "adjacent",
                                             "huge"};
   const auto& s = info.param;
-  return "c" + std::to_string(s.classes) + "x" + std::to_string(s.per_class) +
-         "f" + std::to_string(s.features) + "q" + std::to_string(s.quantize) +
-         "k" + std::to_string(s.constant_columns) +
-         kSuffix[static_cast<int>(s.values)];
+  return util::format("c%dx%df%dq%dk%d%s", s.classes, s.per_class,
+                      s.features, s.quantize,
+                      static_cast<int>(s.constant_columns),
+                      kSuffix[static_cast<int>(s.values)]);
 }
 
 INSTANTIATE_TEST_SUITE_P(

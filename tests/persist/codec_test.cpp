@@ -13,6 +13,7 @@
 #include "amperebleed/ml/random_forest.hpp"
 #include "amperebleed/persist/state.hpp"
 #include "amperebleed/util/rng.hpp"
+#include "support/legacy_snapshot.hpp"
 #include "support/reference_crc32.hpp"
 
 namespace amperebleed::persist {
@@ -215,16 +216,6 @@ ml::Dataset dataset_round_trip(const ml::Dataset& data) {
   return loaded;
 }
 
-obs::ReferenceProfile profile_round_trip(
-    const obs::ReferenceProfile& profile) {
-  Encoder enc;
-  encode_profile(enc, profile);
-  Decoder dec(enc.buffer(), "profile");
-  obs::ReferenceProfile loaded = decode_profile(dec);
-  dec.expect_end();
-  return loaded;
-}
-
 TEST(StateCodec, DatasetRoundTripIsExact) {
   const ml::Dataset data = make_dataset();
   const ml::Dataset loaded = dataset_round_trip(data);
@@ -281,14 +272,6 @@ TEST(StateCodec, ForestRoundTripPredictsBitIdentically) {
   }
 }
 
-TEST(StateCodec, ProfileRoundTripComparesEqual) {
-  const ml::Dataset data = make_dataset();
-  const obs::ReferenceProfile profile =
-      obs::ReferenceProfile::from_dataset(data, 16);
-  const obs::ReferenceProfile loaded = profile_round_trip(profile);
-  EXPECT_TRUE(loaded == profile);
-}
-
 TEST(StateCodec, SnapshotRoundTripPreservesTenants) {
   const ml::Dataset data = make_dataset();
   const ml::RandomForest forest = make_forest(data);
@@ -309,8 +292,6 @@ TEST(StateCodec, SnapshotRoundTripPreservesTenants) {
   serving.classified = 17;
   serving.trained = true;
   serving.arena = forest.arena();
-  serving.has_profile = true;
-  serving.profile = obs::ReferenceProfile::from_dataset(data, 16);
   snap.tenants.push_back(serving);
 
   const ServiceSnapshot loaded =
@@ -324,13 +305,11 @@ TEST(StateCodec, SnapshotRoundTripPreservesTenants) {
   EXPECT_TRUE(loaded.tenants[1].trained);
   EXPECT_EQ(loaded.tenants[1].arena.roots, forest.arena().roots);
   EXPECT_EQ(loaded.tenants[1].arena.threshold, forest.arena().threshold);
-  EXPECT_TRUE(loaded.tenants[1].has_profile);
-  EXPECT_TRUE(loaded.tenants[1].profile == serving.profile);
 }
 
 // A snapshot built from integer-valued data and a hand-made arena, so its
-// bytes depend on the codec alone: an enrolling tenant and a trained one
-// with a drift profile, -0.0 and NaN among the arena thresholds.
+// bytes depend on the codec alone: an enrolling tenant and a trained one,
+// -0.0 and NaN among the arena thresholds.
 ServiceSnapshot golden_snapshot() {
   util::Rng rng(0x601D);
   ml::Dataset data(5);
@@ -367,20 +346,20 @@ ServiceSnapshot golden_snapshot() {
   trained.arena.dists = {1.0, 0.0, 0.0,  0.0,  1.0, 0.0,
                          0.25, 0.5, 0.25, 0.0, 0.0, 1.0};
   trained.arena.roots = {0, 5};
-  trained.has_profile = true;
-  trained.profile = obs::ReferenceProfile::from_dataset(data, 8);
   snap.tenants.push_back(std::move(trained));
   return snap;
 }
 
 // The snapshot file's bytes are pinned: length and CRC-32 of the whole
-// image, computed with the bytewise oracle. The constants were taken from
-// the byte-at-a-time codec this one replaced.
+// image, computed with the bytewise oracle. They are those of the image
+// LegacyProfileSnapshotDecodesToGolden pins, with the trained tenant's
+// drift profile block cut out, its has-profile byte 0, and the section
+// length and CRCs recomputed.
 TEST(StateCodec, SnapshotBytesMatchGolden) {
   const ServiceSnapshot snap = golden_snapshot();
   const std::string bytes = encode_snapshot(snap);
-  EXPECT_EQ(bytes.size(), 2470u);
-  EXPECT_EQ(reference::crc32(bytes), 0xC7D5740Fu);
+  EXPECT_EQ(bytes.size(), 1382u);
+  EXPECT_EQ(reference::crc32(bytes), 0xA71D6DA8u);
 
   // Views built here by hand give the same bytes as the adapter's, and the
   // counting pass sizes the file exactly.
@@ -395,7 +374,6 @@ TEST(StateCodec, SnapshotBytesMatchGolden) {
     view.class_names = &t.class_names;
     view.data = &t.data;
     view.arena = t.trained ? &t.arena : nullptr;
-    view.profile = t.has_profile ? &t.profile : nullptr;
     views.push_back(view);
   }
   EXPECT_EQ(encode_snapshot(snap.last_seq, views), bytes);
@@ -406,6 +384,19 @@ TEST(StateCodec, SnapshotBytesMatchGolden) {
   EXPECT_TRUE(std::signbit(loaded.tenants[1].arena.threshold[0]));
   EXPECT_TRUE(std::isnan(loaded.tenants[1].arena.threshold[5]));
   EXPECT_EQ(encode_snapshot(loaded), bytes);
+}
+
+// Snapshots written while the drift reference was persisted carry its
+// block after a trained tenant's forest. Rebuilt from the current image,
+// that layout matches the pinned bytes it had (length 2470, CRC 0xC7D5740F,
+// taken from the writer that persisted it), and it decodes to the same
+// tenants: re-encoding gives the current golden image.
+TEST(StateCodec, LegacyProfileSnapshotDecodesToGolden) {
+  const std::string bytes = encode_snapshot(golden_snapshot());
+  const std::string legacy = reference::with_legacy_profiles(bytes, 8);
+  EXPECT_EQ(legacy.size(), 2470u);
+  EXPECT_EQ(reference::crc32(legacy), 0xC7D5740Fu);
+  EXPECT_EQ(encode_snapshot(decode_snapshot(legacy, "legacy.bin")), bytes);
 }
 
 TEST(StateCodec, StructurallyInvalidArenaIsRejected) {

@@ -14,6 +14,7 @@
 #include "amperebleed/persist/journal.hpp"
 #include "amperebleed/persist/state.hpp"
 #include "amperebleed/util/rng.hpp"
+#include "support/legacy_snapshot.hpp"
 
 namespace amperebleed::persist {
 namespace {
@@ -30,8 +31,9 @@ ml::Dataset small_dataset() {
   return data;
 }
 
-/// An enrolling tenant and a trained one, so the sweeps below run through
-/// the dataset, arena and drift-profile decoders.
+/// An enrolling tenant and a trained one, in the layout that still carried
+/// the trained tenant's drift profile, so the sweeps below run through the
+/// dataset and arena decoders and the legacy-profile skip.
 std::string small_snapshot_file() {
   ServiceSnapshot snap;
   snap.last_seq = 9;
@@ -52,10 +54,8 @@ std::string small_snapshot_file() {
   tenant.state = 1;
   tenant.trained = true;
   tenant.arena = forest.arena();
-  tenant.has_profile = true;
-  tenant.profile = obs::ReferenceProfile::from_dataset(tenant.data, 8);
   snap.tenants.push_back(std::move(tenant));
-  return encode_snapshot(snap);
+  return reference::with_legacy_profiles(encode_snapshot(snap), 8);
 }
 
 // Truncate at EVERY byte boundary: each prefix must decode-fail cleanly.
@@ -90,6 +90,40 @@ TEST(CorruptionSweep, SnapshotFlippedAtEveryByte) {
   bitflip_sweep(small_snapshot_file(), [](std::string_view bytes) {
     return decode_snapshot(bytes, "snapshot.bin");
   });
+}
+
+// Behind a valid CRC only the field decoders stand between a damaged
+// legacy profile block and the snapshot: every truncation of the block must
+// be a DecodeError, and every single-bit flip must decode or be one.
+TEST(CorruptionSweep, LegacyProfileBlockCutOrFlippedBehindAValidCrc) {
+  const std::string file = small_snapshot_file();
+  const ServiceSnapshot snap = decode_snapshot(file, "snapshot.bin");
+  const std::string block =
+      reference::legacy_profile_block(snap.tenants[1].data, 8);
+  const auto with_block = [&](const std::string& damaged) {
+    return reference::reframe_snapshot(
+        file, [&](std::size_t t, std::string_view payload) {
+          if (t == 0) return std::string(payload);
+          EXPECT_TRUE(payload.ends_with(block));
+          return std::string(payload.substr(0, payload.size() - block.size())) +
+                 damaged;
+        });
+  };
+  ASSERT_EQ(with_block(block), file);
+  for (std::size_t len = 0; len < block.size(); ++len) {
+    EXPECT_THROW((void)decode_snapshot(with_block(block.substr(0, len)),
+                                       "snapshot.bin"),
+                 DecodeError)
+        << "profile block cut at byte " << len;
+  }
+  for (std::size_t pos = 0; pos < block.size(); ++pos) {
+    std::string damaged = block;
+    damaged[pos] = static_cast<char>(damaged[pos] ^ (1u << (pos % 8)));
+    try {
+      (void)decode_snapshot(with_block(damaged), "snapshot.bin");
+    } catch (const DecodeError&) {
+    }
+  }
 }
 
 // Reassemble a two-section file with its sections swapped: the strict

@@ -12,14 +12,17 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "amperebleed/faults/faults.hpp"
+#include "amperebleed/obs/drift.hpp"
 #include "amperebleed/persist/state.hpp"
 #include "amperebleed/serve/service.hpp"
 #include "amperebleed/util/fs.hpp"
 #include "amperebleed/util/rng.hpp"
 #include "amperebleed/util/thread_pool.hpp"
+#include "support/legacy_snapshot.hpp"
 
 namespace amperebleed::serve {
 namespace {
@@ -93,9 +96,11 @@ std::vector<Request> make_script(std::uint64_t seed) {
 }
 
 ServiceConfig durable_config(const std::string& dir,
-                             std::uint64_t snapshot_every = 5) {
+                             std::uint64_t snapshot_every = 5,
+                             bool drift = false) {
   ServiceConfig config;
   config.fingerprinter.forest.n_trees = 8;
+  config.fingerprinter.drift.enabled = drift;
   config.durability.dir = dir;
   config.durability.snapshot_every = snapshot_every;
   return config;
@@ -142,6 +147,19 @@ std::string probe(const ClassificationService& service, std::uint64_t seed) {
   return out;
 }
 
+/// Every tenant's drift reference, by name; only tenants with a monitor
+/// (trained, drift enabled) appear.
+std::vector<std::pair<std::string, obs::ReferenceProfile>> drift_references(
+    const ClassificationService& service) {
+  std::vector<std::pair<std::string, obs::ReferenceProfile>> out;
+  for (const std::string& name : service.tenant_names()) {
+    const obs::DriftMonitor* monitor =
+        service.tenant(name)->fingerprinter().drift_monitor();
+    if (monitor != nullptr) out.emplace_back(name, monitor->reference());
+  }
+  return out;
+}
+
 std::string fresh_dir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "crash_recovery_" + tag;
   if (util::path_exists(dir)) {
@@ -150,6 +168,15 @@ std::string fresh_dir(const std::string& tag) {
     }
   }
   return dir;
+}
+
+/// The newest snapshot file in `dir` ("" when there is none).
+std::string newest_snapshot(const std::string& dir) {
+  std::string snap_name;
+  for (const std::string& name : util::list_dir(dir)) {
+    if (name.rfind("snapshot-", 0) == 0) snap_name = name;
+  }
+  return snap_name;
 }
 
 /// Runs the workload with snapshot_every=12, so the snapshot lands right
@@ -164,10 +191,7 @@ void run_and_doctor_snapshot(
     ClassificationService service(durable_config(dir, 12));
     run_script(service, make_script(faults::FaultPlan::from_env().seed));
   }
-  std::string snap_name;
-  for (const std::string& file : util::list_dir(dir)) {
-    if (file.rfind("snapshot-", 0) == 0) snap_name = file;
-  }
+  const std::string snap_name = newest_snapshot(dir);
   ASSERT_FALSE(snap_name.empty());
   persist::ServiceSnapshot snap = persist::decode_snapshot(
       util::read_file(dir + "/" + snap_name), snap_name);
@@ -208,11 +232,14 @@ class CrashRecoveryTest : public ::testing::Test {
   }
 };
 
-// The tentpole assertion: for every kill-point k in a clean run, a run
-// killed at k and then recovered ends bit-identical to the clean run.
-TEST_F(CrashRecoveryTest, KillPointSweepIsBitIdenticalAtEveryPoolSize) {
+// For every kill-point k in a clean run, a run killed at k and then
+// recovered ends bit-identical to the clean run, at pool sizes 1/4/8. With
+// `drift` on, every recovered serving tenant also holds the clean run's
+// drift reference, whether restore or a replayed train built it.
+void kill_point_sweep(bool drift) {
   const std::uint64_t seed = faults::FaultPlan::from_env().seed;
   const std::vector<Request> script = make_script(seed);
+  const std::string tag = drift ? "drift_" : "";
 
   std::string expected_across_pools;
   for (const std::size_t threads : {1u, 4u, 8u}) {
@@ -220,18 +247,21 @@ TEST_F(CrashRecoveryTest, KillPointSweepIsBitIdenticalAtEveryPoolSize) {
 
     // Uninterrupted durable run: the oracle and the kill-point census.
     const std::string clean_dir =
-        fresh_dir("clean_t" + std::to_string(threads));
+        fresh_dir(tag + "clean_t" + std::to_string(threads));
     faults::storage_points_reset();
     std::uint64_t crossings = 0;
     std::string expected;
+    std::vector<std::pair<std::string, obs::ReferenceProfile>> references;
     {
-      ClassificationService service(durable_config(clean_dir));
+      ClassificationService service(durable_config(clean_dir, 5, drift));
       run_script(service, script);
       crossings = faults::storage_point_crossings();
       expected = probe(service, seed);
+      references = drift_references(service);
     }
     ASSERT_GT(crossings, 0u);
     ASSERT_FALSE(expected.empty());
+    ASSERT_EQ(references.size(), drift ? 2u : 0u);  // alpha and beta
     // The oracle itself is pool-size invariant.
     if (expected_across_pools.empty()) {
       expected_across_pools = expected;
@@ -241,14 +271,14 @@ TEST_F(CrashRecoveryTest, KillPointSweepIsBitIdenticalAtEveryPoolSize) {
     }
 
     for (std::uint64_t k = 1; k <= crossings; ++k) {
-      const std::string dir = fresh_dir("t" + std::to_string(threads) + "_k" +
-                                        std::to_string(k));
+      const std::string dir = fresh_dir(tag + "t" + std::to_string(threads) +
+                                        "_k" + std::to_string(k));
       faults::storage_points_reset();
       faults::storage_points_arm_crash(k);
       bool crashed = false;
       {
-        auto service =
-            std::make_unique<ClassificationService>(durable_config(dir));
+        auto service = std::make_unique<ClassificationService>(
+            durable_config(dir, 5, drift));
         try {
           for (const Request& request : script) {
             if (!service->submit(request).accepted) break;
@@ -263,13 +293,24 @@ TEST_F(CrashRecoveryTest, KillPointSweepIsBitIdenticalAtEveryPoolSize) {
       faults::storage_points_reset();
       ASSERT_TRUE(crashed) << "kill-point " << k << " never fired";
 
-      ClassificationService recovered(durable_config(dir));
+      ClassificationService recovered(durable_config(dir, 5, drift));
       resume_script(recovered, script);
       EXPECT_EQ(probe(recovered, seed), expected)
           << "recovery diverged after crash at kill-point " << k << " ("
           << threads << " threads)";
+      EXPECT_TRUE(drift_references(recovered) == references)
+          << "drift reference diverged after crash at kill-point " << k
+          << " (" << threads << " threads)";
     }
   }
+}
+
+TEST_F(CrashRecoveryTest, KillPointSweepIsBitIdenticalAtEveryPoolSize) {
+  kill_point_sweep(false);
+}
+
+TEST_F(CrashRecoveryTest, KillPointSweepWithDriftKeepsTheReference) {
+  kill_point_sweep(true);
 }
 
 TEST_F(CrashRecoveryTest, UninterruptedRestartRecoversEverything) {
@@ -288,6 +329,67 @@ TEST_F(CrashRecoveryTest, UninterruptedRestartRecoversEverything) {
   EXPECT_EQ(probe(recovered, seed), expected);
   // No resume needed: every control op was durable before shutdown.
   EXPECT_EQ(recovered.storage().last_seq, 14u);
+}
+
+// A snapshot written while the drift reference was persisted still
+// recovers: the profile block is skipped, and restore rebuilds a reference
+// equal to the one the writing service held.
+TEST_F(CrashRecoveryTest, LegacyProfileSnapshotRecovers) {
+  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::vector<Request> script = make_script(seed);
+  const std::string dir = fresh_dir("legacy");
+  std::string expected;
+  std::vector<std::pair<std::string, obs::ReferenceProfile>> references;
+  {
+    ClassificationService service(durable_config(dir, 1000, true));
+    run_script(service, script);
+    ASSERT_TRUE(service.snapshot_now());
+    expected = probe(service, seed);
+    references = drift_references(service);
+  }
+  ASSERT_EQ(references.size(), 2u);
+  const std::string snap_name = newest_snapshot(dir);
+  ASSERT_FALSE(snap_name.empty());
+  const std::string path = dir + "/" + snap_name;
+  const std::string current = util::read_file(path);
+  const std::string legacy = persist::reference::with_legacy_profiles(
+      current, obs::DriftConfig{}.sketch_bins);
+  ASSERT_GT(legacy.size(), current.size());
+  util::atomic_write_file(path, legacy);
+
+  ClassificationService recovered(durable_config(dir, 1000, true));
+  EXPECT_EQ(recovered.storage().snapshots_discarded, 0u);
+  EXPECT_TRUE(recovered.storage().discarded_tenants.empty());
+  EXPECT_EQ(probe(recovered, seed), expected);
+  EXPECT_TRUE(drift_references(recovered) == references);
+}
+
+// Whether a restored tenant has a drift monitor is up to the recovering
+// service's config, not to the config it was trained under.
+TEST_F(CrashRecoveryTest, RestoredMonitorFollowsTheRecoveringConfig) {
+  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::string dir = fresh_dir("drift_toggle");
+  {
+    ClassificationService service(durable_config(dir, 1000, false));
+    run_script(service, make_script(seed));
+    ASSERT_TRUE(service.snapshot_now());
+    EXPECT_TRUE(drift_references(service).empty());
+  }
+  {
+    ClassificationService with_drift(durable_config(dir, 1000, true));
+    const auto references = drift_references(with_drift);
+    ASSERT_EQ(references.size(), 2u);  // alpha and beta
+    for (const auto& [name, reference] : references) {
+      EXPECT_TRUE(reference ==
+                  obs::ReferenceProfile::from_dataset(
+                      with_drift.tenant(name)->fingerprinter().enrollment_data(),
+                      obs::DriftConfig{}.sketch_bins))
+          << name;
+    }
+  }
+  ClassificationService without_drift(durable_config(dir, 1000, false));
+  EXPECT_EQ(without_drift.tenant_names().size(), 4u);
+  EXPECT_TRUE(drift_references(without_drift).empty());
 }
 
 TEST_F(CrashRecoveryTest, RecoveryAccountsForEveryJournalRecord) {
@@ -334,11 +436,7 @@ TEST_F(CrashRecoveryTest, CorruptNewestSnapshotFallsBackAndDiscards) {
   // so here the fallback is "no snapshot, no tail" for the discarded one).
   // To keep the journal authoritative, corrupt the snapshot AND restore the
   // journal image from a pre-snapshot copy.
-  const auto names = util::list_dir(dir);
-  std::string snap_name;
-  for (const std::string& name : names) {
-    if (name.rfind("snapshot-", 0) == 0) snap_name = name;
-  }
+  const std::string snap_name = newest_snapshot(dir);
   ASSERT_FALSE(snap_name.empty());
   std::string snap = util::read_file(dir + "/" + snap_name);
   snap[snap.size() / 2] = static_cast<char>(snap[snap.size() / 2] ^ 0x01);

@@ -53,8 +53,8 @@ TEST(CliArgs, RejectsTrailingGarbageOnNumericValues) {
   // "4abc" used to silently parse as 4 and "0.1x" as 0.1 — a typo'd flag
   // would quietly run the wrong experiment.
   const auto args = parse({"--threads", "4abc", "--rate", "0.1x"});
-  EXPECT_THROW(args.get_int("threads", 0), std::invalid_argument);
-  EXPECT_THROW(args.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("threads", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("rate", 0.0), std::invalid_argument);
   try {
     (void)args.get_int("threads", 0);
     FAIL() << "expected std::invalid_argument";
@@ -68,8 +68,8 @@ TEST(CliArgs, RejectsTrailingGarbageOnNumericValues) {
 
 TEST(CliArgs, RejectsNonNumericValues) {
   const auto args = parse({"--n", "abc", "--x", "fast"});
-  EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
-  EXPECT_THROW(args.get_double("x", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_double("x", 0.0), std::invalid_argument);
 }
 
 TEST(CliArgs, HexAndFloatFormsStillParse) {
