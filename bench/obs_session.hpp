@@ -7,7 +7,7 @@
 //                          quality monitors, the /quality endpoint, and
 //                          quality_*/drift_* run-record keys). Quality is
 //                          strictly opt-in: plain --obs leaves it off.
-//   --metrics-out PATH     enable obs; write a metrics snapshot (.json/.csv)
+//   --metrics-out PATH     enable obs; write a metrics snapshot (JSON)
 //   --trace-out PATH       enable obs; write a Chrome trace_event JSON
 //   --audit-out PATH       enable obs; write the hwmon access-audit log JSON
 //   --profile-out PATH     enable obs; write a collapsed-stack profile
@@ -90,8 +90,7 @@ class ObsSession {
     // The artifact table: one {path, render} row per -out flag given.
     const auto metrics_row = [&args](const char* flag) {
       const std::string path = args.get_string(flag, "");
-      return Output{path,
-                    [path] { return obs::metrics().snapshot_text(path); }};
+      return Output{path, [] { return obs::metrics().snapshot_text(); }};
     };
     const Output snapshot = metrics_row("snapshot-out");
     outputs_ = {metrics_row("metrics-out"),

@@ -119,6 +119,9 @@ class OnlineFingerprinter {
   /// Clear the monitor's window and state (reference kept). No-op untrained
   /// or with drift disabled. Used between evaluation legs.
   void reset_drift_window();
+  /// Destroy the monitor, which detaches it from the obs::QualityHub. For a
+  /// fingerprinter that will never classify again (a retired tenant).
+  void drop_drift_monitor() { monitor_.reset(); }
 
  private:
   /// With drift enabled, a monitor over the reference profile of data_.

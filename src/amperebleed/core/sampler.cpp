@@ -91,9 +91,6 @@ Sampler::RawRead Sampler::read_raw(const Channel& channel) {
     out.malformed = true;
     return out;
   }
-  // Last raw reading as a gauge: a live scrape (/metrics) sees the current
-  // sensor LSB value without touching the experiment's data path.
-  obs::gauge_set("sampler.last_reading_lsb", static_cast<double>(*value));
   out.ok = true;
   out.value = static_cast<double>(*value);
   return out;

@@ -316,31 +316,8 @@ util::Json MetricsRegistry::to_json() const {
   return root;
 }
 
-std::string MetricsRegistry::to_csv() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "kind,name,field,value\n";
-  for (const auto& [name, c] : counters_) {
-    out += util::format("counter,%s,value,%llu\n", name.c_str(),
-                        static_cast<unsigned long long>(c->value()));
-  }
-  for (const auto& [name, g] : gauges_) {
-    out += util::format("gauge,%s,value,%.12g\n", name.c_str(), g->value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    out += util::format("histogram,%s,count,%llu\n", name.c_str(),
-                        static_cast<unsigned long long>(h->count()));
-    out += util::format("histogram,%s,sum,%.12g\n", name.c_str(), h->sum());
-    out += util::format("histogram,%s,mean,%.12g\n", name.c_str(), h->mean());
-    for (double q : h->tracked_quantiles()) {
-      out += util::format("histogram,%s,p%g,%.12g\n", name.c_str(), q * 100.0,
-                          h->quantile(q));
-    }
-  }
-  return out;
-}
-
-std::string MetricsRegistry::snapshot_text(const std::string& path) const {
-  return path.ends_with(".csv") ? to_csv() : to_json().dump(2) + "\n";
+std::string MetricsRegistry::snapshot_text() const {
+  return to_json().dump(2) + "\n";
 }
 
 void MetricsRegistry::reset() {

@@ -38,12 +38,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double d) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + d,
-                                     std::memory_order_relaxed)) {
-    }
-  }
   [[nodiscard]] double value() const {
     return v_.load(std::memory_order_relaxed);
   }
@@ -157,13 +151,10 @@ class MetricsRegistry {
   /// Point-in-time snapshot of every instrument as a JSON document:
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   [[nodiscard]] util::Json to_json() const;
-  /// Flat CSV: kind,name,field,value — one row per exported scalar.
-  [[nodiscard]] std::string to_csv() const;
 
-  /// The snapshot file for `path`: to_csv() if it ends in ".csv", else
-  /// to_json() pretty-printed. Callers write it through
+  /// The snapshot file: to_json() pretty-printed. Callers write it through
   /// util::atomic_write_file, so readers never see a torn file.
-  [[nodiscard]] std::string snapshot_text(const std::string& path) const;
+  [[nodiscard]] std::string snapshot_text() const;
 
   /// Drop every instrument. Invalidates previously returned references.
   void reset();

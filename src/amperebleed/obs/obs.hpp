@@ -6,7 +6,7 @@
 //
 //   obs::init();                               // or init(config)
 //   ... run experiment ...
-//   util::atomic_write_file("m.json", obs::metrics().snapshot_text("m.json"));
+//   util::atomic_write_file("m.json", obs::metrics().snapshot_text());
 //   util::atomic_write_file("t.json", obs::tracer().to_chrome_json().dump(1));
 //   util::atomic_write_file("a.json", obs::audit_log().to_json().dump(2));
 //   obs::shutdown();

@@ -80,17 +80,6 @@ void RunRecord::set_text(const std::string& key, std::string value) {
   text_.emplace_back(key, std::move(value));
 }
 
-void RunRecord::add_sample(const std::string& key, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [k, values] : samples_) {
-    if (k == key) {
-      values.push_back(value);
-      return;
-    }
-  }
-  samples_.emplace_back(key, std::vector<double>{value});
-}
-
 double RunRecord::elapsed_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start_)
@@ -120,15 +109,6 @@ util::Json RunRecord::to_json() const {
   for (const auto& [k, v] : text_) text.set(k, util::Json::string(v));
   root.set("text", std::move(text));
 
-  if (!samples_.empty()) {
-    auto samples = util::Json::object();
-    for (const auto& [k, values] : samples_) {
-      auto arr = util::Json::array();
-      for (double v : values) arr.push_back(util::Json::number(v));
-      samples.set(k, std::move(arr));
-    }
-    root.set("samples", std::move(samples));
-  }
   return root;
 }
 

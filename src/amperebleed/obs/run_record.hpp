@@ -7,8 +7,7 @@
 //
 // Every record also carries provenance ("env": git sha, hostname, build
 // type) so bench_compare can refuse to compare cross-machine or
-// Debug-vs-Release records, and optional per-run repetition samples that
-// feed its Mann-Whitney noise-aware verdicts.
+// Debug-vs-Release records.
 //
 // Thread-safe: the HTTP exporter's /runrecord endpoint serializes the
 // record from its serve thread while the bench keeps mutating it.
@@ -44,10 +43,6 @@ class RunRecord {
   void set_number(const std::string& key, double value);
   void set_integer(const std::string& key, std::int64_t value);
   void set_text(const std::string& key, std::string value);
-  /// Append one repetition sample for `key` ("wall_ms", ...). Samples land
-  /// in the record's "samples" object and back bench_compare's
-  /// Mann-Whitney noise-aware verdicts.
-  void add_sample(const std::string& key, double value);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Wall seconds since construction.
@@ -55,8 +50,7 @@ class RunRecord {
 
   /// {"bench": ..., "wall_seconds": ..., "unix_time": ...,
   ///  "env": {"git_sha": ..., "hostname": ..., "build_type": ...},
-  ///  "numbers": {...}, "text": {...}, "samples": {...}}
-  /// ("samples" only when add_sample was used.)
+  ///  "numbers": {...}, "text": {...}}
   [[nodiscard]] util::Json to_json() const;
 
   /// Default output filename: BENCH_<name>.json.
@@ -71,7 +65,6 @@ class RunRecord {
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, util::Json>> numbers_;
   std::vector<std::pair<std::string, std::string>> text_;
-  std::vector<std::pair<std::string, std::vector<double>>> samples_;
 };
 
 }  // namespace amperebleed::obs

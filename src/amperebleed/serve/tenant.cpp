@@ -73,6 +73,7 @@ ServeStatus TenantSession::train(std::string* error) {
 ServeStatus TenantSession::retire() {
   if (state_ == State::Retired) return ServeStatus::TenantRetired;
   state_ = State::Retired;
+  fingerprinter_.drop_drift_monitor();
   return ServeStatus::Ok;
 }
 

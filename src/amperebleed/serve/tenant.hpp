@@ -48,7 +48,8 @@ class TenantSession {
   /// TenantRetired, AlreadyTrained, InvalidRequest (fewer than 2 classes).
   ServeStatus train(std::string* error = nullptr);
 
-  /// Close the namespace for good. Errors: TenantRetired (already closed).
+  /// Close the namespace for good and drop the drift monitor: a retired
+  /// tenant never classifies again. Errors: TenantRetired (already closed).
   ServeStatus retire();
 
   /// Admission check for one classify request — state and payload only, no

@@ -1,26 +1,11 @@
 #pragma once
-// Noise processes used by the board model: white measurement noise for
-// sensor ADCs and a slow Ornstein-Uhlenbeck drift for thermal/regulator
-// wander. Both are seeded and deterministic.
+// Slow Ornstein-Uhlenbeck drift used by the board model for
+// thermal/regulator wander. Seeded and deterministic.
 
 #include "amperebleed/sim/time.hpp"
 #include "amperebleed/util/rng.hpp"
 
 namespace amperebleed::sim {
-
-/// Zero-mean white Gaussian noise with fixed standard deviation.
-class WhiteNoise {
- public:
-  WhiteNoise(double stddev, std::uint64_t seed)
-      : stddev_(stddev), rng_(seed) {}
-
-  double sample() { return rng_.gaussian(0.0, stddev_); }
-  [[nodiscard]] double stddev() const { return stddev_; }
-
- private:
-  double stddev_;
-  util::Rng rng_;
-};
 
 /// Ornstein-Uhlenbeck process: dx = theta*(mu - x)*dt + sigma*dW.
 /// step(dt) advances the process by dt using the exact discretization, so the

@@ -10,7 +10,6 @@
 #include "amperebleed/crypto/rsa.hpp"
 #include "amperebleed/dnn/zoo.hpp"
 #include "amperebleed/dpu/dpu.hpp"
-#include "amperebleed/fpga/bitstream.hpp"
 #include "amperebleed/fpga/power_virus.hpp"
 #include "amperebleed/fpga/ring_oscillator.hpp"
 #include "amperebleed/fpga/rsa_circuit.hpp"
@@ -26,9 +25,7 @@ TEST(EndToEnd, PowerVirusStepIsVisibleToUnprivilegedAttacker) {
   virus.set_active_groups(sim::seconds(1), 80);
 
   soc::Soc soc(soc::zcu102_config(1));
-  fpga::Bitstream bitstream("victim");
-  bitstream.add(virus.descriptor());
-  bitstream.program(soc.fabric());
+  soc.fabric().deploy(virus.descriptor());
   soc.add_activity(virus.activity());
   soc.finalize();
 
@@ -150,12 +147,10 @@ TEST(EndToEnd, EverythingFitsOnTheZcu102Together) {
   key.private_exponent = crypto::exponent_with_hamming_weight(1024, 512, 1);
   fpga::RsaCircuit rsa(fpga::RsaCircuitConfig{}, std::move(key));
 
-  fpga::Bitstream bs("combined");
-  bs.add(dpu.descriptor());
-  bs.add(ro.descriptor());
-  bs.add(rsa.descriptor());
-  EXPECT_NO_THROW(bs.program(soc.fabric()));
-  EXPECT_TRUE(bs.contains_encrypted_ip());
+  EXPECT_NO_THROW(soc.fabric().deploy(dpu.descriptor()));
+  EXPECT_NO_THROW(soc.fabric().deploy(ro.descriptor()));
+  EXPECT_NO_THROW(soc.fabric().deploy(rsa.descriptor()));
+  EXPECT_TRUE(rsa.descriptor().encrypted);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
-# Fails when libamperebleed carries a test oracle, a tool's internals or a
-# retired second format. Oracles belong in tests/support and the
-# bench_compare internals in tools/; a fitted tree is ForestArena rows only,
-# and the service persists only snapshots and its journal. This keeps any of
+# Fails when libamperebleed carries a test oracle, a tool's internals, a
+# retired second format or a deleted capability that nothing called.
+# Oracles belong in tests/support and the bench_compare internals in tools/;
+# a fitted tree is ForestArena rows only, and the service persists only
+# snapshots and its journal. Traces are read live from hwmon, never from a
+# trace file; circuits deploy straight onto the fabric; run records carry no
+# repetition samples; and metrics snapshots are JSON only. This keeps any of
 # them from creeping back into the shipped library. Run as
 #
 #   cmake -DNM=nm -DLIBRARY=libamperebleed.a -DSOURCE_DIR=src \
@@ -33,7 +36,12 @@ foreach(pattern
     "DecisionTree::"
     "encode_forest_file"
     "encode_dataset_file"
-    "encode_profile_file")
+    "encode_profile_file"
+    "save_trace_csv"
+    "load_trace_csv"
+    "fpga::Bitstream"
+    "RunRecord::add_sample"
+    "MetricsRegistry::to_csv")
   string(FIND "${symbols}" "${pattern}" at)
   if(NOT at EQUAL -1)
     list(APPEND failures "symbol matching '${pattern}'")
@@ -53,8 +61,15 @@ if(NOT at EQUAL -1)
   list(APPEND failures "DecisionTree class")
 endif()
 
+# WhiteNoise was header-only, so it too would leave no symbol.
+file(READ "${SOURCE_DIR}/amperebleed/sim/noise.hpp" noise_header)
+string(FIND "${noise_header}" "class WhiteNoise" at)
+if(NOT at EQUAL -1)
+  list(APPEND failures "WhiteNoise class")
+endif()
+
 if(failures)
   list(JOIN failures "\n  " listing)
   message(FATAL_ERROR "libamperebleed carries:\n  ${listing}")
 endif()
-message(STATUS "libamperebleed carries no oracle, tool internals or retired format")
+message(STATUS "libamperebleed carries no oracle, tool internals, retired format or deleted capability")

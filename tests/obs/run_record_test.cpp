@@ -51,24 +51,6 @@ TEST(RunRecord, NumbersTextAndOverwrite) {
   EXPECT_DOUBLE_EQ(doc.find("numbers")->find("accuracy")->as_number(), 0.91);
   EXPECT_EQ(doc.find("numbers")->find("traces")->as_integer(), 1000);
   EXPECT_EQ(doc.find("text")->find("note")->as_string(), "quick");
-  // No samples recorded -> no "samples" key at all.
-  EXPECT_EQ(doc.find("samples"), nullptr);
-}
-
-TEST(RunRecord, SamplesRoundTripForMannWhitney) {
-  RunRecord record("bench");
-  for (double v : {10.0, 12.0, 11.0}) record.add_sample("wall_ms", v);
-  record.add_sample("snr_db", 20.5);
-
-  const util::Json reparsed = util::Json::parse(record.to_json().dump(2));
-  const util::Json* samples = reparsed.find("samples");
-  ASSERT_NE(samples, nullptr);
-  const util::Json* wall = samples->find("wall_ms");
-  ASSERT_NE(wall, nullptr);
-  ASSERT_EQ(wall->size(), 3u);
-  EXPECT_DOUBLE_EQ(wall->at(0).as_number(), 10.0);
-  EXPECT_DOUBLE_EQ(wall->at(2).as_number(), 11.0);
-  EXPECT_EQ(samples->find("snr_db")->size(), 1u);
 }
 
 TEST(RunRecord, WriteAndDefaultPath) {
@@ -100,8 +82,7 @@ TEST(RunRecord, ConcurrentMutationAndSerializationIsSafe) {
       for (int i = 0; i < 2000; ++i) {
         record.set_number("metric_" + std::to_string(t),
                           static_cast<double>(i));
-        record.add_sample("samples_" + std::to_string(t),
-                          static_cast<double>(i));
+        record.set_text("text_" + std::to_string(t), std::to_string(i));
       }
     });
   }
@@ -119,8 +100,8 @@ TEST(RunRecord, ConcurrentMutationAndSerializationIsSafe) {
     EXPECT_DOUBLE_EQ(
         doc.find("numbers")->find("metric_" + std::to_string(t))->as_number(),
         1999.0);
-    EXPECT_EQ(doc.find("samples")->find("samples_" + std::to_string(t))->size(),
-              2000u);
+    EXPECT_EQ(doc.find("text")->find("text_" + std::to_string(t))->as_string(),
+              "1999");
   }
 }
 

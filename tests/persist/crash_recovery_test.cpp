@@ -392,6 +392,41 @@ TEST_F(CrashRecoveryTest, RestoredMonitorFollowsTheRecoveringConfig) {
   EXPECT_TRUE(drift_references(without_drift).empty());
 }
 
+// A retired tenant never classifies again, so it holds no drift monitor:
+// not after a live retire, and not after recovery, whether the retire comes
+// back by journal replay or from a snapshot.
+TEST_F(CrashRecoveryTest, RetiredTenantHoldsNoDriftMonitor) {
+  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  std::vector<Request> script = make_script(seed);
+  script.push_back(control_request(RequestKind::Retire, "beta"));
+  const std::string dir = fresh_dir("retired_drift");
+  const auto check = [](const ClassificationService& service) {
+    ASSERT_NE(service.tenant("beta"), nullptr);
+    EXPECT_EQ(service.tenant("beta")->state(), TenantSession::State::Retired);
+    EXPECT_EQ(service.tenant("beta")->fingerprinter().drift_monitor(),
+              nullptr);
+    const auto references = drift_references(service);
+    ASSERT_EQ(references.size(), 1u);
+    EXPECT_EQ(references[0].first, "alpha");
+  };
+  {
+    ClassificationService live(durable_config(dir, 1000, true));
+    run_script(live, script);
+    check(live);
+  }
+  {
+    ClassificationService replayed(durable_config(dir, 1000, true));
+    EXPECT_EQ(replayed.storage().snapshot_seq, 0u);
+    EXPECT_EQ(replayed.storage().recovered_records, script.size() - 3);
+    check(replayed);
+    ASSERT_TRUE(replayed.snapshot_now());
+  }
+  ClassificationService restored(durable_config(dir, 1000, true));
+  EXPECT_GT(restored.storage().snapshot_seq, 0u);
+  EXPECT_EQ(restored.storage().recovered_records, 0u);
+  check(restored);
+}
+
 TEST_F(CrashRecoveryTest, RecoveryAccountsForEveryJournalRecord) {
   const std::uint64_t seed = faults::FaultPlan::from_env().seed;
   const std::vector<Request> script = make_script(seed);

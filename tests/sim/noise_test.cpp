@@ -8,26 +8,6 @@
 namespace amperebleed::sim {
 namespace {
 
-TEST(WhiteNoise, MomentsMatchConfig) {
-  WhiteNoise noise(2.0, 42);
-  const int n = 100'000;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const double x = noise.sample();
-    sum += x;
-    sum_sq += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(std::sqrt(sum_sq / n), 2.0, 0.05);
-}
-
-TEST(WhiteNoise, DeterministicForSeed) {
-  WhiteNoise a(1.0, 7);
-  WhiteNoise b(1.0, 7);
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(a.sample(), b.sample());
-}
-
 TEST(OrnsteinUhlenbeck, StartsAtMean) {
   OrnsteinUhlenbeck ou(5.0, 1.0, 0.5, 1);
   EXPECT_DOUBLE_EQ(ou.value(), 5.0);

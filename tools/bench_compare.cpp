@@ -10,8 +10,8 @@
 // the LAST pair — the gate asks "did the newest change regress?".
 //
 // Flags:
-//   --threshold X        relative-delta threshold (default 0.10)
-//   --alpha X            Mann-Whitney significance level (default 0.01)
+//   --threshold X        relative-delta threshold (default 0.10); a finite
+//                        number >= 0, else exit 2
 //   --metrics a,b,...    only compare metrics whose key contains a substring
 //   --exclude a,b,...    skip metrics whose key contains a substring
 //   --force              compare despite hostname/build-type mismatches
@@ -51,9 +51,9 @@ struct Cli {
 
 void usage(std::FILE* out) {
   std::fputs(
-      "usage: bench_compare [--threshold X] [--alpha X] [--metrics a,b]\n"
-      "                     [--exclude a,b] [--force] [--stages] [--quality]\n"
-      "                     [--json] [--verbose] SNAPSHOT SNAPSHOT [...]\n"
+      "usage: bench_compare [--threshold X] [--metrics a,b] [--exclude a,b]\n"
+      "                     [--force] [--stages] [--quality] [--json]\n"
+      "                     [--verbose] SNAPSHOT SNAPSHOT [...]\n"
       "       (SNAPSHOT = BENCH_*.json file or run_all.sh trajectory dir;\n"
       "        also accepts --baseline A --current B)\n",
       out);
@@ -80,9 +80,7 @@ Cli parse_cli(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threshold") {
-      cli.options.threshold = std::stod(next());
-    } else if (arg == "--alpha") {
-      cli.options.alpha = std::stod(next());
+      cli.options.threshold = amperebleed::tools::parse_threshold(next());
     } else if (arg == "--metrics") {
       cli.options.include = split_list(next());
     } else if (arg == "--exclude") {

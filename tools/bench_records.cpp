@@ -61,18 +61,6 @@ BenchRecord parse_bench_record(const util::Json& doc,
       if (v != nullptr && v->is_string()) record.env[key] = v->as_string();
     }
   }
-  if (const util::Json* samples = doc.find("samples");
-      samples != nullptr && samples->is_object()) {
-    for (const auto& key : samples->keys()) {
-      const util::Json* arr = samples->find(key);
-      if (arr == nullptr || !arr->is_array()) continue;
-      std::vector<double>& values = record.samples[key];
-      values.reserve(arr->size());
-      for (std::size_t i = 0; i < arr->size(); ++i) {
-        if (arr->at(i).is_number()) values.push_back(arr->at(i).as_number());
-      }
-    }
-  }
   return record;
 }
 
@@ -123,67 +111,20 @@ std::vector<BenchRecord> load_records(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Comparison
 
-MannWhitneyResult mann_whitney_u(std::span<const double> a,
-                                 std::span<const double> b) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("mann_whitney_u: empty sample");
+double parse_threshold(const std::string& text) {
+  std::size_t used = 0;
+  double value = std::numeric_limits<double>::quiet_NaN();
+  try {
+    value = std::stod(text, &used);
+  } catch (const std::logic_error&) {
+    // Not a number, or out of double range: value stays NaN.
   }
-  const std::size_t na = a.size();
-  const std::size_t nb = b.size();
-  const std::size_t n = na + nb;
-
-  // Pool, remembering group membership, and assign midranks.
-  std::vector<std::pair<double, bool>> pooled;  // value, is_from_a
-  pooled.reserve(n);
-  for (double v : a) pooled.emplace_back(v, true);
-  for (double v : b) pooled.emplace_back(v, false);
-  std::sort(pooled.begin(), pooled.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-
-  double rank_sum_a = 0.0;
-  double tie_term = 0.0;  // sum over tie groups of t^3 - t
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j < n && pooled[j].first == pooled[i].first) ++j;
-    const double t = static_cast<double>(j - i);
-    // Midrank of the tie group [i, j) with 1-based ranks.
-    const double midrank = (static_cast<double>(i + 1) +
-                            static_cast<double>(j)) / 2.0;
-    for (std::size_t k = i; k < j; ++k) {
-      if (pooled[k].second) rank_sum_a += midrank;
-    }
-    tie_term += t * t * t - t;
-    i = j;
+  if (used != text.size() || !std::isfinite(value) || value < 0.0) {
+    throw std::invalid_argument(
+        "--threshold wants a finite number >= 0, got '" + text + "'");
   }
-
-  MannWhitneyResult result;
-  const double dna = static_cast<double>(na);
-  const double dnb = static_cast<double>(nb);
-  result.u = rank_sum_a - dna * (dna + 1.0) / 2.0;
-
-  const double mu = dna * dnb / 2.0;
-  const double dn = static_cast<double>(n);
-  double var = dna * dnb / 12.0 * (dn + 1.0);
-  if (dn > 1.0) {
-    var = dna * dnb / 12.0 * ((dn + 1.0) - tie_term / (dn * (dn - 1.0)));
-  }
-  if (var <= 0.0) {
-    // All pooled values identical: no evidence of a shift.
-    result.z = 0.0;
-    result.p_value = 1.0;
-    return result;
-  }
-  // Continuity correction towards the mean.
-  const double diff = result.u - mu;
-  const double corrected =
-      diff > 0.5 ? diff - 0.5 : (diff < -0.5 ? diff + 0.5 : 0.0);
-  result.z = corrected / std::sqrt(var);
-  result.p_value =
-      std::clamp(std::erfc(std::fabs(result.z) / std::sqrt(2.0)), 0.0, 1.0);
-  return result;
+  return value;
 }
-
 
 MetricDirection metric_direction(std::string_view key) {
   static constexpr std::string_view kLowerIsBetter[] = {
@@ -265,7 +206,6 @@ void check_env(const BenchRecord& baseline, const BenchRecord& current,
 }
 
 MetricComparison compare_metric(const BenchRecord& baseline,
-                                const BenchRecord& current,
                                 const std::string& key, double base_value,
                                 double cur_value,
                                 const CompareOptions& options) {
@@ -288,27 +228,11 @@ MetricComparison compare_metric(const BenchRecord& baseline,
   const double badness = comparison.direction == MetricDirection::LowerIsBetter
                              ? comparison.rel_delta
                              : -comparison.rel_delta;
-  Verdict fast = Verdict::Unchanged;
   if (badness > options.threshold) {
-    fast = Verdict::Regression;
+    comparison.verdict = Verdict::Regression;
   } else if (badness < -options.threshold) {
-    fast = Verdict::Improvement;
+    comparison.verdict = Verdict::Improvement;
   }
-
-  // Noise-aware path: with repetition samples on both sides, a delta only
-  // counts when Mann-Whitney rejects the null as well.
-  const auto base_samples = baseline.samples.find(key);
-  const auto cur_samples = current.samples.find(key);
-  if (fast != Verdict::Unchanged && base_samples != baseline.samples.end() &&
-      cur_samples != current.samples.end() &&
-      !base_samples->second.empty() && !cur_samples->second.empty()) {
-    const auto result =
-        mann_whitney_u(base_samples->second, cur_samples->second);
-    comparison.used_mann_whitney = true;
-    comparison.p_value = result.p_value;
-    if (result.p_value >= options.alpha) fast = Verdict::Unchanged;
-  }
-  comparison.verdict = fast;
   return comparison;
 }
 
@@ -346,8 +270,8 @@ CompareReport compare_records(const std::vector<BenchRecord>& baseline,
         }
         continue;
       }
-      MetricComparison comparison = compare_metric(
-          base, cur, key, base_value, cur_value->second, options);
+      MetricComparison comparison =
+          compare_metric(base, key, base_value, cur_value->second, options);
       comparison.informational = role == KeyRole::Informational;
       report.comparisons.push_back(std::move(comparison));
     }
@@ -410,9 +334,6 @@ util::Json CompareReport::to_json() const {
     if (c.informational) {
       entry.set("informational", util::Json::boolean(true));
     }
-    if (c.used_mann_whitney) {
-      entry.set("mann_whitney_p", util::Json::number(c.p_value));
-    }
     list.push_back(std::move(entry));
   }
   root.set("comparisons", std::move(list));
@@ -439,13 +360,9 @@ std::string CompareReport::to_table(bool verbose) const {
         std::isfinite(c.rel_delta)
             ? util::format("%+8.2f%%", c.rel_delta * 100.0)
             : std::string("     +inf");
-    std::string verdict = verdict_name(c.verdict);
-    if (c.used_mann_whitney) {
-      verdict += util::format(" (MWU p=%.4g)", c.p_value);
-    }
     out += util::format("%-28s %-28s %14.6g %14.6g %9s %s\n", c.bench.c_str(),
                         c.key.c_str(), c.baseline, c.current, delta.c_str(),
-                        verdict.c_str());
+                        verdict_name(c.verdict));
   };
   // Interesting rows first; unchanged rows only in verbose mode.
   // Informational (stage_/slo_) rows go in their own non-gating section.

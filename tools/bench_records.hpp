@@ -1,8 +1,7 @@
 #pragma once
 // Perf-trajectory comparison of bench run records: loads BENCH_*.json files
 // (or whole trajectory directories produced by bench/run_all.sh), matches
-// records by bench name, and computes per-metric deltas with noise-aware
-// verdicts. This is what turns the accumulated run records into a
+// records by bench name, and computes per-metric deltas and verdicts. This is what turns the accumulated run records into a
 // regression *gate*: tools/bench_compare.cpp wraps it into a CLI that exits
 // non-zero on a regression or a missing gated metric, and CI runs it
 // against the committed bench/baseline/ snapshot. It is the CLI's internals,
@@ -11,10 +10,8 @@
 // Verdict policy per metric:
 //  * direction is inferred from the key (latency/time/error-ish keys are
 //    lower-is-better, everything else higher-is-better),
-//  * the fast path flags |relative delta| > threshold in the bad direction,
-//  * when both records carry repetition samples for the key, a Mann-Whitney
-//    U test must ALSO reject (p < alpha) before a delta counts — a noisy
-//    wall-clock wiggle inside the null distribution stays "unchanged".
+//  * a |relative delta| beyond the threshold is a regression in the bad
+//    direction and an improvement in the good one,
 //  * a gated metric the baseline has and the current record lacks fails
 //    the gate, as does a baseline bench with gated metrics that the current
 //    snapshot lacks: a bench that stops writing a gated number must not
@@ -27,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,7 +38,6 @@ struct BenchRecord {
   std::map<std::string, double> numbers;  // includes "wall_seconds"
   std::map<std::string, std::string> text;
   std::map<std::string, std::string> env;  // git_sha / hostname / build_type
-  std::map<std::string, std::vector<double>> samples;
   std::string source_path;  // where it was loaded from (diagnostics)
 };
 
@@ -68,7 +63,7 @@ enum class MetricDirection {
 MetricDirection metric_direction(std::string_view key);
 
 enum class Verdict {
-  Unchanged,    // within threshold, or not statistically significant
+  Unchanged,    // within threshold
   Improvement,  // beyond threshold in the good direction
   Regression,   // beyond threshold in the bad direction
 };
@@ -84,18 +79,14 @@ struct MetricComparison {
   double rel_delta = 0.0;  // abs_delta / |baseline| (0 when baseline == 0)
   MetricDirection direction = MetricDirection::HigherIsBetter;
   Verdict verdict = Verdict::Unchanged;
-  bool used_mann_whitney = false;
-  double p_value = 1.0;  // Mann-Whitney two-sided p (1 when unused)
   /// Informational rows (stage_/slo_ pipeline attribution) never gate:
   /// excluded from regressions()/improvements() regardless of verdict.
   bool informational = false;
 };
 
 struct CompareOptions {
-  /// Relative-delta threshold for the fast-path verdict.
+  /// Relative-delta threshold for a verdict other than Unchanged.
   double threshold = 0.10;
-  /// Mann-Whitney significance level for sampled metrics.
-  double alpha = 0.01;
   /// Proceed despite hostname/build_type mismatches.
   bool force = false;
   /// Only compare metrics whose key contains one of these substrings
@@ -137,20 +128,11 @@ struct CompareReport {
   [[nodiscard]] std::string to_table(bool verbose = false) const;
 };
 
-struct MannWhitneyResult {
-  double u = 0.0;        // U statistic of sample `a`
-  double z = 0.0;        // tie-corrected normal approximation (0 when df)
-  double p_value = 1.0;  // two-sided
-};
-
-/// Two-sample Mann-Whitney U (Wilcoxon rank-sum) test: distribution-free
-/// location shift, robust to the outliers wall-clock benchmark samples carry.
-/// Uses midranks for ties, the tie-corrected normal approximation and a 0.5
-/// continuity correction (fine for the n >= ~8 repetition counts the bench
-/// harness records). Throws on empty samples; two all-identical samples give
-/// p = 1.
-MannWhitneyResult mann_whitney_u(std::span<const double> a,
-                                 std::span<const double> b);
+/// Parse a --threshold value: a finite, non-negative number with nothing
+/// after it. Throws std::invalid_argument otherwise ("nan", "inf", "-0.1",
+/// "0.1abc"), since a NaN threshold would read every metric as Unchanged
+/// and silently open the gate.
+double parse_threshold(const std::string& text);
 
 /// Compare two snapshots (baseline vs current), matching records by bench
 /// name. A bench only the current snapshot has becomes a warning — a new
