@@ -1,6 +1,7 @@
 #include "amperebleed/core/fingerprint.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "amperebleed/core/features.hpp"
 #include "amperebleed/core/sampler.hpp"
@@ -33,11 +34,12 @@ std::vector<dnn::Model> limited_zoo(std::size_t limit) {
   return zoo;
 }
 
-/// One victim run: fresh SoC, DPU inference loop of `model`, traces from all
-/// table3 channels starting at a jittered trigger offset.
-std::vector<Trace> record_run(const dnn::Model& model,
-                              const FingerprintConfig& config,
-                              std::size_t n_samples, std::uint64_t run_seed) {
+}  // namespace
+
+std::vector<Trace> record_victim_run(const dnn::Model& model,
+                                     const FingerprintConfig& config,
+                                     std::size_t n_samples,
+                                     std::uint64_t run_seed) {
   // Acquire stage: the whole victim run — SoC build, DPU schedule, sensor
   // polling — is one acquisition unit in the pipeline timeline.
   obs::StageSpan stage(obs::Stage::Acquire);
@@ -54,7 +56,7 @@ std::vector<Trace> record_run(const dnn::Model& model,
                             sim::milliseconds(200).ns};
   auto run = dpu.run(model, sim::TimeNs{0}, run_end,
                      util::hash_combine(run_seed, 0xd9));
-  const power::RailActivity background = soc::make_background_os_activity(
+  power::RailActivity background = soc::make_background_os_activity(
       config.background, run_end, util::hash_combine(run_seed, 0x05));
 
   soc::SocConfig soc_config =
@@ -66,8 +68,8 @@ std::vector<Trace> record_run(const dnn::Model& model,
   }
   soc::Soc soc(soc_config);
   soc.fabric().deploy(dpu.descriptor());
-  soc.add_activity(run.activity);
-  soc.add_activity(background);
+  soc.add_activity(std::move(run.activity));
+  soc.add_activity(std::move(background));
   soc.finalize();
 
   // Per-run chaos: the injector's seed mixes the plan seed with the run
@@ -88,8 +90,6 @@ std::vector<Trace> record_run(const dnn::Model& model,
   sc.sample_count = n_samples;
   return sampler.collect_multi(table3_channels(), jitter, sc);
 }
-
-}  // namespace
 
 FingerprintTraceSet collect_fingerprint_traces(
     const FingerprintConfig& config) {
@@ -112,8 +112,9 @@ FingerprintTraceSet collect_fingerprint_traces(
   std::vector<std::vector<Trace>> recorded(runs);
   util::parallel_for(runs, [&](std::size_t r) {
     const std::size_t model_idx = r / config.traces_per_model;
-    recorded[r] = record_run(zoo[model_idx], config, out.samples_per_trace,
-                             util::hash_combine(config.seed, r));
+    recorded[r] =
+        record_victim_run(zoo[model_idx], config, out.samples_per_trace,
+                          util::hash_combine(config.seed, r));
   });
 
   out.per_channel.assign(table3_channels().size(),
@@ -195,7 +196,7 @@ std::vector<Fig3Trace> collect_fig3_traces(const FingerprintConfig& config) {
     soc::Soc soc(
         soc::zcu102_config(util::hash_combine(config.seed, 0xf13 + m)));
     soc.fabric().deploy(dpu.descriptor());
-    soc.add_activity(run.activity);
+    soc.add_activity(std::move(run.activity));
     soc.add_activity(soc::make_background_os_activity(
         config.background, run_end,
         util::hash_combine(config.seed, 0xb05 + m)));

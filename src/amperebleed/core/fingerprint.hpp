@@ -73,6 +73,17 @@ struct FingerprintTraceSet {
   sim::TimeNs sample_period{0};
 };
 
+/// One victim run: a fresh SoC, `model`'s DPU inference loop plus
+/// background OS activity, and `n_samples` samples of every table3 channel
+/// from a jittered trigger offset (under the config's fault plan and
+/// resilience policy). Every random choice is drawn from `run_seed`;
+/// collect_fingerprint_traces records run r with
+/// run_seed = hash_combine(config.seed, r).
+std::vector<Trace> record_victim_run(const dnn::Model& model,
+                                     const FingerprintConfig& config,
+                                     std::size_t n_samples,
+                                     std::uint64_t run_seed);
+
 /// Offline phase: simulate every (model, repetition) run and record traces.
 FingerprintTraceSet collect_fingerprint_traces(const FingerprintConfig& config);
 

@@ -1,6 +1,7 @@
 #include "amperebleed/core/rsa_attack.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "amperebleed/core/sampler.hpp"
 #include "amperebleed/crypto/rsa.hpp"
@@ -45,7 +46,7 @@ RsaAttackResult run_rsa_attack(const RsaAttackConfig& config) {
 
     soc::Soc soc(soc::zcu102_config(util::hash_combine(config.seed, k)));
     soc.fabric().deploy(circuit.descriptor());
-    soc.add_activity(schedule.activity);
+    soc.add_activity(std::move(schedule.activity));
     soc.finalize();
 
     // Attacker: 1 kHz unprivileged polling of current and power.

@@ -130,6 +130,17 @@ DpuAccelerator::RunResult DpuAccelerator::run(const dnn::Model& model,
     timings.push_back(layer_timing(layer));
   }
 
+  // Size each rail once. An inference appends at most L + 1 segments to
+  // the FPGA and DRAM rails (L layers) and 3 to each CPU rail; the CPU
+  // jitter moves the inference count around end / period by a few percent.
+  const auto expected = static_cast<std::size_t>(
+      (end - start).ns / std::max<std::int64_t>(1, inference_period(model).ns));
+  const std::size_t inferences = expected + expected / 16 + 1;
+  fpga_rail.reserve(inferences * (timings.size() + 1));
+  dram_rail.reserve(inferences * (timings.size() + 1));
+  fpd_rail.reserve(inferences * 3 + 1);
+  lpd_rail.reserve(inferences * 3);
+
   sim::TimeNs cursor = start;
   while (cursor < end) {
     // ARM core 0: preprocessing (resize + quantize the input image).

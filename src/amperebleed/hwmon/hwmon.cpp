@@ -69,11 +69,18 @@ long long HwmonSubsystem::harden(const std::string& path, long long raw,
 }
 
 std::string HwmonSubsystem::device_path(int index) const {
-  return util::format("%s/hwmon%d", kClassDir, index);
+  std::string path = kClassDir;
+  path += "/hwmon";
+  path += std::to_string(index);
+  return path;
 }
 
 std::string HwmonSubsystem::attr_path(int index, std::string_view attr) const {
-  return device_path(index) + "/" + std::string(attr);
+  // Built by appending: the sampler asks for a path on every read.
+  std::string path = device_path(index);
+  path += '/';
+  path += attr;
+  return path;
 }
 
 int HwmonSubsystem::register_ina226(const std::string& label,

@@ -1,5 +1,6 @@
 #include "amperebleed/hwmon/vfs.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -76,8 +77,14 @@ VirtualFs::VirtualFs() : root_(std::make_unique<Node>()) {
 }
 
 const VirtualFs::Node* VirtualFs::find(std::string_view path) const {
+  // split_path's components (the non-empty pieces between '/'), walked as
+  // views: every read comes through here.
   const Node* node = root_.get();
-  for (const auto& component : util::split_path(path)) {
+  for (std::size_t start = 0; start <= path.size();) {
+    const std::size_t slash = std::min(path.find('/', start), path.size());
+    const std::string_view component = path.substr(start, slash - start);
+    start = slash + 1;
+    if (component.empty()) continue;
     if (!node->directory) return nullptr;
     const auto it = node->children.find(component);
     if (it == node->children.end()) return nullptr;

@@ -130,7 +130,7 @@ class VirtualFs {
     int mode = 0;
     ReadFn reader;
     WriteFn writer;
-    std::map<std::string, std::unique_ptr<Node>> children;
+    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
   };
 
   [[nodiscard]] const Node* find(std::string_view path) const;

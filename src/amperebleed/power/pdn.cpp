@@ -49,6 +49,16 @@ sim::PiecewiseConstant PdnModel::voltage_signal(
   sim::PiecewiseConstant v(steady_voltage(rail_current.initial_value()));
   double prev_current = rail_current.initial_value();
   const auto& segs = rail_current.segments();
+  // One spike per load step plus one settle point per step that the next
+  // step does not pre-empt: size the output once.
+  std::size_t settles = 0;
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    if (i + 1 >= segs.size() ||
+        segs[i + 1].start > segs[i].start + config_.transient_width) {
+      ++settles;
+    }
+  }
+  v.reserve(segs.size() + settles);
   for (std::size_t i = 0; i < segs.size(); ++i) {
     const auto& seg = segs[i];
     const double delta_i = seg.value - prev_current;

@@ -32,9 +32,10 @@ sim::PiecewiseConstant ThermalModel::temperature_signal(
 
   const double decay =
       std::exp(-config_.step.seconds() / config_.tau_seconds);
+  std::size_t cursor = 0;
   for (sim::TimeNs t{config_.step}; t < end; t += config_.step) {
     // Mean power over the elapsed step drives the target temperature.
-    const double p = power_watts.mean(t - config_.step, t);
+    const double p = power_watts.mean(t - config_.step, t, cursor);
     const double target = steady_temperature(p);
     temperature = target + (temperature - target) * decay;
     out.append(t, temperature);

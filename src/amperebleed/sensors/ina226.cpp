@@ -51,6 +51,8 @@ void Ina226::bind(const sim::PiecewiseConstant* rail_current_amps,
   }
   rail_current_ = rail_current_amps;
   bus_voltage_ = bus_voltage_volts;
+  current_cursor_ = 0;
+  voltage_cursor_ = 0;
 }
 
 sim::TimeNs Ina226::update_interval() const {
@@ -80,7 +82,8 @@ void Ina226::complete_conversion(sim::TimeNs conversion_start) {
         noise_.step(sim::TimeNs{config_.shunt_conv_time.ns +
                                 config_.bus_conv_time.ns});
 
-    const double i_true = rail_current_->mean(t, t + config_.shunt_conv_time);
+    const double i_true = rail_current_->mean(t, t + config_.shunt_conv_time,
+                                              current_cursor_);
     // Multiplicative drift plus self-heating nonlinearity (see
     // RailNoiseConfig::thermal_nonlinearity_per_amp).
     const double thermal =
@@ -91,7 +94,8 @@ void Ina226::complete_conversion(sim::TimeNs conversion_start) {
     shunt_sum += std::round(v_shunt / kShuntVoltageLsbVolts);
     t += config_.shunt_conv_time;
 
-    const double v_true = bus_voltage_->mean(t, t + config_.bus_conv_time);
+    const double v_true = bus_voltage_->mean(t, t + config_.bus_conv_time,
+                                             voltage_cursor_);
     const double v_meas = v_true + noise.voltage_offset_volts;
     bus_sum += std::round(v_meas / kBusVoltageLsbVolts);
     t += config_.bus_conv_time;

@@ -57,7 +57,8 @@ class Ina226 {
          std::uint64_t seed);
 
   /// Bind the signals this sensor digitizes. Pointers must outlive the
-  /// sensor. Must be called before advance_to().
+  /// sensor. Must be called before advance_to(). Rebinding is allowed;
+  /// conversions after it read the new signals.
   void bind(const sim::PiecewiseConstant* rail_current_amps,
             const sim::PiecewiseConstant* bus_voltage_volts);
 
@@ -105,6 +106,10 @@ class Ina226 {
   power::RailNoiseProcess noise_;
   const sim::PiecewiseConstant* rail_current_ = nullptr;
   const sim::PiecewiseConstant* bus_voltage_ = nullptr;
+  // Segment cursors of the bound signals (PiecewiseConstant's cursor
+  // integrate): conversion windows only move forward.
+  std::size_t current_cursor_ = 0;
+  std::size_t voltage_cursor_ = 0;
 
   sim::TimeNs now_{0};
   sim::TimeNs next_conversion_start_{0};

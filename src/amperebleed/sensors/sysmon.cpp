@@ -21,6 +21,7 @@ void Sysmon::bind(const sim::PiecewiseConstant* temperature_celsius) {
     throw std::invalid_argument("Sysmon::bind: null signal");
   }
   temperature_ = temperature_celsius;
+  cursor_ = 0;
 }
 
 void Sysmon::advance_to(sim::TimeNs t) {
@@ -33,7 +34,8 @@ void Sysmon::advance_to(sim::TimeNs t) {
   while (next_conversion_ + config_.conversion_period <= t) {
     const sim::TimeNs window_end =
         next_conversion_ + config_.conversion_period;
-    const double true_temp = temperature_->mean(next_conversion_, window_end);
+    const double true_temp =
+        temperature_->mean(next_conversion_, window_end, cursor_);
     const double noisy =
         true_temp + rng_.gaussian(0.0, config_.temp_noise_celsius);
     const double code =

@@ -49,6 +49,7 @@ class Sysmon {
   SysmonConfig config_;
   util::Rng rng_;
   const sim::PiecewiseConstant* temperature_ = nullptr;
+  std::size_t cursor_ = 0;  // segment cursor into *temperature_
   sim::TimeNs now_{0};
   sim::TimeNs next_conversion_{0};
   std::uint16_t code_ = 0;

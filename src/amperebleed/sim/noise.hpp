@@ -9,7 +9,9 @@ namespace amperebleed::sim {
 
 /// Ornstein-Uhlenbeck process: dx = theta*(mu - x)*dt + sigma*dW.
 /// step(dt) advances the process by dt using the exact discretization, so the
-/// statistics do not depend on the step size used by the caller.
+/// statistics do not depend on the step size used by the caller. Callers
+/// step at a fixed cadence, so the decay and noise stddev of the last dt
+/// are kept and reused while dt repeats.
 class OrnsteinUhlenbeck {
  public:
   /// @param mu     long-run mean
@@ -31,6 +33,9 @@ class OrnsteinUhlenbeck {
   double sigma_;
   double x_;
   util::Rng rng_;
+  std::int64_t memo_dt_ns_ = 0;  // 0: nothing memoised (step(0) is a no-op)
+  double memo_decay_ = 1.0;
+  double memo_stddev_ = 0.0;
 };
 
 }  // namespace amperebleed::sim

@@ -41,6 +41,18 @@ class PiecewiseConstant {
   /// Mean value over [t0, t1); returns value_at(t0) when the window is empty.
   [[nodiscard]] double mean(TimeNs t0, TimeNs t1) const;
 
+  /// Cursor forms of integrate/mean for a caller that walks windows forward
+  /// in time (a sensor's conversions). `cursor` is caller-held state: start
+  /// it at 0 for a signal and pass the same variable back on every call.
+  /// Each call seeks forward from it instead of binary-searching, then
+  /// leaves it at the window's last segment. A window that starts before
+  /// the cursor (or a cursor from another signal) costs one binary search,
+  /// never a wrong answer. The result is bit-identical to the
+  /// random-access form: both run the same summation loop.
+  [[nodiscard]] double integrate(TimeNs t0, TimeNs t1,
+                                 std::size_t& cursor) const;
+  [[nodiscard]] double mean(TimeNs t0, TimeNs t1, std::size_t& cursor) const;
+
   /// Minimum / maximum value attained over [t0, t1).
   [[nodiscard]] double min_over(TimeNs t0, TimeNs t1) const;
   [[nodiscard]] double max_over(TimeNs t0, TimeNs t1) const;
@@ -61,10 +73,24 @@ class PiecewiseConstant {
   /// Multiply every value (including the initial value) by `factor`.
   void scale(double factor);
 
+  /// Add `c` to every value (including the initial value), in place. The
+  /// result has exactly the segments of `*this + PiecewiseConstant(c)`:
+  /// a segment whose sum rounds to the value before it is dropped, as
+  /// append() drops it.
+  void offset(double c);
+
+  /// Capacity hint for a builder that knows (an upper bound on) how many
+  /// segments it will append.
+  void reserve(std::size_t segments) { segments_.reserve(segments); }
+
  private:
-  // Index of the segment active at t, or npos if t precedes all segments.
-  [[nodiscard]] std::size_t index_at(TimeNs t) const;
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  // Number of segments whose start is <= t: the active segment is the one
+  // before that count, or the initial value when it is 0.
+  [[nodiscard]] std::size_t count_at(TimeNs t) const;
+  // Integral over [t0, t1) given k = count_at(t0); returns with k at the
+  // count of the window's last segment. Precondition: t0 < t1.
+  [[nodiscard]] double integrate_from(TimeNs t0, TimeNs t1,
+                                      std::size_t& k) const;
 
   double initial_value_;
   std::vector<Segment> segments_;

@@ -1,6 +1,7 @@
 #include "amperebleed/soc/soc.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "amperebleed/sensors/board.hpp"
 #include "amperebleed/util/rng.hpp"
@@ -68,11 +69,11 @@ Soc::Soc(SocConfig config)
            power::PdnModel(config.pdn[2]), power::PdnModel(config.pdn[3])},
       hwmon_(std::make_unique<hwmon::HwmonSubsystem>(config.hwmon_policy)) {}
 
-void Soc::add_activity(const power::RailActivity& activity) {
+void Soc::add_activity(power::RailActivity activity) {
   if (finalized_) {
     throw std::logic_error("Soc::add_activity: platform already finalized");
   }
-  pending_ = has_pending_ ? pending_ + activity : activity;
+  pending_ = has_pending_ ? pending_ + activity : std::move(activity);
   has_pending_ = true;
 }
 
@@ -85,10 +86,9 @@ void Soc::finalize() {
   hwmon_->set_clock([this]() { return now_; });
 
   for (std::size_t i = 0; i < power::kRailCount; ++i) {
-    // Total rail current = board baseline + workload activity.
-    sim::PiecewiseConstant total = pending_.current[i];
-    sim::PiecewiseConstant baseline(config_.idle_current_amps[i]);
-    rail_current_[i] = total + baseline;
+    // Total rail current = workload activity + board baseline.
+    rail_current_[i] = std::move(pending_.current[i]);
+    rail_current_[i].offset(config_.idle_current_amps[i]);
     rail_voltage_[i] = pdn_[i].voltage_signal(rail_current_[i]);
 
     sensors_[i] = std::make_unique<sensors::Ina226>(
@@ -108,6 +108,7 @@ void Soc::finalize() {
     i2c_.attach(static_cast<std::uint8_t>(kIna226BaseAddress + i),
                 *i2c_adapters_.back());
   }
+  pending_ = power::RailActivity();
   if (config_.with_sysmon) {
     // Total die power (first order: rail current x nominal rail voltage)
     // drives the thermal model; the SYSMON digitizes the result.

@@ -68,11 +68,13 @@ class Soc {
   [[nodiscard]] fpga::Fabric& fabric() { return fabric_; }
   [[nodiscard]] const SocConfig& config() const { return config_; }
 
-  /// Accumulate workload activity. Only valid before finalize().
-  void add_activity(const power::RailActivity& activity);
+  /// Accumulate workload activity. Only valid before finalize(). The first
+  /// activity is kept as given: move it in to skip a copy.
+  void add_activity(power::RailActivity activity);
 
   /// Freeze the activity into per-rail current/voltage signals, bind the
-  /// sensors, and register them with hwmon. Callable exactly once.
+  /// sensors, and register them with hwmon. Callable exactly once. The
+  /// accumulated activity becomes the rail currents in place.
   void finalize();
   [[nodiscard]] bool finalized() const { return finalized_; }
 

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "amperebleed/core/features.hpp"
 #include "amperebleed/core/sampler.hpp"
 #include "amperebleed/dnn/zoo.hpp"
+#include "amperebleed/power/pdn.hpp"
+#include "amperebleed/sensors/ina226.hpp"
 #include "amperebleed/soc/process.hpp"
 #include "amperebleed/soc/soc.hpp"
 #include "amperebleed/util/rng.hpp"
@@ -140,62 +143,37 @@ FingerprintConfig pinned_run_config() {
   return c;
 }
 
-/// The run collect_fingerprint_traces records for run index 0.
-std::vector<Trace> record_pinned_run(const FingerprintConfig& config) {
-  const std::uint64_t run_seed = util::hash_combine(config.seed, 0);
-  util::Rng rng(run_seed);
-  const sim::TimeNs jitter{static_cast<std::int64_t>(
-      rng.uniform() * static_cast<double>(config.max_trigger_jitter.ns))};
-  dpu::DpuAccelerator dpu(config.dpu);
-  const sim::TimeNs run_end{config.trace_duration.ns + jitter.ns +
-                            sim::milliseconds(200).ns};
-  const auto run = dpu.run(dnn::build_zoo().front(), sim::TimeNs{0}, run_end,
-                           util::hash_combine(run_seed, 0xd9));
-  soc::Soc soc(soc::zcu102_config(util::hash_combine(run_seed, 0x50c)));
-  soc.fabric().deploy(dpu.descriptor());
-  soc.add_activity(run.activity);
-  soc.add_activity(soc::make_background_os_activity(
-      config.background, run_end, util::hash_combine(run_seed, 0x05)));
-  soc.finalize();
-
-  std::optional<faults::FaultInjector> injector;
-  if (config.fault_plan && config.fault_plan->any()) {
-    faults::FaultPlan plan = *config.fault_plan;
-    plan.seed = util::hash_combine(plan.seed, run_seed);
-    injector.emplace(plan);
-    injector->attach(soc.hwmon().fs());
-  }
-  Sampler sampler(soc);
-  sampler.set_resilience(config.resilience);
-  SamplerConfig sc;
-  sc.period = config.sample_period;
-  sc.sample_count =
-      samples_for_duration(config.trace_duration, config.sample_period);
-  return sampler.collect_multi(table3_channels(), jitter, sc);
-}
-
-/// FNV-1a over each sample's integer value and validity bit.
-std::uint64_t trace_hash(const Trace& trace) {
+/// FNV-1a over 64-bit words, byte by byte.
+struct Fnv1a {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t word) {
+  void mix(std::uint64_t word) {
     for (int byte = 0; byte < 8; ++byte) {
       h ^= (word >> (8 * byte)) & 0xffu;
       h *= 0x100000001b3ull;
     }
-  };
+  }
+};
+
+/// FNV-1a over each sample's integer value and validity bit.
+std::uint64_t trace_hash(const Trace& trace) {
+  Fnv1a fnv;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace[i], std::round(trace[i])) << "sample " << i;
-    mix(static_cast<std::uint64_t>(std::llround(trace[i])));
-    mix(trace.valid(i) ? 1u : 0u);
+    fnv.mix(static_cast<std::uint64_t>(std::llround(trace[i])));
+    fnv.mix(trace.valid(i) ? 1u : 0u);
   }
-  return h;
+  return fnv.h;
 }
 
 /// Records the pinned run, checks it is the run collect_fingerprint_traces
 /// turns into features, and returns one hash per table3 channel.
 std::vector<std::uint64_t> pinned_run_hashes(const FingerprintConfig& config,
                                              std::size_t* gaps) {
-  const std::vector<Trace> traces = record_pinned_run(config);
+  // The run collect_fingerprint_traces records for run index 0.
+  const std::vector<Trace> traces = record_victim_run(
+      dnn::build_zoo().front(), config,
+      samples_for_duration(config.trace_duration, config.sample_period),
+      util::hash_combine(config.seed, 0));
   const FingerprintTraceSet collected = collect_fingerprint_traces(config);
   EXPECT_EQ(traces.size(), collected.per_channel.size());
   std::vector<std::uint64_t> hashes;
@@ -244,6 +222,107 @@ TEST(FingerprintAcquisition, ChaosRunHashesArePinned) {
       0x3e65ec42ad4fb694ull,
       0x2eb3c72938f5d187ull};
   EXPECT_EQ(hashes, expected);
+}
+
+TEST(FingerprintAcquisition, ShortAveragingRunHashesArePinned) {
+  // AVG = 4: every conversion window is a quarter of the default, and the
+  // attacker polls at the matching 8.8 ms.
+  FingerprintConfig config = pinned_run_config();
+  config.sensor_avg_override = 4;
+  config.sample_period = sim::microseconds(8800);
+  config.trace_duration = sim::seconds(1);
+  std::size_t gaps = 0;
+  const auto hashes = pinned_run_hashes(config, &gaps);
+  EXPECT_EQ(gaps, 0u);
+  const std::vector<std::uint64_t> expected = {
+      0x4ea9d9b5433396ffull,
+      0x4964c17368c4ae11ull,
+      0xf8a5d772260bf7c4ull,
+      0xb30a33f9190b6cf7ull,
+      0x8a4d83df2b74419bull,
+      0x78055a27239bc242ull};
+  EXPECT_EQ(hashes, expected);
+}
+
+/// The pinned model's DPU schedule over [0, end).
+dpu::DpuAccelerator::RunResult pinned_dpu_run(sim::TimeNs end) {
+  return dpu::DpuAccelerator(pinned_run_config().dpu)
+      .run(dnn::build_zoo().front(), sim::TimeNs{0}, end, 0xd9);
+}
+
+TEST(FingerprintAcquisition, SysmonPlatformIsPinned) {
+  // With the SYSMON on, finalize scales and sums the four rail currents into
+  // die power and runs the thermal model over it; the AMS digitizes that.
+  const sim::TimeNs end = sim::seconds(1);
+  soc::SocConfig soc_config = soc::zcu102_config(0x50c);
+  soc_config.with_sysmon = true;
+  soc::Soc soc(soc_config);
+  soc.add_activity(pinned_dpu_run(end).activity);
+  soc.add_activity(soc::make_background_os_activity(
+      pinned_run_config().background, end, 0x05));
+  soc.finalize();
+
+  Fnv1a temperature;
+  for (const auto& seg : soc.die_temperature().segments()) {
+    temperature.mix(static_cast<std::uint64_t>(seg.start.ns));
+    temperature.mix(std::bit_cast<std::uint64_t>(seg.value));
+  }
+  Fnv1a readings;
+  for (sim::TimeNs t{0}; t < end; t += sim::milliseconds(5)) {
+    soc.advance_to(t);
+    readings.mix(soc.sysmon().raw_code());
+    for (power::Rail rail : power::kAllRails) {
+      readings.mix(
+          soc.sensor(rail).read_register(sensors::Ina226Register::Current));
+    }
+  }
+  EXPECT_EQ(soc.die_temperature().segment_count(), 2200u);
+  EXPECT_EQ(temperature.h, 0xf1e9d4b35e0f7d98ull);
+  EXPECT_EQ(readings.h, 0x36c81221b4aa7096ull);
+}
+
+TEST(FingerprintAcquisition, RetimedAndReboundSensorIsPinned) {
+  // One INA226 polled every 3 ms: re-timed to 8.8 ms updates, re-bound from
+  // the FPGA rail to the DRAM rail, then re-timed again.
+  const auto run = pinned_dpu_run(sim::seconds(2));
+  const soc::SocConfig soc_config = soc::zcu102_config(0x50c);
+  const auto rail_signals = [&](power::Rail rail) {
+    const std::size_t i = power::rail_index(rail);
+    sim::PiecewiseConstant current =
+        run.activity.current[i] +
+        sim::PiecewiseConstant(soc_config.idle_current_amps[i]);
+    sim::PiecewiseConstant voltage =
+        power::PdnModel(soc_config.pdn[i]).voltage_signal(current);
+    return std::pair{std::move(current), std::move(voltage)};
+  };
+  const auto fpga = rail_signals(power::Rail::FpgaLogic);
+  const auto ddr = rail_signals(power::Rail::Ddr);
+  const std::size_t fpga_index = power::rail_index(power::Rail::FpgaLogic);
+  sensors::Ina226 sensor(soc_config.sensor[fpga_index],
+                         soc_config.noise[fpga_index], 0x1a226);
+  sensor.bind(&fpga.first, &fpga.second);
+
+  Fnv1a registers;
+  sim::TimeNs t{0};
+  const auto poll_until = [&](sim::TimeNs end) {
+    for (; t < end; t += sim::milliseconds(3)) {
+      sensor.advance_to(t);
+      for (const auto reg : {sensors::Ina226Register::Current,
+                             sensors::Ina226Register::BusVoltage,
+                             sensors::Ina226Register::Power}) {
+        registers.mix(sensor.read_register(reg));
+      }
+    }
+  };
+  poll_until(sim::milliseconds(500));
+  sensor.set_timing(4, sim::microseconds(1100), sim::microseconds(1100));
+  poll_until(sim::milliseconds(1000));
+  sensor.bind(&ddr.first, &ddr.second);
+  poll_until(sim::milliseconds(1500));
+  sensor.set_timing(64, sim::microseconds(140), sim::microseconds(204));
+  poll_until(sim::seconds(2));
+  EXPECT_EQ(sensor.conversions_completed(), 150u);
+  EXPECT_EQ(registers.h, 0xf2c4656b35aa49edull);
 }
 
 }  // namespace

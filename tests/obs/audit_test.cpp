@@ -154,7 +154,10 @@ TEST(AccessAuditLog, ConcurrentRecordsAreLossless) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&log, t]() {
-      const std::string principal = "u" + std::to_string(t);
+      // Appended, not "u" + to_string(t): GCC 12 at -O3 reports a false
+      // -Werror=restrict overlap inside the inlined operator+.
+      std::string principal = "u";
+      principal += std::to_string(t);
       for (int i = 0; i < kPerThread; ++i) {
         log.record(kUntimed, "p", false, AccessOutcome::Ok, principal);
       }

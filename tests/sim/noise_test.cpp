@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <vector>
+
+#include "support/reference_acquisition.hpp"
 
 namespace amperebleed::sim {
 namespace {
@@ -79,6 +83,25 @@ TEST(OrnsteinUhlenbeck, ResetOverridesState) {
   ou.step(seconds(1));
   ou.reset(42.0);
   EXPECT_DOUBLE_EQ(ou.value(), 42.0);
+}
+
+TEST(OrnsteinUhlenbeck, MemoisedStepMatchesReferenceBitForBit) {
+  // The memo is keyed on dt: alternate two steps strictly, then draw from a
+  // mix with zero steps and a rare long one, against the recomputing step.
+  OrnsteinUhlenbeck ou(0.3, 0.1, 0.02, 77);
+  reference::OrnsteinUhlenbeck ref(0.3, 0.1, 0.02, 77);
+  const TimeNs steps[] = {microseconds(2200), microseconds(1100), TimeNs{0},
+                          microseconds(2200), milliseconds(35),
+                          microseconds(344)};
+  util::Rng pick(5);
+  for (int i = 0; i < 4000; ++i) {
+    const TimeNs dt =
+        i < 1000 ? steps[i % 2] : steps[pick.uniform_below(std::size(steps))];
+    const double got = ou.step(dt);
+    const double want = ref.step(dt);
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << "step " << i << ": " << got << " vs " << want;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <vector>
+
+#include "amperebleed/util/rng.hpp"
+#include "support/reference_acquisition.hpp"
 
 namespace amperebleed::sim {
 namespace {
@@ -139,6 +145,141 @@ TEST_P(SignalWindowProperty, MeanIsBetweenMinAndMax) {
 
 INSTANTIATE_TEST_SUITE_P(Windows, SignalWindowProperty,
                          ::testing::Values(0, 5, 10, 15, 22, 28, 40));
+
+bool bit_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_segments(const PiecewiseConstant& a, const PiecewiseConstant& b) {
+  if (!bit_equal(a.initial_value(), b.initial_value()) ||
+      a.segment_count() != b.segment_count()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.segment_count(); ++i) {
+    if (a.segments()[i].start != b.segments()[i].start ||
+        !bit_equal(a.segments()[i].value, b.segments()[i].value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A seeded signal: `n` changes from 5 us on, 1-999 ns apart. A quarter of
+/// them are the value 0.25, so some appends coalesce.
+PiecewiseConstant random_signal(util::Rng& rng, std::size_t n) {
+  PiecewiseConstant s(rng.uniform(-1.0, 1.0));
+  TimeNs t = microseconds(5);
+  for (std::size_t i = 0; i < n; ++i) {
+    t += nanoseconds(1 + static_cast<std::int64_t>(rng.uniform_below(999)));
+    s.append(t, rng.uniform_below(4) == 0 ? 0.25 : rng.uniform(-2.0, 2.0));
+  }
+  return s;
+}
+
+TEST(PiecewiseConstantCursor, ForwardWindowsMatchRandomAccessBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(seed);
+    // Seed 1 has no segments at all: every window is the initial value.
+    const PiecewiseConstant s = random_signal(rng, seed == 1 ? 0 : 300);
+    const auto& segs = s.segments();
+    const TimeNs past_last = s.last_change() + microseconds(3);
+
+    // Window starts, in time order: before the first segment, exactly on
+    // segment starts, between them, and past the last one (repeated).
+    std::vector<TimeNs> starts = {TimeNs{0}, microseconds(1)};
+    for (const auto& seg : segs) {
+      starts.push_back(seg.start);
+      if (rng.uniform_below(2) == 0) {
+        starts.push_back(seg.start + nanoseconds(static_cast<std::int64_t>(
+                                         rng.uniform_below(500))));
+      }
+    }
+    starts.push_back(past_last);
+    starts.push_back(past_last);
+    std::sort(starts.begin(), starts.end());
+
+    std::size_t integrate_cursor = 0;
+    std::size_t mean_cursor = 0;
+    for (const TimeNs t0 : starts) {
+      TimeNs t1 = t0;  // case 0: a zero-length window
+      switch (rng.uniform_below(4)) {
+        case 1:
+          t1 = t0 + nanoseconds(1 + static_cast<std::int64_t>(
+                                        rng.uniform_below(4000)));
+          break;
+        case 2: {  // ends exactly on a later segment start
+          const auto it = std::upper_bound(
+              segs.begin(), segs.end(), t0,
+              [](TimeNs t, const PiecewiseConstant::Segment& seg) {
+                return t < seg.start;
+              });
+          t1 = it == segs.end() ? t0 + microseconds(1)
+                                : (it + static_cast<std::ptrdiff_t>(
+                                            rng.uniform_below(std::min<
+                                                std::ptrdiff_t>(
+                                                3, segs.end() - it))))
+                                      ->start;
+          break;
+        }
+        case 3:  // runs past the last segment
+          t1 = std::max(t0, past_last);
+          break;
+        default:
+          break;
+      }
+      const double forward = s.integrate(t0, t1, integrate_cursor);
+      EXPECT_TRUE(bit_equal(forward, s.integrate(t0, t1)))
+          << "seed " << seed << " window [" << t0.ns << ", " << t1.ns << ")";
+      EXPECT_TRUE(bit_equal(forward, reference::integrate(s, t0, t1)))
+          << "seed " << seed << " window [" << t0.ns << ", " << t1.ns << ")";
+      EXPECT_TRUE(bit_equal(s.mean(t0, t1, mean_cursor), s.mean(t0, t1)))
+          << "seed " << seed << " window [" << t0.ns << ", " << t1.ns << ")";
+    }
+  }
+}
+
+TEST(PiecewiseConstantCursor, BackwardWindowOrForeignCursorStaysExact) {
+  util::Rng rng(99);
+  const PiecewiseConstant s = random_signal(rng, 50);
+  const TimeNs late = s.last_change();
+  const TimeNs early = microseconds(5) + nanoseconds(700);
+  std::size_t cursor = 0;
+  static_cast<void>(s.integrate(late, late + microseconds(1), cursor));
+  EXPECT_TRUE(bit_equal(s.integrate(early, late, cursor),
+                        s.integrate(early, late)));
+  std::size_t foreign = 1000;  // past this signal's segment count
+  EXPECT_TRUE(bit_equal(s.integrate(early, late, foreign),
+                        s.integrate(early, late)));
+  EXPECT_THROW(static_cast<void>(s.integrate(late, early, cursor)),
+               std::invalid_argument);
+}
+
+TEST(PiecewiseConstantOffset, MatchesSumWithConstantSegmentForSegment) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(seed);
+    PiecewiseConstant s = random_signal(rng, seed == 1 ? 0 : 300);
+    const double c = seed % 3 == 0 ? 0.0 : rng.uniform(-3.0, 3.0);
+    const PiecewiseConstant expected = s + PiecewiseConstant(c);
+    s.offset(c);
+    EXPECT_TRUE(same_segments(s, expected)) << "seed " << seed;
+  }
+}
+
+TEST(PiecewiseConstantOffset, DropsSegmentsWhoseSumsRoundTogether) {
+  // 1e-17 != 0.0, yet 1.0 + 1e-17 == 1.0 + 0.0 in doubles: once offset by
+  // 1.0, those changes are no changes, and the sum drops them too.
+  PiecewiseConstant x(0.0);
+  x.append(milliseconds(1), 1e-17);
+  x.append(milliseconds(2), 0.0);
+  x.append(milliseconds(3), 2.0);
+  ASSERT_EQ(x.segment_count(), 3u);
+  const PiecewiseConstant expected = x + PiecewiseConstant(1.0);
+  x.offset(1.0);
+  EXPECT_EQ(x.segment_count(), 1u);
+  EXPECT_TRUE(same_segments(x, expected));
+  EXPECT_EQ(x.value_at(milliseconds(2)), 1.0);
+  EXPECT_EQ(x.value_at(milliseconds(3)), 3.0);
+}
 
 }  // namespace
 }  // namespace amperebleed::sim
