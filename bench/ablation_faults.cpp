@@ -97,10 +97,10 @@ int main(int argc, char** argv) {
   config.trace_duration = sim::seconds(1);
   config.durations_s = {1.0};
 
-  std::uint64_t fault_seed = faults::FaultPlan::from_env().seed;
-  if (args.has("fault-seed")) {
-    fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 0));
-  }
+  const std::uint64_t fault_seed =
+      args.has("fault-seed")
+          ? static_cast<std::uint64_t>(args.get_int("fault-seed", 0))
+          : faults::FaultPlan::seed_from_env();
 
   // Metrics only (no tracing/audit accumulation): the leg counters above
   // come from the obs registry. Deterministic regardless of pool size.

@@ -172,10 +172,10 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("trees", quick ? 24 : 40));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 0x9a1));
   const double shift = args.get_double("shift", 1.10);
-  std::uint64_t fault_seed = faults::FaultPlan::from_env().seed;
-  if (args.has("fault-seed")) {
-    fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 0));
-  }
+  const std::uint64_t fault_seed =
+      args.has("fault-seed")
+          ? static_cast<std::uint64_t>(args.get_int("fault-seed", 0))
+          : faults::FaultPlan::seed_from_env();
   const std::size_t n_samples = 28;  // 1 s at the 35 ms hwmon cadence
 
   // Metrics + quality only: leg tallies come from the quality hub, and

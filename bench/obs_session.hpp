@@ -78,11 +78,8 @@ class ObsSession {
     // host-dependent, and baking it into default records would make the
     // committed perf baseline compare thread counts across machines.
     if (args.has("threads")) {
-      const auto threads = args.get_int("threads", 0);
-      if (threads > 0) {
-        util::ThreadPool::set_global_threads(
-            static_cast<std::size_t>(threads));
-      }
+      util::ThreadPool::set_global_threads(util::ThreadPool::parse_size(
+          "--threads", args.get_string("threads", "")));
       record_.set_integer(
           "pool_threads",
           static_cast<std::int64_t>(util::ThreadPool::global().size()));

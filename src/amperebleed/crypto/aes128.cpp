@@ -11,7 +11,6 @@ namespace {
 // the unit tests).
 struct SboxTables {
   std::array<std::uint8_t, 256> fwd{};
-  std::array<std::uint8_t, 256> inv{};
 
   SboxTables() {
     // Multiplicative inverses in GF(2^8) via exp/log tables over generator 3.
@@ -44,7 +43,6 @@ struct SboxTables {
         s = static_cast<std::uint8_t>(s | (b << bit));
       }
       fwd[static_cast<std::size_t>(v)] = s;
-      inv[s] = static_cast<std::uint8_t>(v);
     }
   }
 };
@@ -78,10 +76,6 @@ void sub_bytes(State& s) {
   for (auto& b : s) b = tables().fwd[b];
 }
 
-void inv_sub_bytes(State& s) {
-  for (auto& b : s) b = tables().inv[b];
-}
-
 // State layout: s[col*4 + row].
 void shift_rows(State& s) {
   State t = s;
@@ -89,16 +83,6 @@ void shift_rows(State& s) {
     for (int col = 0; col < 4; ++col) {
       s[static_cast<std::size_t>(col * 4 + row)] =
           t[static_cast<std::size_t>(((col + row) % 4) * 4 + row)];
-    }
-  }
-}
-
-void inv_shift_rows(State& s) {
-  State t = s;
-  for (int row = 1; row < 4; ++row) {
-    for (int col = 0; col < 4; ++col) {
-      s[static_cast<std::size_t>(((col + row) % 4) * 4 + row)] =
-          t[static_cast<std::size_t>(col * 4 + row)];
     }
   }
 }
@@ -117,28 +101,9 @@ void mix_columns(State& s) {
   }
 }
 
-void inv_mix_columns(State& s) {
-  for (int col = 0; col < 4; ++col) {
-    std::uint8_t* c = &s[static_cast<std::size_t>(col * 4)];
-    const std::uint8_t a0 = c[0];
-    const std::uint8_t a1 = c[1];
-    const std::uint8_t a2 = c[2];
-    const std::uint8_t a3 = c[3];
-    c[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                     gmul(a2, 13) ^ gmul(a3, 9));
-    c[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                     gmul(a2, 11) ^ gmul(a3, 13));
-    c[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                     gmul(a2, 14) ^ gmul(a3, 11));
-    c[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                     gmul(a2, 9) ^ gmul(a3, 14));
-  }
-}
-
 }  // namespace
 
 std::uint8_t Aes128::sbox(std::uint8_t x) { return tables().fwd[x]; }
-std::uint8_t Aes128::inv_sbox(std::uint8_t x) { return tables().inv[x]; }
 
 Aes128::Aes128(const Key& key) {
   // Key expansion (FIPS-197 5.2).
@@ -210,21 +175,6 @@ Aes128::TracedEncryption Aes128::encrypt_block_traced(
     }
   }
   return out;
-}
-
-Aes128::Block Aes128::decrypt_block(const Block& ciphertext) const {
-  State s = ciphertext;
-  add_round_key(s, round_keys_[kRounds]);
-  for (int round = kRounds - 1; round >= 1; --round) {
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-    add_round_key(s, round_keys_[static_cast<std::size_t>(round)]);
-    inv_mix_columns(s);
-  }
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  add_round_key(s, round_keys_[0]);
-  return s;
 }
 
 }  // namespace amperebleed::crypto

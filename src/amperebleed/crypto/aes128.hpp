@@ -24,8 +24,6 @@ class Aes128 {
 
   /// Encrypt one 16-byte block (ECB primitive).
   [[nodiscard]] Block encrypt_block(const Block& plaintext) const;
-  /// Decrypt one 16-byte block.
-  [[nodiscard]] Block decrypt_block(const Block& ciphertext) const;
 
   /// Encryption with the intermediate state after every AddRoundKey —
   /// what a register-per-round hardware pipeline latches each cycle. The
@@ -42,7 +40,6 @@ class Aes128 {
 
   /// S-box lookup, exposed for tests.
   static std::uint8_t sbox(std::uint8_t x);
-  static std::uint8_t inv_sbox(std::uint8_t x);
 
  private:
   // 11 round keys of 16 bytes each.

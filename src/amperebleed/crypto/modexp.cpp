@@ -24,41 +24,22 @@ BigUInt modmul(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
   return acc;
 }
 
-namespace {
-
-ModExpTrace modexp_impl(const BigUInt& base, const BigUInt& exp,
-                        const BigUInt& m) {
+BigUInt modexp(const BigUInt& base, const BigUInt& exp, const BigUInt& m) {
   if (m.is_zero()) throw std::domain_error("modexp: modulus is zero");
-  ModExpTrace trace;
   BigUInt result = BigUInt(1).mod(m);  // 0 when m == 1
   BigUInt square = base.mod(m);
 
   const std::size_t bits = exp.is_zero() ? 1 : exp.bit_length();
-  trace.iterations.reserve(bits);
   for (std::size_t i = 0; i < bits; ++i) {
-    const bool bit_set = exp.bit(i);
-    if (bit_set) {
+    if (exp.bit(i)) {
       result = modmul(result, square, m);
     }
     // The squaring multiplier runs every iteration (synchronized with the
     // multiply path in the circuit). The last squaring is architecturally
     // dead but the hardware performs it anyway; we match that.
     square = modmul(square, square, m);
-    trace.iterations.push_back(ExpIteration{bit_set});
   }
-  trace.result = std::move(result);
-  return trace;
-}
-
-}  // namespace
-
-BigUInt modexp(const BigUInt& base, const BigUInt& exp, const BigUInt& m) {
-  return modexp_impl(base, exp, m).result;
-}
-
-ModExpTrace modexp_traced(const BigUInt& base, const BigUInt& exp,
-                          const BigUInt& m) {
-  return modexp_impl(base, exp, m);
+  return result;
 }
 
 }  // namespace amperebleed::crypto

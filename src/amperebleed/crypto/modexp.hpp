@@ -5,9 +5,6 @@
 // iteration runs the squaring multiplier, and iterations on a '1' bit
 // additionally run the second (multiply) multiplier.
 
-#include <cstddef>
-#include <vector>
-
 #include "amperebleed/crypto/biguint.hpp"
 
 namespace amperebleed::crypto {
@@ -20,25 +17,5 @@ BigUInt modmul(const BigUInt& a, const BigUInt& b, const BigUInt& m);
 /// base^exp mod m using LSB-first square-and-multiply (matches the circuit).
 /// Precondition: m > 0. Handles base >= m by pre-reduction; exp == 0 -> 1 mod m.
 BigUInt modexp(const BigUInt& base, const BigUInt& exp, const BigUInt& m);
-
-/// One state-machine iteration of the hardware loop, as observed by the
-/// power model: `multiply_active` is true exactly when the exponent bit was 1
-/// (both multipliers ran that cycle group).
-struct ExpIteration {
-  bool multiply_active = false;
-};
-
-/// Functional result plus the per-iteration activity schedule. The schedule
-/// has exactly `iterations` entries = bit_length(exp) (or 1 when exp == 0,
-/// matching a circuit that always runs at least one iteration).
-struct ModExpTrace {
-  BigUInt result;
-  std::vector<ExpIteration> iterations;
-};
-
-/// modexp() with the hardware activity trace attached; used to drive the
-/// FPGA power model of the victim circuit.
-ModExpTrace modexp_traced(const BigUInt& base, const BigUInt& exp,
-                          const BigUInt& m);
 
 }  // namespace amperebleed::crypto

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "amperebleed/obs/obs.hpp"
+#include "amperebleed/util/cli.hpp"
 #include "amperebleed/util/rng.hpp"
 #include "amperebleed/util/strings.hpp"
 
@@ -22,7 +23,7 @@ constexpr std::string_view kGarbage[] = {
 }  // namespace
 
 std::string_view fault_kind_name(FaultKind k) {
-  static_assert(kFaultKindCount == 8,
+  static_assert(kFaultKindCount == 7,
                 "new FaultKind: add a case below and extend kAllFaultKinds");
   switch (k) {
     case FaultKind::Transient:
@@ -39,8 +40,6 @@ std::string_view fault_kind_name(FaultKind k) {
       return "frozen-register";
     case FaultKind::LatencySpike:
       return "latency-spike";
-    case FaultKind::I2cNack:
-      return "i2c-nack";
   }
   return "unknown";
 }
@@ -50,14 +49,6 @@ std::optional<FaultKind> fault_kind_from_name(std::string_view name) {
     if (fault_kind_name(k) == name) return k;
   }
   return std::nullopt;
-}
-
-double FaultRates::read_total() const {
-  double total = 0.0;
-  for (FaultKind k : kAllFaultKinds) {
-    if (k != FaultKind::I2cNack) total += (*this)[k];
-  }
-  return total;
 }
 
 bool FaultRates::any() const {
@@ -77,7 +68,6 @@ FaultPlan FaultPlan::chaos(std::uint64_t seed, double r) {
   plan.rates[FaultKind::GarbageText] = 0.10 * r;
   plan.rates[FaultKind::FrozenRegister] = 0.05 * r;
   plan.rates[FaultKind::LatencySpike] = 0.05 * r;
-  plan.rates[FaultKind::I2cNack] = r;  // raw path draws only this kind
   plan.burst.continue_probability = 0.3;
   plan.burst.max_length = 4;
   return plan;
@@ -90,17 +80,11 @@ FaultPlan FaultPlan::transient_only(std::uint64_t seed, double r) {
   return plan;
 }
 
-FaultPlan FaultPlan::from_env() {
-  std::uint64_t seed = 0xfa17;
-  double rate = 0.05;
-  if (const char* s = std::getenv("AMPEREBLEED_FAULT_SEED")) {
-    seed = std::strtoull(s, nullptr, 0);  // accepts decimal and 0x-hex
-  }
-  if (const char* r = std::getenv("AMPEREBLEED_FAULT_RATE")) {
-    const double parsed = std::strtod(r, nullptr);
-    if (parsed >= 0.0 && parsed <= 1.0) rate = parsed;
-  }
-  return chaos(seed, rate);
+std::uint64_t FaultPlan::seed_from_env() {
+  const char* text = std::getenv("AMPEREBLEED_FAULT_SEED");
+  if (text == nullptr) return FaultPlan{}.seed;
+  return static_cast<std::uint64_t>(
+      util::parse_int("AMPEREBLEED_FAULT_SEED", text));
 }
 
 std::uint64_t FaultInjector::Stats::total_injected() const {
@@ -121,28 +105,15 @@ void FaultInjector::attach(hwmon::VirtualFs& fs) {
   fs_ = &fs;
 }
 
-void FaultInjector::attach_bus(sensors::I2cBus& bus) {
-  bus.set_fault_hook(
-      [this](std::uint8_t address, std::uint8_t reg, bool is_write) {
-        return filter_i2c(address, reg, is_write);
-      });
-  bus_ = &bus;
-}
-
 void FaultInjector::detach() {
   if (fs_ != nullptr) {
     fs_->set_read_fault_hook(nullptr);
     fs_ = nullptr;
   }
-  if (bus_ != nullptr) {
-    bus_->set_fault_hook(nullptr);
-    bus_ = nullptr;
-  }
 }
 
 std::optional<FaultKind> FaultInjector::draw(PathState& state,
                                              std::uint64_t stream,
-                                             bool i2c_path,
                                              std::uint64_t* corrupt_word) {
   const std::uint64_t n = state.accesses++;
   ++stats_.accesses;
@@ -162,9 +133,6 @@ std::optional<FaultKind> FaultInjector::draw(PathState& state,
   double cumulative = 0.0;
   std::optional<FaultKind> chosen;
   for (FaultKind k : kAllFaultKinds) {
-    const bool applicable =
-        i2c_path ? (k == FaultKind::I2cNack) : (k != FaultKind::I2cNack);
-    if (!applicable) continue;
     cumulative += plan_.rates[k];
     if (u < cumulative) {
       chosen = k;
@@ -207,7 +175,7 @@ void FaultInjector::note_injected(FaultKind k, std::string_view path,
   // Every injected fault leaves an audit record under its own principal,
   // so a chaos run's fault schedule can be reconstructed from the audit
   // trail alongside the attacker's accesses. The attached tree's clock
-  // stamps it; a bus-only injector has no platform clock to read.
+  // stamps it; an unattached injector has no platform clock to read.
   if (obs::audit_enabled()) {
     obs::audit_log().record(fs_ != nullptr ? fs_->now() : sim::TimeNs{-1},
                             path, privileged, obs::AccessOutcome::Error,
@@ -226,8 +194,7 @@ hwmon::VfsResult FaultInjector::filter_read(std::string_view path,
                                .first->second;
 
   std::uint64_t corrupt_word = 0;
-  const auto kind = draw(state, fnv1a(path), /*i2c_path=*/false,
-                         &corrupt_word);
+  const auto kind = draw(state, fnv1a(path), &corrupt_word);
   if (!kind) {
     if (clean.ok()) state.last_clean = clean.data;
     return clean;
@@ -267,24 +234,8 @@ hwmon::VfsResult FaultInjector::filter_read(std::string_view path,
         return {hwmon::VfsStatus::TryAgain, {}};
       }
       return {hwmon::VfsStatus::Ok, state.last_clean};
-    case FaultKind::I2cNack:
-      break;  // never drawn on the read path
   }
   return clean;
-}
-
-bool FaultInjector::filter_i2c(std::uint8_t address, std::uint8_t reg,
-                               bool is_write) {
-  static_cast<void>(is_write);
-  const std::string key = util::format("i2c/0x%02x/0x%02x", address, reg);
-  std::lock_guard<std::mutex> lock(mu_);
-  PathState& state = paths_[key];
-  std::uint64_t corrupt_word = 0;
-  const auto kind =
-      draw(state, fnv1a(key), /*i2c_path=*/true, &corrupt_word);
-  if (!kind) return false;
-  note_injected(*kind, key, /*privileged=*/true);
-  return true;
 }
 
 FaultInjector::Stats FaultInjector::stats() const {

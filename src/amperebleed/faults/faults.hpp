@@ -11,13 +11,12 @@
 //   plan.rates[faults::FaultKind::Transient] = 0.05;
 //   faults::FaultInjector injector(plan);
 //   injector.attach(soc.hwmon().fs());     // hwmon read path
-//   injector.attach_bus(soc.i2c());        // raw INA226 register path
 //
 // Determinism contract: the decision for the n-th access of a given path
-// (or i2c register) is a pure function of (plan.seed, path, n). Two
-// injectors with the same plan produce byte-identical fault schedules no
-// matter how accesses to *different* paths interleave — which is what makes
-// chaos runs reproducible across thread-pool sizes and machines.
+// is a pure function of (plan.seed, path, n). Two injectors with the same
+// plan produce byte-identical fault schedules no matter how accesses to
+// *different* paths interleave — which is what makes chaos runs
+// reproducible across thread-pool sizes and machines.
 
 #include <array>
 #include <cstddef>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "amperebleed/hwmon/vfs.hpp"
-#include "amperebleed/sensors/i2c.hpp"
 
 namespace amperebleed::faults {
 
@@ -46,19 +44,18 @@ enum class FaultKind {
   GarbageText,     // corrupted attribute text (non-numeric)
   FrozenRegister,  // stuck conversion: the previous raw text repeats
   LatencySpike,    // conversion-latency spike: one stale re-read
-  I2cNack,         // raw-path bus NACK (only drawn on the i2c path)
 };
 
 /// Bump together with the enum; every table below static_asserts against
 /// it so a new kind cannot silently miss a rate slot, the name map, or the
 /// per-kind obs counters.
-inline constexpr std::size_t kFaultKindCount = 8;
+inline constexpr std::size_t kFaultKindCount = 7;
 
 inline constexpr FaultKind kAllFaultKinds[] = {
     FaultKind::Transient,      FaultKind::Hotplug,
     FaultKind::PermissionFlap, FaultKind::TornRead,
     FaultKind::GarbageText,    FaultKind::FrozenRegister,
-    FaultKind::LatencySpike,   FaultKind::I2cNack,
+    FaultKind::LatencySpike,
 };
 static_assert(std::size(kAllFaultKinds) == kFaultKindCount,
               "kAllFaultKinds must enumerate every FaultKind exactly once");
@@ -79,8 +76,6 @@ struct FaultRates {
   double operator[](FaultKind k) const {
     return rate[static_cast<std::size_t>(k)];
   }
-  /// Sum over the hwmon read-path kinds (everything but I2cNack).
-  [[nodiscard]] double read_total() const;
   [[nodiscard]] bool any() const;
 };
 
@@ -106,19 +101,20 @@ struct FaultPlan {
   static FaultPlan chaos(std::uint64_t seed, double r);
   /// Only EAGAIN at rate `r` (the cleanest retry-policy stressor).
   static FaultPlan transient_only(std::uint64_t seed, double r);
-  /// Seed from AMPEREBLEED_FAULT_SEED and total rate from
-  /// AMPEREBLEED_FAULT_RATE (defaults: 0xfa17, 0.05) — the CI chaos
-  /// matrix's entry point.
-  static FaultPlan from_env();
+  /// AMPEREBLEED_FAULT_SEED (default 0xfa17), the CI chaos matrix's entry
+  /// point. Parsed by CliArgs::get_int's rules, so the variable and
+  /// `--fault-seed` accept the same strings; anything else throws
+  /// std::invalid_argument naming the variable.
+  static std::uint64_t seed_from_env();
 };
 
-/// Seeded injector that wraps a VirtualFs read path and/or an I2C bus.
+/// Seeded injector that wraps a VirtualFs read path.
 /// Thread-safe: per-path state is mutex-guarded, and determinism holds
 /// per path regardless of cross-path interleaving.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
-  /// Detaches from any attached filesystem/bus.
+  /// Detaches from the attached filesystem, if any.
   ~FaultInjector();
 
   FaultInjector(const FaultInjector&) = delete;
@@ -127,8 +123,6 @@ class FaultInjector {
   /// Install this injector on a filesystem's read path. The injector must
   /// outlive the attachment (detach() or destruction removes the hook).
   void attach(hwmon::VirtualFs& fs);
-  /// Install this injector on a bus (I2cNack faults only).
-  void attach_bus(sensors::I2cBus& bus);
   void detach();
 
   /// Decision core, public for tests: the (possibly faulted) result the
@@ -136,13 +130,10 @@ class FaultInjector {
   [[nodiscard]] hwmon::VfsResult filter_read(std::string_view path,
                                              bool privileged,
                                              hwmon::VfsResult clean);
-  /// True when the n-th transaction on (address, reg) should NACK.
-  [[nodiscard]] bool filter_i2c(std::uint8_t address, std::uint8_t reg,
-                                bool is_write);
 
   struct Stats {
     std::array<std::uint64_t, kFaultKindCount> injected{};
-    std::uint64_t accesses = 0;  // decisions taken (reads + i2c)
+    std::uint64_t accesses = 0;  // decisions taken
     [[nodiscard]] std::uint64_t total_injected() const;
     [[nodiscard]] std::uint64_t by_kind(FaultKind k) const {
       return injected[static_cast<std::size_t>(k)];
@@ -163,7 +154,7 @@ class FaultInjector {
   /// sequence number. `stream` identifies the path. Burst continuation and
   /// corruption parameters all derive from the same per-access rng.
   std::optional<FaultKind> draw(PathState& state, std::uint64_t stream,
-                                bool i2c_path, std::uint64_t* corrupt_word);
+                                std::uint64_t* corrupt_word);
   void note_injected(FaultKind k, std::string_view path, bool privileged);
 
   FaultPlan plan_;
@@ -171,7 +162,6 @@ class FaultInjector {
   std::map<std::string, PathState, std::less<>> paths_;
   Stats stats_;
   hwmon::VirtualFs* fs_ = nullptr;
-  sensors::I2cBus* bus_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------

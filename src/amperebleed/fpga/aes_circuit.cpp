@@ -86,9 +86,4 @@ AesCircuit::Schedule AesCircuit::schedule(sim::TimeNs start, sim::TimeNs end,
   return out;
 }
 
-crypto::Aes128::Block AesCircuit::encrypt(
-    const crypto::Aes128::Block& plaintext) const {
-  return cipher_.encrypt_block(plaintext);
-}
-
 }  // namespace amperebleed::fpga

@@ -57,10 +57,6 @@ class AesCircuit {
   [[nodiscard]] Schedule schedule(sim::TimeNs start, sim::TimeNs end,
                                   std::uint64_t plaintext_seed) const;
 
-  /// Functional access to the underlying cipher.
-  [[nodiscard]] crypto::Aes128::Block encrypt(
-      const crypto::Aes128::Block& plaintext) const;
-
   [[nodiscard]] const AesCircuitConfig& config() const { return config_; }
 
  private:

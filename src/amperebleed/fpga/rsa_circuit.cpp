@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "amperebleed/crypto/montgomery.hpp"
-
 namespace amperebleed::fpga {
 
 RsaCircuit::RsaCircuit(RsaCircuitConfig config, crypto::RsaKey key)
@@ -101,16 +99,6 @@ RsaCircuit::Schedule RsaCircuit::schedule(sim::TimeNs start, sim::TimeNs end,
     ++out.encryption_count;
   }
   return out;
-}
-
-crypto::BigUInt RsaCircuit::encrypt(const crypto::BigUInt& plaintext) const {
-  // Montgomery fast path for the (always odd) RSA modulus; the generic
-  // shift-and-add reference covers the degenerate even case in tests.
-  if (key_.modulus.is_odd()) {
-    return crypto::MontgomeryContext(key_.modulus)
-        .modexp(plaintext, key_.private_exponent);
-  }
-  return crypto::modexp(plaintext, key_.private_exponent, key_.modulus);
 }
 
 }  // namespace amperebleed::fpga

@@ -10,7 +10,6 @@
 // private exponent is embedded in the (IEEE-1735 encrypted) bitstream and is
 // not readable by any software, privileged or not.
 
-#include "amperebleed/crypto/modexp.hpp"
 #include "amperebleed/crypto/rsa.hpp"
 #include "amperebleed/fpga/fabric.hpp"
 #include "amperebleed/power/activity.hpp"
@@ -68,11 +67,6 @@ class RsaCircuit {
   [[nodiscard]] Schedule schedule(sim::TimeNs start, sim::TimeNs end,
                                   RsaGranularity granularity =
                                       RsaGranularity::PerExponentiation) const;
-
-  /// Functional encryption m^d mod n via the same LSB-first square-and-
-  /// multiply datapath the schedule models; used by tests to tie the power
-  /// model to real arithmetic.
-  [[nodiscard]] crypto::BigUInt encrypt(const crypto::BigUInt& plaintext) const;
 
   [[nodiscard]] std::size_t key_hamming_weight() const;
   [[nodiscard]] const RsaCircuitConfig& config() const { return config_; }

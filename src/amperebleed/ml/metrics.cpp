@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "amperebleed/util/strings.hpp"
-
 namespace amperebleed::ml {
 
 double accuracy(std::span<const int> truth, std::span<const int> predicted) {
@@ -33,74 +31,6 @@ double top_k_accuracy(std::span<const int> truth,
     }
   }
   return static_cast<double>(hits) / static_cast<double>(truth.size());
-}
-
-ConfusionMatrix::ConfusionMatrix(int class_count)
-    : class_count_(class_count),
-      cells_(static_cast<std::size_t>(class_count) *
-                 static_cast<std::size_t>(class_count),
-             0) {
-  if (class_count <= 0) {
-    throw std::invalid_argument("ConfusionMatrix: class_count must be > 0");
-  }
-}
-
-void ConfusionMatrix::add(int truth, int predicted) {
-  if (truth < 0 || truth >= class_count_ || predicted < 0 ||
-      predicted >= class_count_) {
-    throw std::out_of_range("ConfusionMatrix::add: label out of range");
-  }
-  ++cells_[static_cast<std::size_t>(truth) *
-               static_cast<std::size_t>(class_count_) +
-           static_cast<std::size_t>(predicted)];
-  ++total_;
-}
-
-std::size_t ConfusionMatrix::count(int truth, int predicted) const {
-  if (truth < 0 || truth >= class_count_ || predicted < 0 ||
-      predicted >= class_count_) {
-    throw std::out_of_range("ConfusionMatrix::count: label out of range");
-  }
-  return cells_[static_cast<std::size_t>(truth) *
-                    static_cast<std::size_t>(class_count_) +
-                static_cast<std::size_t>(predicted)];
-}
-
-double ConfusionMatrix::overall_accuracy() const {
-  if (total_ == 0) return 0.0;
-  std::size_t diag = 0;
-  for (int c = 0; c < class_count_; ++c) {
-    diag += count(c, c);
-  }
-  return static_cast<double>(diag) / static_cast<double>(total_);
-}
-
-double ConfusionMatrix::recall(int cls) const {
-  std::size_t row = 0;
-  for (int p = 0; p < class_count_; ++p) row += count(cls, p);
-  if (row == 0) return 0.0;
-  return static_cast<double>(count(cls, cls)) / static_cast<double>(row);
-}
-
-double ConfusionMatrix::precision(int cls) const {
-  std::size_t col = 0;
-  for (int t = 0; t < class_count_; ++t) col += count(t, cls);
-  if (col == 0) return 0.0;
-  return static_cast<double>(count(cls, cls)) / static_cast<double>(col);
-}
-
-std::string ConfusionMatrix::render() const {
-  std::string out = "truth\\pred";
-  for (int p = 0; p < class_count_; ++p) out += util::format("%6d", p);
-  out += '\n';
-  for (int t = 0; t < class_count_; ++t) {
-    out += util::format("%9d ", t);
-    for (int p = 0; p < class_count_; ++p) {
-      out += util::format("%6zu", count(t, p));
-    }
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace amperebleed::ml

@@ -1,10 +1,8 @@
 #pragma once
-// Classification metrics: top-1/top-k accuracy and a confusion matrix,
-// matching what Table III reports per sensor channel and duration.
+// Classification metrics: top-1/top-k accuracy, matching what Table III
+// reports per sensor channel and duration.
 
-#include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace amperebleed::ml {
@@ -17,26 +15,5 @@ double accuracy(std::span<const int> truth, std::span<const int> predicted);
 /// list (e.g. top-5 predictions). Throws on length mismatch.
 double top_k_accuracy(std::span<const int> truth,
                       const std::vector<std::vector<int>>& candidates);
-
-/// Square confusion matrix with pretty-printing for reports.
-class ConfusionMatrix {
- public:
-  explicit ConfusionMatrix(int class_count);
-
-  void add(int truth, int predicted);
-  [[nodiscard]] std::size_t count(int truth, int predicted) const;
-  [[nodiscard]] int class_count() const { return class_count_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double overall_accuracy() const;
-  /// Recall of one class (diagonal / row sum); 0 when the class is absent.
-  [[nodiscard]] double recall(int cls) const;
-  [[nodiscard]] double precision(int cls) const;
-  [[nodiscard]] std::string render() const;
-
- private:
-  int class_count_;
-  std::vector<std::size_t> cells_;  // class_count_ x class_count_
-  std::size_t total_ = 0;
-};
 
 }  // namespace amperebleed::ml

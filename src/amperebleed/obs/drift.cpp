@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -40,67 +39,7 @@ void StreamingSketch::observe(double v) {
   idx = std::clamp<std::int64_t>(idx, 0,
                                  static_cast<std::int64_t>(counts_.size()) - 1);
   ++counts_[static_cast<std::size_t>(idx)];
-  if (n_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
   ++n_;
-  sum_ += v;
-  sum_sq_ += v * v;
-}
-
-void StreamingSketch::merge(const StreamingSketch& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ ||
-      counts_.size() != other.counts_.size()) {
-    throw std::invalid_argument("StreamingSketch::merge: bin layout mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  if (other.n_ > 0) {
-    if (n_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-  }
-  n_ += other.n_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
-}
-
-void StreamingSketch::clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  n_ = 0;
-  sum_ = 0.0;
-  sum_sq_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
-double StreamingSketch::mean() const {
-  return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_);
-}
-
-double StreamingSketch::variance() const {
-  if (n_ < 2) return 0.0;
-  const double n = static_cast<double>(n_);
-  const double m = sum_ / n;
-  // Population variance; clamp the catastrophic-cancellation tail to zero.
-  return std::max(0.0, sum_sq_ / n - m * m);
-}
-
-double StreamingSketch::min() const {
-  return n_ == 0 ? std::numeric_limits<double>::infinity() : min_;
-}
-
-double StreamingSketch::max() const {
-  return n_ == 0 ? -std::numeric_limits<double>::infinity() : max_;
 }
 
 std::vector<double> StreamingSketch::fractions(double epsilon) const {

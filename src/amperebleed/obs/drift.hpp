@@ -40,11 +40,10 @@
 
 namespace amperebleed::obs {
 
-/// Fixed-bin histogram over [lo, hi] plus moment accumulators. Deterministic
-/// and mergeable: bin layout is pinned at construction, merge() adds the
-/// counts/moments of a sketch with the identical layout. Values outside
-/// [lo, hi] land in the edge bins, so the layout captured at enrollment
-/// keeps working when live data walks out of range (that is the signal).
+/// Fixed-bin histogram over [lo, hi]. Deterministic: the bin layout is
+/// pinned at construction. Values outside [lo, hi] land in the edge bins,
+/// so the layout captured at enrollment keeps working when live data walks
+/// out of range (that is the signal).
 class StreamingSketch {
  public:
   static constexpr std::size_t kDefaultBins = 8;
@@ -53,11 +52,6 @@ class StreamingSketch {
   StreamingSketch(double lo, double hi, std::size_t bins = kDefaultBins);
 
   void observe(double v);
-  /// Add another sketch's counts and moments. Throws std::invalid_argument
-  /// unless the bin layout (lo, hi, bin count) matches exactly.
-  void merge(const StreamingSketch& other);
-  /// Zero the counts and moments, keeping the bin layout.
-  void clear();
 
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] double lo() const { return lo_; }
@@ -66,10 +60,6 @@ class StreamingSketch {
   [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
     return counts_;
   }
-  [[nodiscard]] double mean() const;      // 0 when empty
-  [[nodiscard]] double variance() const;  // population variance, 0 when n < 2
-  [[nodiscard]] double min() const;       // +inf when empty
-  [[nodiscard]] double max() const;       // -inf when empty
 
   /// Per-bin fractions with additive smoothing: (c_i + epsilon) /
   /// (n + bins * epsilon). Defined (uniform) even for an empty sketch.
@@ -83,10 +73,6 @@ class StreamingSketch {
   double hi_ = 1.0;
   std::vector<std::uint64_t> counts_;
   std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;  // tracked while n_ > 0
-  double max_ = 0.0;
 };
 
 /// PSI between two sketches with identical bin layouts, using smoothed

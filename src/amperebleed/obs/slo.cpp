@@ -91,11 +91,6 @@ SloStatus Slo::evaluate(const MetricsRegistry& registry, double now_s) {
   return status;
 }
 
-void Slo::reset_history() {
-  history_.clear();
-  history_.push_back(Snapshot{});
-}
-
 // ---------------------------------------------------------------------------
 // SloRegistry
 

@@ -74,8 +74,6 @@ class Slo {
 
   SloStatus evaluate(const MetricsRegistry& registry, double now_s);
 
-  void reset_history();
-
  private:
   struct Snapshot {
     double t = 0.0;

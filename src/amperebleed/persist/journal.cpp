@@ -41,15 +41,6 @@ std::string journal_header() {
 
 }  // namespace
 
-std::string_view journal_op_name(JournalOp op) {
-  switch (op) {
-    case JournalOp::Enroll: return "enroll";
-    case JournalOp::Train: return "train";
-    case JournalOp::Retire: return "retire";
-  }
-  return "unknown";
-}
-
 void record_set_trace(JournalRecord& record, const core::Trace& trace) {
   record.has_trace = true;
   record.rail = static_cast<std::uint8_t>(trace.channel().rail);

@@ -37,8 +37,6 @@ inline constexpr std::uint32_t kMaxRecordBytes = 1u << 28;
 
 enum class JournalOp : std::uint8_t { Enroll = 0, Train = 1, Retire = 2 };
 
-[[nodiscard]] std::string_view journal_op_name(JournalOp op);
-
 /// One journalled state transition. Enroll carries the full trace (samples,
 /// channel, timing, validity mask) and label, so replaying the record is
 /// bit-identical to re-receiving the original request.

@@ -66,8 +66,6 @@ TenantStore::TenantStore(Config config) : config_(std::move(config)) {
 
 TenantStore::~TenantStore() = default;
 
-void TenantStore::close() { journal_.reset(); }
-
 void TenantStore::recover() {
   // Interrupted atomic writes leave *.tmp files; they were never renamed
   // into place, so they carry no durable state — delete them.
@@ -144,9 +142,6 @@ void TenantStore::recover() {
 void TenantStore::append(const JournalRecord& record) {
   if (record.seq != last_seq_ + 1) {
     throw std::logic_error("TenantStore: append out of sequence");
-  }
-  if (!journal_) {
-    throw std::logic_error("TenantStore: append after close");
   }
   journal_->append(record);
   ++last_seq_;

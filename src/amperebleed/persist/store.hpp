@@ -96,10 +96,6 @@ class TenantStore {
   /// write_snapshot over views of `snap`'s tenants.
   void write_snapshot(const ServiceSnapshot& snap);
 
-  /// Release the journal fd so the tail can be replayed/inspected by a new
-  /// TenantStore on the same directory (crash-harness convenience).
-  void close();
-
  private:
   void recover();
 

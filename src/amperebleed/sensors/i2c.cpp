@@ -29,23 +29,12 @@ std::vector<std::uint8_t> I2cBus::scan() const {
   return addresses;  // std::map iterates sorted
 }
 
-void I2cBus::set_fault_hook(FaultHook hook) {
-  if (hook && fault_hook_) {
-    throw std::logic_error("I2cBus: a fault hook is already installed");
-  }
-  fault_hook_ = std::move(hook);
-}
-
 std::uint16_t I2cBus::read_word(std::uint8_t address, std::uint8_t reg) {
   const auto it = devices_.find(address);
   if (it == devices_.end()) {
     throw I2cError(util::format("I2C NACK at 0x%02x", address));
   }
   ++transactions_;
-  if (fault_hook_ && fault_hook_(address, reg, /*is_write=*/false)) {
-    throw I2cError(util::format("I2C NACK at 0x%02x (injected, reg 0x%02x)",
-                                address, reg));
-  }
   return it->second->read_word(reg);
 }
 
@@ -56,10 +45,6 @@ void I2cBus::write_word(std::uint8_t address, std::uint8_t reg,
     throw I2cError(util::format("I2C NACK at 0x%02x", address));
   }
   ++transactions_;
-  if (fault_hook_ && fault_hook_(address, reg, /*is_write=*/true)) {
-    throw I2cError(util::format("I2C NACK at 0x%02x (injected, reg 0x%02x)",
-                                address, reg));
-  }
   it->second->write_word(reg, value);
 }
 

@@ -33,25 +33,9 @@ class I2cDevice {
 /// Single-master bus with 7-bit addressing.
 class I2cBus {
  public:
-  /// Bus-fault hook: consulted before every word transaction; returning
-  /// true makes the bus NACK (throw I2cError) as if the device briefly fell
-  /// off the bus — the seam `faults::FaultInjector` uses on the raw
-  /// INA226 register path. NACKed transactions still count in
-  /// transactions() (the master drove the bus either way).
-  using FaultHook =
-      std::function<bool(std::uint8_t address, std::uint8_t reg,
-                         bool is_write)>;
-
   /// Attach a device. Throws on reserved addresses (0x00-0x07, 0x78-0x7f)
   /// or address conflicts. The device must outlive the bus.
   void attach(std::uint8_t address, I2cDevice& device);
-
-  /// Install (or clear, with nullptr) the bus-fault hook. Installing over
-  /// an existing hook throws.
-  void set_fault_hook(FaultHook hook);
-  [[nodiscard]] bool has_fault_hook() const {
-    return static_cast<bool>(fault_hook_);
-  }
 
   /// True when a device ACKs the address.
   [[nodiscard]] bool probe(std::uint8_t address) const;
@@ -68,7 +52,6 @@ class I2cBus {
  private:
   std::map<std::uint8_t, I2cDevice*> devices_;
   std::uint64_t transactions_ = 0;
-  FaultHook fault_hook_;
 };
 
 /// INA226 presented as an I2C device. `pre_access` (e.g. "advance the SoC

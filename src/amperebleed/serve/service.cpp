@@ -510,111 +510,6 @@ StorageStats ClassificationService::storage() const {
   return s;
 }
 
-util::Json ClassificationService::to_json() const {
-  const ServiceStats s = stats();
-  auto stats_json = util::Json::object();
-  stats_json.set("submitted",
-                 util::Json::integer(static_cast<std::int64_t>(s.submitted)));
-  stats_json.set("admitted",
-                 util::Json::integer(static_cast<std::int64_t>(s.admitted)));
-  stats_json.set("rejected",
-                 util::Json::integer(static_cast<std::int64_t>(s.rejected)));
-  stats_json.set("completed",
-                 util::Json::integer(static_cast<std::int64_t>(s.completed)));
-  stats_json.set(
-      "classified",
-      util::Json::integer(static_cast<std::int64_t>(s.classified)));
-  stats_json.set("open_set_unknown",
-                 util::Json::integer(
-                     static_cast<std::int64_t>(s.open_set_unknown)));
-  stats_json.set("failed",
-                 util::Json::integer(static_cast<std::int64_t>(s.failed)));
-  stats_json.set("ticks",
-                 util::Json::integer(static_cast<std::int64_t>(s.ticks)));
-  stats_json.set("sweeps",
-                 util::Json::integer(static_cast<std::int64_t>(s.sweeps)));
-  stats_json.set(
-      "coalesced_rows",
-      util::Json::integer(static_cast<std::int64_t>(s.coalesced_rows)));
-  stats_json.set(
-      "max_queue_depth",
-      util::Json::integer(static_cast<std::int64_t>(s.max_queue_depth)));
-
-  auto latency = util::Json::object();
-  latency.set("count", util::Json::integer(static_cast<std::int64_t>(
-                           latency_vus_.count())));
-  latency.set("p50_vus", util::Json::number(latency_vus_.quantile(0.5)));
-  latency.set("p90_vus", util::Json::number(latency_vus_.quantile(0.9)));
-  latency.set("p99_vus", util::Json::number(latency_vus_.quantile(0.99)));
-
-  auto tenants = util::Json::array();
-  for (const std::string& name : tenant_order_) {
-    const TenantSession& session = *tenants_.at(name);
-    auto t = util::Json::object();
-    t.set("name", util::Json::string(name));
-    t.set("state", util::Json::string(std::string(state_name(
-                       session.state()))));
-    t.set("enrolled", util::Json::integer(static_cast<std::int64_t>(
-                          session.enrolled())));
-    t.set("classified", util::Json::integer(static_cast<std::int64_t>(
-                            session.classified())));
-    t.set("classes",
-          util::Json::integer(static_cast<std::int64_t>(
-              session.fingerprinter().class_names().size())));
-    tenants.push_back(std::move(t));
-  }
-
-  auto root = util::Json::object();
-  root.set("virtual_now_s", util::Json::number(now().seconds()));
-  root.set("stats", std::move(stats_json));
-  root.set("latency", std::move(latency));
-  root.set("tenants", std::move(tenants));
-  if (store_ != nullptr) {
-    const StorageStats st = storage();
-    auto storage_json = util::Json::object();
-    storage_json.set("degraded", util::Json::boolean(st.degraded));
-    storage_json.set(
-        "last_seq",
-        util::Json::integer(static_cast<std::int64_t>(st.last_seq)));
-    storage_json.set("journal_appends",
-                     util::Json::integer(
-                         static_cast<std::int64_t>(st.journal_appends)));
-    storage_json.set("journal_failures",
-                     util::Json::integer(
-                         static_cast<std::int64_t>(st.journal_failures)));
-    storage_json.set("snapshots_written",
-                     util::Json::integer(
-                         static_cast<std::int64_t>(st.snapshots_written)));
-    storage_json.set("snapshot_failures",
-                     util::Json::integer(
-                         static_cast<std::int64_t>(st.snapshot_failures)));
-    storage_json.set("recovered", util::Json::boolean(st.recovered));
-    storage_json.set("recovered_records",
-                     util::Json::integer(
-                         static_cast<std::int64_t>(st.recovered_records)));
-    storage_json.set("skipped_records",
-                     util::Json::integer(
-                         static_cast<std::int64_t>(st.skipped_records)));
-    storage_json.set("discarded_records",
-                     util::Json::integer(
-                         static_cast<std::int64_t>(st.discarded_records)));
-    storage_json.set("recovered_tenants",
-                     util::Json::integer(
-                         static_cast<std::int64_t>(st.recovered_tenants)));
-    auto discarded = util::Json::array();
-    for (const std::string& name : st.discarded_tenants) {
-      discarded.push_back(util::Json::string(name));
-    }
-    storage_json.set("discarded_tenants", std::move(discarded));
-    storage_json.set(
-        "replay_dropped_records",
-        util::Json::integer(
-            static_cast<std::int64_t>(st.replay_dropped_records)));
-    root.set("storage", std::move(storage_json));
-  }
-  return root;
-}
-
 void ClassificationService::register_default_slo(double threshold_vus,
                                                  double target) {
   obs::slos().add({.name = "serve_latency",

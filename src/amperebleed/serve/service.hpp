@@ -43,7 +43,6 @@
 #include "amperebleed/serve/tenant.hpp"
 #include "amperebleed/serve/types.hpp"
 #include "amperebleed/sim/time.hpp"
-#include "amperebleed/util/json.hpp"
 
 namespace amperebleed::persist {
 struct JournalRecord;
@@ -120,9 +119,9 @@ struct StorageStats {
   std::uint64_t skipped_records = 0;
   std::uint64_t discarded_records = 0;
   std::uint64_t recovered_tenants = 0;
-  /// Snapshot tenants whose restore failed semantic validation, by name
-  /// (also on the service JSON surface, so an operator can see exactly
-  /// which namespaces recovery dropped — not just a count).
+  /// Snapshot tenants whose restore failed semantic validation, by name,
+  /// so an operator can see exactly which namespaces recovery dropped —
+  /// not just a count.
   std::vector<std::string> discarded_tenants;
   /// Journal-tail records referencing a discarded tenant. They are dropped
   /// rather than replayed: replaying (e.g. an Enroll) would recreate the
@@ -186,9 +185,6 @@ class ClassificationService {
   /// valid for the service's lifetime — namespaces are never erased, a
   /// retired tenant keeps its name reserved.
   [[nodiscard]] const TenantSession* tenant(const std::string& name) const;
-
-  /// Service snapshot: virtual clock, stats, latency quantiles, tenants.
-  [[nodiscard]] util::Json to_json() const;
 
   /// Register the service's default latency SLO (virtual-time request
   /// latency over the serve.request_latency_vus histogram) on the global

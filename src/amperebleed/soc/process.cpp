@@ -8,66 +8,6 @@
 
 namespace amperebleed::soc {
 
-CpuSchedule::CpuSchedule(CpuPowerParams params) : params_(params) {
-  if (params_.core_count <= 0 || params_.current_per_core_amps < 0.0) {
-    throw std::invalid_argument("CpuSchedule: bad parameters");
-  }
-}
-
-void CpuSchedule::run(const Process& process, sim::TimeNs start,
-                      sim::TimeNs end, double utilization) {
-  if (process.core < 0 || process.core >= params_.core_count) {
-    throw std::invalid_argument("CpuSchedule::run: core out of range");
-  }
-  if (end <= start) {
-    throw std::invalid_argument("CpuSchedule::run: empty interval");
-  }
-  if (utilization < 0.0 || utilization > 1.0) {
-    throw std::invalid_argument("CpuSchedule::run: utilization not in [0,1]");
-  }
-  // Per-core intervals must be added in order and must not overlap.
-  for (auto it = intervals_.rbegin(); it != intervals_.rend(); ++it) {
-    if (it->core != process.core) continue;
-    if (start < it->end) {
-      throw std::invalid_argument(
-          "CpuSchedule::run: overlapping or out-of-order interval on core");
-    }
-    break;
-  }
-  intervals_.push_back(Interval{process.core, start, end, utilization});
-}
-
-power::RailActivity CpuSchedule::activity() const {
-  // Sum per-core step functions: build a change list, then accumulate.
-  struct Change {
-    sim::TimeNs at;
-    double delta;
-  };
-  std::vector<Change> changes;
-  changes.reserve(intervals_.size() * 2);
-  for (const auto& iv : intervals_) {
-    const double amps = iv.utilization * params_.current_per_core_amps;
-    changes.push_back({iv.start, amps});
-    changes.push_back({iv.end, -amps});
-  }
-  std::sort(changes.begin(), changes.end(),
-            [](const Change& a, const Change& b) { return a.at < b.at; });
-
-  power::RailActivity out;
-  auto& fpd = out.on(power::Rail::FpdCpu);
-  double level = 0.0;
-  std::size_t i = 0;
-  while (i < changes.size()) {
-    const sim::TimeNs at = changes[i].at;
-    while (i < changes.size() && changes[i].at == at) {
-      level += changes[i].delta;
-      ++i;
-    }
-    fpd.append(at, level);
-  }
-  return out;
-}
-
 power::RailActivity make_background_os_activity(
     const BackgroundActivityParams& params, sim::TimeNs end,
     std::uint64_t seed) {

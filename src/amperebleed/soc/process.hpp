@@ -1,58 +1,16 @@
 #pragma once
-// Minimal process/core model for the ARM side. The paper pins the DPU
-// trigger task to core 0 and the sampling task to core 3; what the power
-// model needs from that is (a) which rail the CPU work loads (FPD for the
-// application cores) and (b) when each process is running. The attacker's
-// own sampling loop shows up here too — its CPU draw is part of the FPD
-// baseline the attack must see through.
+// Background CPU-side activity for the ARM application processor. The
+// attacker and the victim's host tasks share the board with PetaLinux
+// housekeeping; what the power model needs from that is the current it adds
+// to the FPD (application cores), DDR and LPD (timer) rails, and when. This
+// background draw is the baseline the attack must see through.
 
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "amperebleed/power/activity.hpp"
 #include "amperebleed/sim/time.hpp"
 
 namespace amperebleed::soc {
-
-struct Process {
-  std::string name;
-  int core = 0;          // 0..3 on the quad-A53 ZCU102
-  bool privileged = false;
-};
-
-struct CpuPowerParams {
-  /// Added FPD current when one core runs at 100% (application cores live in
-  /// the full-power domain).
-  double current_per_core_amps = 0.35;
-  int core_count = 4;
-};
-
-/// Builds the FPD-rail activity contributed by scheduled CPU work.
-class CpuSchedule {
- public:
-  explicit CpuSchedule(CpuPowerParams params = {});
-
-  /// Record that `process` occupies its core at `utilization` (0..1) during
-  /// [start, end). Intervals on the same core must not overlap and must be
-  /// added in increasing start order per core.
-  void run(const Process& process, sim::TimeNs start, sim::TimeNs end,
-           double utilization = 1.0);
-
-  /// Compile to per-rail activity (FPD only).
-  [[nodiscard]] power::RailActivity activity() const;
-
-  [[nodiscard]] const CpuPowerParams& params() const { return params_; }
-
- private:
-  struct Interval {
-    int core;
-    sim::TimeNs start;
-    sim::TimeNs end;
-    double utilization;
-  };
-  CpuPowerParams params_;
-  std::vector<Interval> intervals_;
-};
 
 /// Background OS noise on a PetaLinux board: housekeeping bursts on the
 /// application cores (with their DRAM traffic) and the periodic timer tick

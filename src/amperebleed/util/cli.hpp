@@ -16,6 +16,26 @@
 
 namespace amperebleed::util {
 
+/// Parses all of `text` as an integer, base 0 so hex seeds (0xfa17) parse as
+/// intended instead of silently stopping at the 'x'. Trailing characters,
+/// an empty string or an out-of-range value throw std::invalid_argument
+/// naming `source` (a flag or an environment variable) and the value.
+[[nodiscard]] inline std::int64_t parse_int(std::string_view source,
+                                            const std::string& text) {
+  std::size_t consumed = 0;
+  std::int64_t value = 0;
+  try {
+    value = std::stoll(text, &consumed, 0);
+  } catch (const std::exception&) {
+    consumed = 0;
+  }
+  if (consumed == 0 || consumed != text.size()) {
+    throw std::invalid_argument("invalid value for " + std::string(source) +
+                                ": '" + text + "'");
+  }
+  return value;
+}
+
 class CliArgs {
  public:
   CliArgs(int argc, char** argv) {
@@ -47,17 +67,7 @@ class CliArgs {
                                      std::int64_t fallback) const {
     const auto it = values_.find(name);
     if (it == values_.end()) return fallback;
-    // Base 0 auto-detects 0x/0 prefixes, so hex seeds (--fault-seed 0xfa17)
-    // parse as intended instead of silently stopping at the 'x'.
-    std::size_t consumed = 0;
-    std::int64_t value = 0;
-    try {
-      value = std::stoll(it->second, &consumed, 0);
-    } catch (const std::exception&) {
-      throw invalid_value(name, it->second);
-    }
-    if (consumed != it->second.size()) throw invalid_value(name, it->second);
-    return value;
+    return parse_int("--" + name, it->second);
   }
 
   [[nodiscard]] double get_double(const std::string& name,

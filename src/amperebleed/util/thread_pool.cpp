@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "amperebleed/obs/obs.hpp"
+#include "amperebleed/util/cli.hpp"
 
 namespace amperebleed::util {
 
@@ -29,14 +31,21 @@ bool ThreadPool::cancellation_requested() {
 
 std::size_t ThreadPool::default_size() {
   if (const char* env = std::getenv("AMPEREBLEED_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
+    return parse_size("AMPEREBLEED_THREADS", env);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+std::size_t ThreadPool::parse_size(std::string_view source,
+                                   const std::string& text) {
+  const std::int64_t threads = parse_int(source, text);
+  if (threads < 1 || threads > static_cast<std::int64_t>(kMaxThreads)) {
+    throw std::invalid_argument(
+        std::string(source) + " must be a thread count in [1, " +
+        std::to_string(kMaxThreads) + "], got '" + text + "'");
+  }
+  return static_cast<std::size_t>(threads);
 }
 
 ThreadPool& ThreadPool::global() {

@@ -23,7 +23,8 @@
 //     loop owns the parallelism, inner loops stay deterministic and cheap.
 //   * Sizing. The process-wide pool (global()) is sized from the
 //     AMPEREBLEED_THREADS environment variable (else hardware concurrency);
-//     the bench --threads flag resizes it via set_global_threads().
+//     the bench --threads flag resizes it via set_global_threads(). Both
+//     outside sources go through parse_size(), which bounds them.
 //
 // Observability (only when obs metrics are enabled): pool.size /
 // pool.queue_depth / pool.active_workers gauges, pool.regions / pool.tasks /
@@ -37,6 +38,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -83,9 +86,18 @@ class ThreadPool {
   static ThreadPool& global();
   /// Resize the global pool — the bench `--threads N` flag lands here.
   static void set_global_threads(std::size_t threads);
-  /// AMPEREBLEED_THREADS environment override (if a positive integer), else
+  /// AMPEREBLEED_THREADS environment override (through parse_size(), so a
+  /// malformed or out-of-range value throws), else
   /// std::thread::hardware_concurrency(), never less than 1.
   static std::size_t default_size();
+
+  /// Largest pool size a flag or the environment may ask for; CI runs 1/4/8.
+  static constexpr std::size_t kMaxThreads = 256;
+  /// Parses a pool size that comes from outside the program: an integer in
+  /// [1, kMaxThreads] by util::parse_int's rules. Anything else throws
+  /// std::invalid_argument naming `source` (flag or variable) and `text`.
+  static std::size_t parse_size(std::string_view source,
+                                const std::string& text);
 
  private:
   /// One parallel region. Lives on the run() caller's stack; workers only

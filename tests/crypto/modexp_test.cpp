@@ -83,48 +83,5 @@ TEST(ModExp, LargeOperandsAgainstPythonDerivedVector) {
   EXPECT_EQ(modexp(base, exp, m), expected);
 }
 
-TEST(ModExpTraced, IterationCountEqualsExponentBitLength) {
-  const BigUInt m(1'000'003);
-  const BigUInt base(12345);
-  const BigUInt exp(0b1011010);  // 7 bits
-  const auto trace = modexp_traced(base, exp, m);
-  EXPECT_EQ(trace.iterations.size(), 7u);
-  EXPECT_EQ(trace.result.low_u64(), ref_modexp(12345, 0b1011010, 1'000'003));
-}
-
-TEST(ModExpTraced, MultiplyActivityMirrorsExponentBits) {
-  const BigUInt m(999'983);
-  const BigUInt exp(0b1011010);
-  const auto trace = modexp_traced(BigUInt(2), exp, m);
-  for (std::size_t i = 0; i < trace.iterations.size(); ++i) {
-    EXPECT_EQ(trace.iterations[i].multiply_active, exp.bit(i))
-        << "iteration " << i;
-  }
-}
-
-TEST(ModExpTraced, ZeroExponentRunsOneIdleIteration) {
-  const auto trace = modexp_traced(BigUInt(5), BigUInt(), BigUInt(11));
-  ASSERT_EQ(trace.iterations.size(), 1u);
-  EXPECT_FALSE(trace.iterations[0].multiply_active);
-  EXPECT_EQ(trace.result.low_u64(), 1u);
-}
-
-TEST(ModExpTraced, ActiveIterationCountEqualsHammingWeight) {
-  util::Rng rng(3);
-  for (int trial = 0; trial < 10; ++trial) {
-    BigUInt exp;
-    for (int b = 0; b < 64; ++b) {
-      if (rng.bernoulli(0.4)) exp.set_bit(static_cast<std::size_t>(b));
-    }
-    if (exp.is_zero()) exp = BigUInt(1);
-    const auto trace = modexp_traced(BigUInt(3), exp, BigUInt(1'000'003));
-    std::size_t active = 0;
-    for (const auto& it : trace.iterations) {
-      if (it.multiply_active) ++active;
-    }
-    EXPECT_EQ(active, exp.hamming_weight());
-  }
-}
-
 }  // namespace
 }  // namespace amperebleed::crypto

@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "amperebleed/hwmon/vfs.hpp"
-#include "amperebleed/sensors/i2c.hpp"
+#include "support/scoped_env.hpp"
 
 namespace amperebleed::faults {
 namespace {
@@ -26,20 +27,23 @@ TEST(FaultKindNames, RoundTrip) {
   EXPECT_FALSE(fault_kind_from_name("no-such-fault").has_value());
 }
 
+double total(const FaultRates& rates) {
+  return std::accumulate(rates.rate.begin(), rates.rate.end(), 0.0);
+}
+
 TEST(FaultRates, TotalsAndAny) {
   FaultRates rates;
   EXPECT_FALSE(rates.any());
-  EXPECT_DOUBLE_EQ(rates.read_total(), 0.0);
+  EXPECT_DOUBLE_EQ(total(rates), 0.0);
   rates[FaultKind::Transient] = 0.1;
-  rates[FaultKind::I2cNack] = 0.4;  // excluded from the read-path total
+  rates[FaultKind::LatencySpike] = 0.4;
   EXPECT_TRUE(rates.any());
-  EXPECT_DOUBLE_EQ(rates.read_total(), 0.1);
+  EXPECT_DOUBLE_EQ(total(rates), 0.5);
 }
 
 TEST(FaultPlan, ChaosMixSumsToRequestedRate) {
   const auto plan = FaultPlan::chaos(42, 0.10);
-  EXPECT_NEAR(plan.rates.read_total(), 0.10, 1e-12);
-  EXPECT_DOUBLE_EQ(plan.rates[FaultKind::I2cNack], 0.10);
+  EXPECT_NEAR(total(plan.rates), 0.10, 1e-12);
   EXPECT_GT(plan.burst.continue_probability, 0.0);
   EXPECT_TRUE(plan.any());
   EXPECT_FALSE(FaultPlan::chaos(42, 0.0).any());
@@ -56,22 +60,27 @@ TEST(FaultPlan, TransientOnlyIsPureEagain) {
   EXPECT_DOUBLE_EQ(plan.burst.continue_probability, 0.0);
 }
 
-TEST(FaultPlan, FromEnvParsesSeedAndRate) {
-  ::setenv("AMPEREBLEED_FAULT_SEED", "0xabc", 1);
-  ::setenv("AMPEREBLEED_FAULT_RATE", "0.25", 1);
-  auto plan = FaultPlan::from_env();
-  EXPECT_EQ(plan.seed, 0xabcu);
-  EXPECT_NEAR(plan.rates.read_total(), 0.25, 1e-12);
+TEST(FaultPlan, SeedFromEnvParsesLikeGetInt) {
+  const test::ScopedEnv env("AMPEREBLEED_FAULT_SEED");
+  env.unset();
+  EXPECT_EQ(FaultPlan::seed_from_env(), 0xfa17u);
+  env.set("1234");
+  EXPECT_EQ(FaultPlan::seed_from_env(), 1234u);
+  env.set("0xabc");
+  EXPECT_EQ(FaultPlan::seed_from_env(), 0xabcu);
 
-  // Out-of-range rates fall back to the default (0.05).
-  ::setenv("AMPEREBLEED_FAULT_RATE", "7.0", 1);
-  plan = FaultPlan::from_env();
-  EXPECT_NEAR(plan.rates.read_total(), 0.05, 1e-12);
-
-  ::unsetenv("AMPEREBLEED_FAULT_SEED");
-  ::unsetenv("AMPEREBLEED_FAULT_RATE");
-  plan = FaultPlan::from_env();
-  EXPECT_EQ(plan.seed, 0xfa17u);
+  // The whole string must parse, as for --fault-seed.
+  for (const char* bad : {"0xfa17z", "seed", "", "12 ", "0x"}) {
+    env.set(bad);
+    try {
+      static_cast<void>(FaultPlan::seed_from_env());
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("AMPEREBLEED_FAULT_SEED"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FaultInjector, ZeroRatesPassEverythingThrough) {
@@ -113,7 +122,6 @@ TEST(FaultInjector, ScheduleIsPerPathDeterministicAcrossInterleavings) {
     mixed_p.emplace_back(r.status, r.data);
     // Interleaved traffic on an unrelated path.
     static_cast<void>(mixed.filter_read("q", false, clean("9\n")));
-    static_cast<void>(mixed.filter_i2c(0x40, 0x04, false));
   }
   EXPECT_EQ(solo_p, mixed_p);
 }
@@ -207,21 +215,6 @@ TEST(FaultInjector, FrozenRegisterRepeatsTheLastCleanText) {
   EXPECT_TRUE(found);
 }
 
-TEST(FaultInjector, I2cNackOnlyDrawsOnTheBusPath) {
-  FaultPlan plan;
-  plan.rates[FaultKind::I2cNack] = 1.0;
-  FaultInjector injector(plan);
-  // Read path never draws I2cNack even at rate 1.
-  const auto r = injector.filter_read("p", false, clean());
-  EXPECT_EQ(r.status, hwmon::VfsStatus::Ok);
-  EXPECT_EQ(r.data, "1520\n");
-  // Bus path NACKs every transaction.
-  for (int n = 0; n < 5; ++n) {
-    EXPECT_TRUE(injector.filter_i2c(0x40, 0x04, false));
-  }
-  EXPECT_EQ(injector.stats().by_kind(FaultKind::I2cNack), 5u);
-}
-
 TEST(FaultInjector, AttachAndDetachVirtualFs) {
   hwmon::VirtualFs fs;
   fs.add_file("/sys/x", 0444, [] { return std::string("42\n"); });
@@ -237,32 +230,6 @@ TEST(FaultInjector, AttachAndDetachVirtualFs) {
   }
   EXPECT_FALSE(fs.has_read_fault_hook());
   EXPECT_EQ(fs.read("/sys/x", false).data, "42\n");
-}
-
-class WordDevice final : public sensors::I2cDevice {
- public:
-  std::uint16_t read_word(std::uint8_t) override { return 0xbeef; }
-  void write_word(std::uint8_t, std::uint16_t) override {}
-};
-
-TEST(FaultInjector, AttachBusNacksTransactions) {
-  sensors::I2cBus bus;
-  WordDevice device;
-  bus.attach(0x40, device);
-  EXPECT_EQ(bus.read_word(0x40, 0x04), 0xbeef);
-
-  FaultInjector injector([] {
-    FaultPlan plan;
-    plan.rates[FaultKind::I2cNack] = 1.0;
-    return plan;
-  }());
-  injector.attach_bus(bus);
-  EXPECT_TRUE(bus.has_fault_hook());
-  EXPECT_THROW(static_cast<void>(bus.read_word(0x40, 0x04)),
-               sensors::I2cError);
-  injector.detach();
-  EXPECT_FALSE(bus.has_fault_hook());
-  EXPECT_EQ(bus.read_word(0x40, 0x04), 0xbeef);
 }
 
 TEST(FaultInjector, SecondHookInstallThrows) {

@@ -115,15 +115,6 @@ TEST(RsaCircuit, IdleOutsideEncryptions) {
   EXPECT_NEAR(fpga.value_at(sim::milliseconds(3)), c.idle_current_amps, 1e-12);
 }
 
-TEST(RsaCircuit, EncryptMatchesReferenceModexp) {
-  crypto::RsaKey key = small_key(20, 7);
-  const crypto::BigUInt d = key.private_exponent;
-  const crypto::BigUInt n = key.modulus;
-  RsaCircuit circuit(small_config(), std::move(key));
-  const crypto::BigUInt msg(0x1234567890abcdefULL);
-  EXPECT_EQ(circuit.encrypt(msg), crypto::modexp(msg, d, n));
-}
-
 TEST(RsaCircuit, DescriptorIsEncryptedIp) {
   RsaCircuit circuit(small_config(), small_key(10));
   EXPECT_TRUE(circuit.descriptor().encrypted);

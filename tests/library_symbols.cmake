@@ -4,8 +4,12 @@
 # a fitted tree is ForestArena rows only, and the service persists only
 # snapshots and its journal. Traces are read live from hwmon, never from a
 # trace file; circuits deploy straight onto the fabric; run records carry no
-# repetition samples; and metrics snapshots are JSON only. This keeps any of
-# them from creeping back into the shipped library. Run as
+# repetition samples; and metrics snapshots are JSON only. Nor does it carry
+# what a linker-map audit found no shipped program reaching: the CPU
+# scheduler model, the confusion matrix, the traced modexp, the raw-bus
+# fault path, the inverse AES cipher, the drift sketch's merge and moments,
+# and the service's JSON view. This keeps any of them from creeping back
+# into the shipped library. Run as
 #
 #   cmake -DNM=nm -DLIBRARY=libamperebleed.a -DSOURCE_DIR=src \
 #         -P library_symbols.cmake
@@ -41,32 +45,44 @@ foreach(pattern
     "load_trace_csv"
     "fpga::Bitstream"
     "RunRecord::add_sample"
-    "MetricsRegistry::to_csv")
+    "MetricsRegistry::to_csv"
+    "ConfusionMatrix"
+    "CpuSchedule"
+    "modexp_traced"
+    "filter_i2c"
+    "attach_bus"
+    "decrypt_block"
+    "StreamingSketch::merge"
+    "ClassificationService::to_json")
   string(FIND "${symbols}" "${pattern}" at)
   if(NOT at EQUAL -1)
     list(APPEND failures "symbol matching '${pattern}'")
   endif()
 endforeach()
 
-# Data members leave no symbol, and neither would a tree class defined in
-# its header, so two checks read the header: a tree config picks no
-# splitter, and decision_tree.hpp declares no DecisionTree class.
-file(READ "${SOURCE_DIR}/amperebleed/ml/decision_tree.hpp" tree_header)
-string(FIND "${tree_header}" "Splitter" at)
-if(NOT at EQUAL -1)
-  list(APPEND failures "TreeConfig splitter field")
-endif()
-string(FIND "${tree_header}" "class DecisionTree" at)
-if(NOT at EQUAL -1)
-  list(APPEND failures "DecisionTree class")
-endif()
-
-# WhiteNoise was header-only, so it too would leave no symbol.
-file(READ "${SOURCE_DIR}/amperebleed/sim/noise.hpp" noise_header)
-string(FIND "${noise_header}" "class WhiteNoise" at)
-if(NOT at EQUAL -1)
-  list(APPEND failures "WhiteNoise class")
-endif()
+# Data members and enumerators leave no symbol, and neither would a class
+# defined in its header, so these checks read the header: a tree config
+# picks no splitter, decision_tree.hpp declares no DecisionTree class,
+# WhiteNoise (header-only) stays gone, and so do the I2cNack fault kind and
+# the drift sketch's moment members.
+foreach(check
+    "ml/decision_tree.hpp|Splitter|TreeConfig splitter field"
+    "ml/decision_tree.hpp|class DecisionTree|DecisionTree class"
+    "sim/noise.hpp|class WhiteNoise|WhiteNoise class"
+    "faults/faults.hpp|I2cNack|I2cNack fault kind"
+    "obs/drift.hpp|double sum_|StreamingSketch sum member"
+    "obs/drift.hpp|double min_|StreamingSketch min member"
+    "obs/drift.hpp|double max_|StreamingSketch max member")
+  string(REPLACE "|" ";" fields "${check}")
+  list(GET fields 0 header)
+  list(GET fields 1 needle)
+  list(GET fields 2 label)
+  file(READ "${SOURCE_DIR}/amperebleed/${header}" text)
+  string(FIND "${text}" "${needle}" at)
+  if(NOT at EQUAL -1)
+    list(APPEND failures "${label}")
+  endif()
+endforeach()
 
 if(failures)
   list(JOIN failures "\n  " listing)

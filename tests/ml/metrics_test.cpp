@@ -36,44 +36,5 @@ TEST(TopKAccuracy, Validation) {
   EXPECT_DOUBLE_EQ(top_k_accuracy({}, {}), 0.0);
 }
 
-TEST(ConfusionMatrix, AccumulatesAndSummarizes) {
-  ConfusionMatrix cm(3);
-  cm.add(0, 0);
-  cm.add(0, 0);
-  cm.add(0, 1);
-  cm.add(1, 1);
-  cm.add(2, 0);
-  EXPECT_EQ(cm.total(), 5u);
-  EXPECT_EQ(cm.count(0, 0), 2u);
-  EXPECT_EQ(cm.count(0, 1), 1u);
-  EXPECT_DOUBLE_EQ(cm.overall_accuracy(), 3.0 / 5.0);
-  EXPECT_DOUBLE_EQ(cm.recall(0), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(cm.precision(1), 0.5);
-  EXPECT_DOUBLE_EQ(cm.recall(2), 0.0);
-}
-
-TEST(ConfusionMatrix, EmptyClassMetricsAreZero) {
-  ConfusionMatrix cm(2);
-  EXPECT_DOUBLE_EQ(cm.overall_accuracy(), 0.0);
-  EXPECT_DOUBLE_EQ(cm.recall(0), 0.0);
-  EXPECT_DOUBLE_EQ(cm.precision(0), 0.0);
-}
-
-TEST(ConfusionMatrix, Validation) {
-  EXPECT_THROW(ConfusionMatrix(0), std::invalid_argument);
-  ConfusionMatrix cm(2);
-  EXPECT_THROW(cm.add(2, 0), std::out_of_range);
-  EXPECT_THROW(cm.add(0, -1), std::out_of_range);
-  EXPECT_THROW(static_cast<void>(cm.count(0, 5)), std::out_of_range);
-}
-
-TEST(ConfusionMatrix, RenderContainsAllCells) {
-  ConfusionMatrix cm(2);
-  cm.add(0, 1);
-  const std::string out = cm.render();
-  EXPECT_NE(out.find("truth"), std::string::npos);
-  EXPECT_NE(out.find('1'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace amperebleed::ml

@@ -33,10 +33,6 @@ TEST(StreamingSketch, ObserveTracksCountsAndMoments) {
   EXPECT_EQ(s.counts()[0], 1u);
   EXPECT_EQ(s.counts()[1], 2u);
   EXPECT_EQ(s.counts()[7], 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), (0.5 + 1.5 + 1.5 + 7.5) / 4.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.5);
-  EXPECT_DOUBLE_EQ(s.max(), 7.5);
-  EXPECT_GT(s.variance(), 0.0);
 }
 
 TEST(StreamingSketch, OutOfRangeValuesLandInEdgeBins) {
@@ -47,40 +43,6 @@ TEST(StreamingSketch, OutOfRangeValuesLandInEdgeBins) {
   EXPECT_EQ(s.counts()[0], 1u);
   EXPECT_EQ(s.counts()[3], 2u);
   EXPECT_EQ(s.total(), 3u);
-  // Moments keep the raw values (the signal that data walked out of range).
-  EXPECT_DOUBLE_EQ(s.min(), -100.0);
-  EXPECT_DOUBLE_EQ(s.max(), 100.0);
-}
-
-TEST(StreamingSketch, MergeAddsCountsAndRequiresSameLayout) {
-  StreamingSketch a(0.0, 4.0, 4);
-  StreamingSketch b(0.0, 4.0, 4);
-  a.observe(0.5);
-  b.observe(2.5);
-  b.observe(3.5);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.counts()[0], 1u);
-  EXPECT_EQ(a.counts()[2], 1u);
-  EXPECT_EQ(a.counts()[3], 1u);
-  EXPECT_DOUBLE_EQ(a.min(), 0.5);
-  EXPECT_DOUBLE_EQ(a.max(), 3.5);
-
-  StreamingSketch other_range(0.0, 8.0, 4);
-  StreamingSketch other_bins(0.0, 4.0, 8);
-  EXPECT_THROW(a.merge(other_range), std::invalid_argument);
-  EXPECT_THROW(a.merge(other_bins), std::invalid_argument);
-}
-
-TEST(StreamingSketch, ClearKeepsLayoutZeroesData) {
-  StreamingSketch s(-1.0, 1.0, 4);
-  s.observe(0.25);
-  s.clear();
-  EXPECT_EQ(s.total(), 0u);
-  EXPECT_EQ(s.bins(), 4u);
-  EXPECT_DOUBLE_EQ(s.lo(), -1.0);
-  EXPECT_DOUBLE_EQ(s.hi(), 1.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
 TEST(StreamingSketch, FractionsAreSmoothedAndSumToOne) {

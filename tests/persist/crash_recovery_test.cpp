@@ -189,7 +189,7 @@ void run_and_doctor_snapshot(
     const std::function<void(persist::TenantState&)>& doctor) {
   {
     ClassificationService service(durable_config(dir, 12));
-    run_script(service, make_script(faults::FaultPlan::from_env().seed));
+    run_script(service, make_script(faults::FaultPlan::seed_from_env()));
   }
   const std::string snap_name = newest_snapshot(dir);
   ASSERT_FALSE(snap_name.empty());
@@ -237,7 +237,7 @@ class CrashRecoveryTest : public ::testing::Test {
 // `drift` on, every recovered serving tenant also holds the clean run's
 // drift reference, whether restore or a replayed train built it.
 void kill_point_sweep(bool drift) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string tag = drift ? "drift_" : "";
 
@@ -314,7 +314,7 @@ TEST_F(CrashRecoveryTest, KillPointSweepWithDriftKeepsTheReference) {
 }
 
 TEST_F(CrashRecoveryTest, UninterruptedRestartRecoversEverything) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("restart");
   std::string expected;
@@ -335,7 +335,7 @@ TEST_F(CrashRecoveryTest, UninterruptedRestartRecoversEverything) {
 // recovers: the profile block is skipped, and restore rebuilds a reference
 // equal to the one the writing service held.
 TEST_F(CrashRecoveryTest, LegacyProfileSnapshotRecovers) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("legacy");
   std::string expected;
@@ -367,7 +367,7 @@ TEST_F(CrashRecoveryTest, LegacyProfileSnapshotRecovers) {
 // Whether a restored tenant has a drift monitor is up to the recovering
 // service's config, not to the config it was trained under.
 TEST_F(CrashRecoveryTest, RestoredMonitorFollowsTheRecoveringConfig) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::string dir = fresh_dir("drift_toggle");
   {
     ClassificationService service(durable_config(dir, 1000, false));
@@ -396,7 +396,7 @@ TEST_F(CrashRecoveryTest, RestoredMonitorFollowsTheRecoveringConfig) {
 // not after a live retire, and not after recovery, whether the retire comes
 // back by journal replay or from a snapshot.
 TEST_F(CrashRecoveryTest, RetiredTenantHoldsNoDriftMonitor) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   std::vector<Request> script = make_script(seed);
   script.push_back(control_request(RequestKind::Retire, "beta"));
   const std::string dir = fresh_dir("retired_drift");
@@ -428,7 +428,7 @@ TEST_F(CrashRecoveryTest, RetiredTenantHoldsNoDriftMonitor) {
 }
 
 TEST_F(CrashRecoveryTest, RecoveryAccountsForEveryJournalRecord) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("accounting");
   std::string expected;
@@ -456,7 +456,7 @@ TEST_F(CrashRecoveryTest, RecoveryAccountsForEveryJournalRecord) {
 }
 
 TEST_F(CrashRecoveryTest, CorruptNewestSnapshotFallsBackAndDiscards) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("badsnap");
   std::string expected;
@@ -485,7 +485,7 @@ TEST_F(CrashRecoveryTest, CorruptNewestSnapshotFallsBackAndDiscards) {
 }
 
 TEST_F(CrashRecoveryTest, PersistentJournalFailureDegradesToReadOnly) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("degraded");
   auto service =
@@ -535,7 +535,7 @@ TEST_F(CrashRecoveryTest, PersistentJournalFailureDegradesToReadOnly) {
 // append lands past it and the recovery prefix scan (duplicate seq)
 // discards the acked record while replaying the unapplied orphan.
 TEST_F(CrashRecoveryTest, FailedAppendAfterFullWriteLeavesNoOrphan) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("rollback");
   auto service =
@@ -648,7 +648,7 @@ TEST_F(CrashRecoveryTest, SnapshotForestWithMoreClassesThanNamesIsDiscarded) {
 // snapshot at all — before the overflow guard it could sort as "newest" and
 // shadow the genuine snapshot.
 TEST_F(CrashRecoveryTest, OverlongSnapshotNameCannotShadowTheRealOne) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("overflow");
   std::string expected;
@@ -666,7 +666,7 @@ TEST_F(CrashRecoveryTest, OverlongSnapshotNameCannotShadowTheRealOne) {
 }
 
 TEST_F(CrashRecoveryTest, SnapshotFailureLeavesJournalAuthoritative) {
-  const std::uint64_t seed = faults::FaultPlan::from_env().seed;
+  const std::uint64_t seed = faults::FaultPlan::seed_from_env();
   const std::vector<Request> script = make_script(seed);
   const std::string dir = fresh_dir("snapfail");
   std::string expected;

@@ -1,5 +1,7 @@
 #include "support/legacy_snapshot.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "amperebleed/obs/drift.hpp"
@@ -17,12 +19,17 @@ std::string legacy_profile_block(const ml::Dataset& data, std::size_t bins) {
   enc.u64(profile.dims());
   for (std::size_t d = 0; d < profile.dims(); ++d) {
     const obs::StreamingSketch& sketch = profile.feature_sketches[d];
+    // The legacy layout's moment fields, computed from the column.
     double sum = 0.0;
     double sum_sq = 0.0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < data.size(); ++r) {
       const double v = data.row(r)[d];
       sum += v;
       sum_sq += v * v;
+      min = std::min(min, v);
+      max = std::max(max, v);
     }
     enc.f64(sketch.lo());
     enc.f64(sketch.hi());
@@ -30,8 +37,8 @@ std::string legacy_profile_block(const ml::Dataset& data, std::size_t bins) {
     enc.u64(sketch.total());
     enc.f64(sum);
     enc.f64(sum_sq);
-    enc.f64(sketch.min());
-    enc.f64(sketch.max());
+    enc.f64(min);
+    enc.f64(max);
     enc.f64_vec(profile.feature_samples[d]);
   }
   return enc.take();

@@ -4,26 +4,55 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "amperebleed/obs/obs.hpp"
+#include "support/scoped_env.hpp"
 
 namespace amperebleed::util {
 namespace {
 
 TEST(ThreadPool, DefaultSizeHonoursEnvironmentOverride) {
-  ::setenv("AMPEREBLEED_THREADS", "3", 1);
+  const test::ScopedEnv env("AMPEREBLEED_THREADS");
+  env.set("3");
   EXPECT_EQ(ThreadPool::default_size(), 3u);
-  ::setenv("AMPEREBLEED_THREADS", "garbage", 1);
-  EXPECT_GE(ThreadPool::default_size(), 1u);  // falls back to hardware
-  ::setenv("AMPEREBLEED_THREADS", "0", 1);
+  // A malformed or out-of-range override is an error, not a silent
+  // fall-back to hardware concurrency.
+  env.set("garbage");
+  EXPECT_THROW(static_cast<void>(ThreadPool::default_size()),
+               std::invalid_argument);
+  env.set("0");
+  EXPECT_THROW(static_cast<void>(ThreadPool::default_size()),
+               std::invalid_argument);
+  env.unset();
   EXPECT_GE(ThreadPool::default_size(), 1u);
-  ::unsetenv("AMPEREBLEED_THREADS");
-  EXPECT_GE(ThreadPool::default_size(), 1u);
+}
+
+// parse_size only parses: none of these cases constructs a pool, so the
+// out-of-range ones start no threads.
+TEST(ThreadPool, ParseSizeAcceptsOneUpToTheBound) {
+  EXPECT_EQ(ThreadPool::parse_size("--threads", "1"), 1u);
+  EXPECT_EQ(ThreadPool::parse_size("--threads", "8"), 8u);
+  EXPECT_EQ(ThreadPool::parse_size("--threads", "256"),
+            ThreadPool::kMaxThreads);
+  for (const char* bad :
+       {"0", "-1", "257", "100000", "8x", "", "four", "99999999999999999999"}) {
+    for (const char* source : {"--threads", "AMPEREBLEED_THREADS"}) {
+      try {
+        static_cast<void>(ThreadPool::parse_size(source, bad));
+        ADD_FAILURE() << source << " accepted '" << bad << "'";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(source), std::string::npos) << what;
+        EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(ThreadPool, SizeOneIsAnExactSerialLoop) {
