@@ -126,6 +126,13 @@ void OnlineFingerprinter::start_drift_monitor() {
       config_.drift);
 }
 
+void OnlineFingerprinter::release_model() {
+  data_ = ml::Dataset(feature_count_);
+  forest_ = ml::RandomForest(config_.forest);
+  trained_ = false;
+  monitor_.reset();
+}
+
 void OnlineFingerprinter::reset_drift_window() {
   if (monitor_) monitor_->reset_window();
 }

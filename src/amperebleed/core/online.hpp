@@ -52,7 +52,9 @@ class OnlineFingerprinter {
   /// round-trips doubles exactly). A trained instance with drift enabled
   /// gets its monitor back as train() built it: the reference recomputed
   /// from the dataset, the observation window empty (drift state is
-  /// observation-only, so verdicts are unchanged either way). Throws
+  /// observation-only, so verdicts are unchanged either way). An untrained
+  /// state starts no monitor, so a released model (release_model(): empty
+  /// dataset, no forest) restores to the same released model. Throws
   /// std::invalid_argument on inconsistent state (trained without a forest
   /// or without data, class/label mismatch, a split feature >=
   /// feature_count, more forest classes than class_names).
@@ -119,9 +121,12 @@ class OnlineFingerprinter {
   /// Clear the monitor's window and state (reference kept). No-op untrained
   /// or with drift disabled. Used between evaluation legs.
   void reset_drift_window();
-  /// Destroy the monitor, which detaches it from the obs::QualityHub. For a
-  /// fingerprinter that will never classify again (a retired tenant).
-  void drop_drift_monitor() { monitor_.reset(); }
+  /// Free the model of a fingerprinter that will never enroll or classify
+  /// again (a retired tenant): the enrollment dataset (left empty at the
+  /// same feature width), the forest and the drift monitor (which detaches
+  /// it from the obs::QualityHub). feature_count() and class_names() stay;
+  /// trained() turns false.
+  void release_model();
 
  private:
   /// With drift enabled, a monitor over the reference profile of data_.

@@ -129,21 +129,6 @@ Aes128::Aes128(const Key& key) {
   }
 }
 
-Aes128::Block Aes128::encrypt_block(const Block& plaintext) const {
-  State s = plaintext;
-  add_round_key(s, round_keys_[0]);
-  for (int round = 1; round < kRounds; ++round) {
-    sub_bytes(s);
-    shift_rows(s);
-    mix_columns(s);
-    add_round_key(s, round_keys_[static_cast<std::size_t>(round)]);
-  }
-  sub_bytes(s);
-  shift_rows(s);
-  add_round_key(s, round_keys_[kRounds]);
-  return s;
-}
-
 Aes128::TracedEncryption Aes128::encrypt_block_traced(
     const Block& plaintext) const {
   TracedEncryption out;

@@ -22,13 +22,11 @@ class Aes128 {
 
   explicit Aes128(const Key& key);
 
-  /// Encrypt one 16-byte block (ECB primitive).
-  [[nodiscard]] Block encrypt_block(const Block& plaintext) const;
-
-  /// Encryption with the intermediate state after every AddRoundKey —
-  /// what a register-per-round hardware pipeline latches each cycle. The
-  /// power model derives real switching activity (Hamming distances
-  /// between consecutive states) from this.
+  /// Encrypt one 16-byte block (ECB primitive), keeping the intermediate
+  /// state after every AddRoundKey — what a register-per-round hardware
+  /// pipeline latches each cycle. The power model derives real switching
+  /// activity (Hamming distances between consecutive states) from this;
+  /// the last round state is the ciphertext.
   struct TracedEncryption {
     Block ciphertext{};
     std::array<Block, kRounds + 1> round_states{};  // post-AddRoundKey

@@ -91,25 +91,26 @@ void ClassificationService::recover_from_store() {
   // state is moved, not copied, into its restored fingerprinter.
   if (std::optional<persist::ServiceSnapshot> snapshot =
           store_->take_snapshot()) {
-    // A retired tenant never classifies again, so it comes back without a
-    // drift monitor, as TenantSession::retire() leaves a live one.
-    core::OnlineFingerprinterConfig retired_config = config_.fingerprinter;
-    retired_config.drift.enabled = false;
     for (persist::TenantState& t : snapshot->tenants) {
       core::OnlineFingerprinter::RestoredState& model = t;
       const auto state = static_cast<TenantSession::State>(t.state);
-      const core::OnlineFingerprinterConfig& config =
-          state == TenantSession::State::Retired ? retired_config
-                                                 : config_.fingerprinter;
+      // A retired tenant comes back as the tombstone TenantSession::retire()
+      // leaves, also from an older snapshot that still holds its model:
+      // untrained, so restore starts no drift monitor either.
+      if (state == TenantSession::State::Retired) {
+        model.data = ml::Dataset(model.feature_count);
+        model.arena = ml::ForestArena{};
+        model.trained = false;
+      }
       // CRC-valid but semantically inconsistent tenants are skipped — the
       // rest of the snapshot still recovers (replay handles any dangling
       // references with UnknownTenant).
       try {
         tenants_.emplace(
-            t.name,
-            std::make_unique<TenantSession>(
-                t.name, state, t.enrolled, t.classified,
-                core::OnlineFingerprinter::restore(config, std::move(model))));
+            t.name, std::make_unique<TenantSession>(
+                        t.name, state, t.enrolled, t.classified,
+                        core::OnlineFingerprinter::restore(
+                            config_.fingerprinter, std::move(model))));
         tenant_order_.push_back(t.name);
       } catch (const std::invalid_argument&) {
         discarded_tenants_.push_back(t.name);

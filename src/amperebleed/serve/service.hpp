@@ -183,7 +183,9 @@ class ClassificationService {
   [[nodiscard]] std::vector<std::string> tenant_names() const;
   /// Lookup (nullptr when the namespace does not exist). The pointer stays
   /// valid for the service's lifetime — namespaces are never erased, a
-  /// retired tenant keeps its name reserved.
+  /// retired tenant keeps its name reserved as a tombstone: its state,
+  /// tallies, feature width and class names, with no dataset, forest or
+  /// drift monitor (trained() is false).
   [[nodiscard]] const TenantSession* tenant(const std::string& name) const;
 
   /// Register the service's default latency SLO (virtual-time request

@@ -73,7 +73,7 @@ ServeStatus TenantSession::train(std::string* error) {
 ServeStatus TenantSession::retire() {
   if (state_ == State::Retired) return ServeStatus::TenantRetired;
   state_ = State::Retired;
-  fingerprinter_.drop_drift_monitor();
+  fingerprinter_.release_model();
   return ServeStatus::Ok;
 }
 

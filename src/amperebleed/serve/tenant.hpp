@@ -48,8 +48,12 @@ class TenantSession {
   /// TenantRetired, AlreadyTrained, InvalidRequest (fewer than 2 classes).
   ServeStatus train(std::string* error = nullptr);
 
-  /// Close the namespace for good and drop the drift monitor: a retired
-  /// tenant never classifies again. Errors: TenantRetired (already closed).
+  /// Close the namespace for good. A retired tenant never enrolls or
+  /// classifies again, so it becomes a tombstone: it keeps its name, state,
+  /// tallies, feature width and class names, and frees its model (dataset,
+  /// forest and drift monitor; OnlineFingerprinter::release_model), so a
+  /// snapshot writes it at a size that does not grow with what it enrolled.
+  /// Errors: TenantRetired (already closed).
   ServeStatus retire();
 
   /// Admission check for one classify request — state and payload only, no

@@ -7,7 +7,8 @@
 # repetition samples; and metrics snapshots are JSON only. Nor does it carry
 # what a linker-map audit found no shipped program reaching: the CPU
 # scheduler model, the confusion matrix, the traced modexp, the raw-bus
-# fault path, the inverse AES cipher, the drift sketch's merge and moments,
+# fault path, the inverse AES cipher and its untraced forward twin (the
+# traced cipher is the one path), the drift sketch's merge and moments,
 # and the service's JSON view. This keeps any of them from creeping back
 # into the shipped library. Run as
 #
@@ -52,6 +53,7 @@ foreach(pattern
     "filter_i2c"
     "attach_bus"
     "decrypt_block"
+    "Aes128::encrypt_block("
     "StreamingSketch::merge"
     "ClassificationService::to_json")
   string(FIND "${symbols}" "${pattern}" at)

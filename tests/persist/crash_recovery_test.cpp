@@ -62,12 +62,12 @@ Request classify_request(const std::string& tenant, int cls,
   return r;
 }
 
-/// The deterministic workload: two tenants through full lifecycles, one
-/// short-lived retiree, plus control requests that FAIL (an enroll without
-/// a label, a train on a retired tenant) — those are journalled too, and
-/// replay must reproduce their side effects (the namespace the invalid
-/// enroll opened) exactly.
-std::vector<Request> make_script(std::uint64_t seed) {
+/// The first 14 control requests of make_script: two tenants through full
+/// lifecycles, one short-lived retiree, plus control requests that FAIL (an
+/// enroll without a label, a train on a retired tenant) — those are
+/// journalled too, and replay must reproduce their side effects (the
+/// namespace the invalid enroll opened) exactly.
+std::vector<Request> lifecycle_script(std::uint64_t seed) {
   std::vector<Request> script;
   for (int cls = 0; cls < 2; ++cls) {
     for (std::uint64_t rep = 0; rep < 2; ++rep) {
@@ -95,6 +95,32 @@ std::vector<Request> make_script(std::uint64_t seed) {
   return script;
 }
 
+/// The deterministic workload: lifecycle_script, then a tenant that trains
+/// and retires (25 control requests in all). At snapshot_every=5 the
+/// snapshot at seq 20 holds epsilon trained, its Retire (seq 21) replays
+/// over it, and the snapshot at seq 25 holds its tombstone, so the
+/// kill-point sweep crosses both.
+std::vector<Request> make_script(std::uint64_t seed) {
+  std::vector<Request> script = lifecycle_script(seed);
+  // Three enrolls of class 0 and two of class 1 put the Train at seq 20.
+  for (int cls = 0; cls < 2; ++cls) {
+    for (std::uint64_t rep = 0; rep < 3 - static_cast<std::uint64_t>(cls);
+         ++rep) {
+      script.push_back(
+          enroll_request("epsilon", cls, seed + 40 * cls + rep + 2));
+    }
+  }
+  script.push_back(control_request(RequestKind::Train, "epsilon"));
+  script.push_back(classify_request("epsilon", 1, seed + 103));
+  script.push_back(control_request(RequestKind::Retire, "epsilon"));
+  // Against the tombstone: each of these fails, and each is journalled.
+  script.push_back(enroll_request("epsilon", 0, seed + 500));
+  script.push_back(control_request(RequestKind::Train, "epsilon"));
+  script.push_back(control_request(RequestKind::Retire, "epsilon"));
+  script.push_back(enroll_request("epsilon", 1, seed + 501));
+  return script;
+}
+
 ServiceConfig durable_config(const std::string& dir,
                              std::uint64_t snapshot_every = 5,
                              bool drift = false) {
@@ -115,20 +141,24 @@ void run_script(ClassificationService& service,
 }
 
 /// Deterministic fingerprint of all recovery-relevant state: tenant
-/// lifecycle + enrollment tallies + full classify verdicts (every ranking
-/// probability at %.17g, so any bit difference shows). Classified tallies
-/// are deliberately excluded — classifies are not journalled.
+/// lifecycle + enrollment tallies + the model each tenant holds (dataset
+/// rows and forest nodes: none for a tombstone) + full classify verdicts
+/// (every ranking probability at %.17g, so any bit difference shows).
+/// Classified tallies are deliberately excluded — classifies are not
+/// journalled.
 std::string probe(const ClassificationService& service, std::uint64_t seed) {
   std::string out;
-  char buf[64];
+  char buf[96];
   for (const std::string& name : service.tenant_names()) {
     const TenantSession* tenant = service.tenant(name);
+    const core::OnlineFingerprinter& fp = tenant->fingerprinter();
     out += name;
     out += '|';
     out += state_name(tenant->state());
-    std::snprintf(buf, sizeof(buf), "|e=%llu|c=%zu\n",
+    std::snprintf(buf, sizeof(buf), "|e=%llu|c=%zu|rows=%zu|nodes=%zu\n",
                   static_cast<unsigned long long>(tenant->enrolled()),
-                  tenant->fingerprinter().class_names().size());
+                  fp.class_names().size(), fp.enrollment_data().size(),
+                  fp.forest().arena().node_count());
     out += buf;
     if (tenant->state() != TenantSession::State::Serving) continue;
     for (int cls = 0; cls < 2; ++cls) {
@@ -179,7 +209,7 @@ std::string newest_snapshot(const std::string& dir) {
   return snap_name;
 }
 
-/// Runs the workload with snapshot_every=12, so the snapshot lands right
+/// Runs lifecycle_script with snapshot_every=12, so the snapshot lands right
 /// after gamma's enroll (seq 12) and leaves gamma's Retire and failing Train
 /// in the journal tail, then rewrites that snapshot with `doctor` applied to
 /// tenant `name`. The rewritten file decodes (valid CRCs), so only
@@ -189,7 +219,8 @@ void run_and_doctor_snapshot(
     const std::function<void(persist::TenantState&)>& doctor) {
   {
     ClassificationService service(durable_config(dir, 12));
-    run_script(service, make_script(faults::FaultPlan::seed_from_env()));
+    run_script(service,
+               lifecycle_script(faults::FaultPlan::seed_from_env()));
   }
   const std::string snap_name = newest_snapshot(dir);
   ASSERT_FALSE(snap_name.empty());
@@ -325,10 +356,11 @@ TEST_F(CrashRecoveryTest, UninterruptedRestartRecoversEverything) {
   }
   ClassificationService recovered(durable_config(dir));
   EXPECT_TRUE(recovered.storage().recovered);
-  EXPECT_EQ(recovered.tenant_names().size(), 4u);  // alpha beta limbo gamma
+  // alpha beta limbo gamma epsilon
+  EXPECT_EQ(recovered.tenant_names().size(), 5u);
   EXPECT_EQ(probe(recovered, seed), expected);
   // No resume needed: every control op was durable before shutdown.
-  EXPECT_EQ(recovered.storage().last_seq, 14u);
+  EXPECT_EQ(recovered.storage().last_seq, 25u);
 }
 
 // A snapshot written while the drift reference was persisted still
@@ -388,7 +420,7 @@ TEST_F(CrashRecoveryTest, RestoredMonitorFollowsTheRecoveringConfig) {
     }
   }
   ClassificationService without_drift(durable_config(dir, 1000, false));
-  EXPECT_EQ(without_drift.tenant_names().size(), 4u);
+  EXPECT_EQ(without_drift.tenant_names().size(), 5u);
   EXPECT_TRUE(drift_references(without_drift).empty());
 }
 
@@ -417,7 +449,8 @@ TEST_F(CrashRecoveryTest, RetiredTenantHoldsNoDriftMonitor) {
   {
     ClassificationService replayed(durable_config(dir, 1000, true));
     EXPECT_EQ(replayed.storage().snapshot_seq, 0u);
-    EXPECT_EQ(replayed.storage().recovered_records, script.size() - 3);
+    // Every request but the 4 classifies is journalled.
+    EXPECT_EQ(replayed.storage().recovered_records, script.size() - 4);
     check(replayed);
     ASSERT_TRUE(replayed.snapshot_now());
   }
@@ -425,6 +458,135 @@ TEST_F(CrashRecoveryTest, RetiredTenantHoldsNoDriftMonitor) {
   EXPECT_GT(restored.storage().snapshot_seq, 0u);
   EXPECT_EQ(restored.storage().recovered_records, 0u);
   check(restored);
+}
+
+/// Where the Retire of a trained tenant sits when the service restarts.
+enum class RetireForm {
+  Journalled,     // in the journal tail, over a snapshot that holds beta
+  Snapshotted,    // in a snapshot written after it: a tombstone
+  OlderSnapshot,  // in that snapshot, as written before retire freed the
+                  // model: beta retired but still holding data and forest
+};
+
+/// Runs make_script with drift on, snapshots with beta serving, then
+/// retires beta and leaves the Retire in `dir` in the given form.
+void retire_beta(const std::string& dir, RetireForm form) {
+  std::string serving_snapshot;
+  {
+    ClassificationService service(durable_config(dir, 1000, true));
+    run_script(service, make_script(faults::FaultPlan::seed_from_env()));
+    ASSERT_TRUE(service.snapshot_now());
+    serving_snapshot = util::read_file(dir + "/" + newest_snapshot(dir));
+    ASSERT_TRUE(
+        service.submit(control_request(RequestKind::Retire, "beta")).accepted);
+    ASSERT_EQ(service.drain()[0].status, ServeStatus::Ok);
+    if (form != RetireForm::Journalled) {
+      ASSERT_TRUE(service.snapshot_now());
+    }
+  }
+  if (form != RetireForm::OlderSnapshot) return;
+  // The older writer encoded a retired tenant like a serving one: the
+  // serving snapshot's sections with beta's state flipped to Retired.
+  const std::string name = newest_snapshot(dir);
+  persist::ServiceSnapshot snap =
+      persist::decode_snapshot(serving_snapshot, name);
+  snap.last_seq =
+      persist::decode_snapshot(util::read_file(dir + "/" + name), name)
+          .last_seq;
+  for (persist::TenantState& t : snap.tenants) {
+    if (t.name != "beta") continue;
+    ASSERT_TRUE(t.trained);
+    ASSERT_FALSE(t.data.empty());
+    t.state = static_cast<std::uint8_t>(TenantSession::State::Retired);
+  }
+  util::atomic_write_file(dir + "/" + name, persist::encode_snapshot(snap));
+}
+
+/// Recovers a drift-on service from `dir`, has it journal one more request
+/// (a Retire of the retired beta, which fails) and snapshot, and returns
+/// the bytes of that snapshot.
+std::string resnapshot(const std::string& dir,
+                       std::uint64_t expected_replayed) {
+  ClassificationService service(durable_config(dir, 1000, true));
+  EXPECT_TRUE(service.storage().discarded_tenants.empty());
+  EXPECT_EQ(service.storage().recovered_records, expected_replayed);
+  EXPECT_TRUE(
+      service.submit(control_request(RequestKind::Retire, "beta")).accepted);
+  EXPECT_EQ(service.drain()[0].status, ServeStatus::TenantRetired);
+  EXPECT_TRUE(service.snapshot_now());
+  return util::read_file(dir + "/" + newest_snapshot(dir));
+}
+
+// A snapshot from before retire freed the model, whose retired tenant still
+// holds its dataset and forest, recovers that tenant as a tombstone: no
+// model and no drift monitor, even with drift on. The next snapshot writes
+// the tombstone.
+TEST_F(CrashRecoveryTest, OlderSnapshotRetireeRecoversAsATombstone) {
+  const std::string dir = fresh_dir("tomb_older");
+  ASSERT_NO_FATAL_FAILURE(retire_beta(dir, RetireForm::OlderSnapshot));
+  ClassificationService recovered(durable_config(dir, 1000, true));
+  EXPECT_TRUE(recovered.storage().discarded_tenants.empty());
+  EXPECT_EQ(recovered.storage().recovered_records, 0u);
+  const TenantSession* beta = recovered.tenant("beta");
+  ASSERT_NE(beta, nullptr);
+  const core::OnlineFingerprinter& fp = beta->fingerprinter();
+  EXPECT_EQ(beta->state(), TenantSession::State::Retired);
+  EXPECT_EQ(beta->enrolled(), 4u);
+  EXPECT_FALSE(fp.trained());
+  EXPECT_TRUE(fp.enrollment_data().empty());
+  EXPECT_TRUE(fp.forest().arena().empty());
+  EXPECT_EQ(fp.drift_monitor(), nullptr);
+  EXPECT_EQ(fp.feature_count(), 24u);
+  EXPECT_EQ(fp.class_names(), (std::vector<std::string>{"net-0", "net-1"}));
+  ASSERT_EQ(drift_references(recovered).size(), 1u);  // alpha only
+
+  ASSERT_TRUE(
+      recovered.submit(control_request(RequestKind::Retire, "beta")).accepted);
+  ASSERT_EQ(recovered.drain()[0].status, ServeStatus::TenantRetired);
+  ASSERT_TRUE(recovered.snapshot_now());
+  const std::string name = newest_snapshot(dir);
+  const persist::ServiceSnapshot snap =
+      persist::decode_snapshot(util::read_file(dir + "/" + name), name);
+  const auto t = std::find_if(
+      snap.tenants.begin(), snap.tenants.end(),
+      [](const persist::TenantState& s) { return s.name == "beta"; });
+  ASSERT_NE(t, snap.tenants.end());
+  EXPECT_FALSE(t->trained);
+  EXPECT_TRUE(t->data.empty());
+  EXPECT_EQ(t->data.feature_count(), 24u);
+  EXPECT_EQ(t->class_names, fp.class_names());
+  EXPECT_EQ(t->enrolled, 4u);
+}
+
+// However the Retire reaches a restarted service — replayed from the
+// journal over a snapshot that holds the model, restored from a tombstone
+// snapshot, or restored from an older snapshot's retiree with its model —
+// the service ends in the same state, down to the next snapshot's bytes.
+TEST_F(CrashRecoveryTest, ReplayedRetireReencodesLikeARestoredTombstone) {
+  const std::string journalled = fresh_dir("tomb_journalled");
+  const std::string snapshotted = fresh_dir("tomb_snapshotted");
+  const std::string older = fresh_dir("tomb_older_bytes");
+  ASSERT_NO_FATAL_FAILURE(retire_beta(journalled, RetireForm::Journalled));
+  ASSERT_NO_FATAL_FAILURE(retire_beta(snapshotted, RetireForm::Snapshotted));
+  ASSERT_NO_FATAL_FAILURE(retire_beta(older, RetireForm::OlderSnapshot));
+  const std::string expected = resnapshot(snapshotted, 0);
+  EXPECT_EQ(resnapshot(journalled, 1), expected);
+  EXPECT_EQ(resnapshot(older, 0), expected);
+  // ... in which every retiree is a tombstone and alpha keeps its model.
+  const persist::ServiceSnapshot snap =
+      persist::decode_snapshot(expected, "expected");
+  std::vector<std::string> tombstones;
+  for (const persist::TenantState& t : snap.tenants) {
+    if (t.state !=
+        static_cast<std::uint8_t>(TenantSession::State::Retired)) {
+      EXPECT_EQ(t.trained, t.name == "alpha") << t.name;
+      continue;
+    }
+    if (!t.trained && t.data.empty()) tombstones.push_back(t.name);
+  }
+  EXPECT_EQ(tombstones,
+            (std::vector<std::string>{"beta", "gamma", "epsilon"}));
+  EXPECT_FALSE(snap.tenants.front().data.empty());  // alpha
 }
 
 TEST_F(CrashRecoveryTest, RecoveryAccountsForEveryJournalRecord) {
@@ -446,9 +608,9 @@ TEST_F(CrashRecoveryTest, RecoveryAccountsForEveryJournalRecord) {
   }
   ClassificationService recovered(durable_config(dir, 1000));
   const StorageStats storage = recovered.storage();
-  // 14 control requests in the script, all still in the journal, plus the
+  // 25 control requests in the script, all still in the journal, plus the
   // torn tail: every record is accounted for.
-  EXPECT_EQ(storage.recovered_records, 14u);
+  EXPECT_EQ(storage.recovered_records, 25u);
   EXPECT_EQ(storage.skipped_records, 0u);
   EXPECT_EQ(storage.discarded_records, 1u);
   EXPECT_EQ(storage.snapshot_seq, 0u);
@@ -681,7 +843,7 @@ TEST_F(CrashRecoveryTest, SnapshotFailureLeavesJournalAuthoritative) {
     faults::storage_points_reset();
   }
   ClassificationService recovered(durable_config(dir, 1000));
-  EXPECT_EQ(recovered.storage().recovered_records, 14u);
+  EXPECT_EQ(recovered.storage().recovered_records, 25u);
   EXPECT_EQ(probe(recovered, seed), expected);
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "amperebleed/persist/state.hpp"
 #include "amperebleed/util/fs.hpp"
 #include "amperebleed/util/rng.hpp"
 #include "amperebleed/util/thread_pool.hpp"
@@ -131,6 +132,80 @@ TEST(ClassificationService, EnrollAfterRetire) {
   // The namespace stays reserved after retirement.
   ASSERT_NE(service.tenant("acme"), nullptr);
   EXPECT_EQ(service.tenant("acme")->state(), TenantSession::State::Retired);
+}
+
+// A retired tenant is a tombstone: it frees its dataset, forest and drift
+// monitor, and keeps its name, tallies, feature width and class names.
+TEST(ClassificationService, RetireLeavesATombstone) {
+  ServiceConfig config = small_config();
+  config.fingerprinter.drift.enabled = true;
+  ClassificationService service(config);
+  bring_up(service, "acme");
+  (void)service.submit(classify_request("acme", 1, 0xfeed));
+  ASSERT_EQ(service.drain()[0].status, ServeStatus::Ok);
+  const TenantSession* acme = service.tenant("acme");
+  ASSERT_NE(acme, nullptr);
+  const core::OnlineFingerprinter& fp = acme->fingerprinter();
+  ASSERT_NE(fp.drift_monitor(), nullptr);
+  const std::vector<std::string> class_names = fp.class_names();
+  const std::size_t feature_count = fp.feature_count();
+  const std::uint64_t enrolled = acme->enrolled();
+  const std::uint64_t classified = acme->classified();
+
+  (void)service.submit(control_request(RequestKind::Retire, "acme"));
+  (void)service.submit(enroll_request("acme", 0, 7));
+  const auto responses = service.drain();
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status, ServeStatus::Ok);
+  EXPECT_EQ(responses[1].status, ServeStatus::TenantRetired);
+
+  EXPECT_EQ(acme->state(), TenantSession::State::Retired);
+  EXPECT_FALSE(fp.trained());
+  EXPECT_TRUE(fp.enrollment_data().empty());
+  EXPECT_TRUE(fp.forest().arena().empty());
+  EXPECT_EQ(fp.drift_monitor(), nullptr);
+  EXPECT_EQ(fp.class_names(), class_names);
+  EXPECT_EQ(fp.feature_count(), feature_count);
+  EXPECT_EQ(acme->enrolled(), enrolled);
+  EXPECT_EQ(acme->classified(), classified);
+}
+
+// A tombstone's snapshot section does not grow with what the tenant
+// enrolled before it retired.
+TEST(ClassificationService, RetiredTenantSectionSizeIgnoresEnrollment) {
+  std::vector<std::size_t> section_bytes;
+  for (const std::size_t reps : {2u, 20u}) {  // 4 or 40 enrolled rows
+    const std::string dir =
+        ::testing::TempDir() + "service_tombstone_" + std::to_string(reps);
+    if (util::path_exists(dir)) {
+      for (const std::string& name : util::list_dir(dir)) {
+        util::remove_file(dir + "/" + name);
+      }
+    }
+    ServiceConfig config = small_config();
+    config.durability.dir = dir;
+    config.durability.snapshot_every = 1000;
+    ClassificationService service(config);
+    bring_up(service, "acme", 2, reps);
+    EXPECT_EQ(service.tenant("acme")->enrolled(), 2 * reps);
+    (void)service.submit(control_request(RequestKind::Retire, "acme"));
+    ASSERT_EQ(service.drain()[0].status, ServeStatus::Ok);
+    ASSERT_TRUE(service.snapshot_now());
+
+    std::string bytes;
+    for (const std::string& name : util::list_dir(dir)) {
+      if (name.rfind("snapshot-", 0) == 0) {
+        bytes = util::read_file(dir + "/" + name);
+      }
+    }
+    const persist::ServiceSnapshot snap =
+        persist::decode_snapshot(bytes, dir);
+    ASSERT_EQ(snap.tenants.size(), 1u);
+    // The file is the one TENT section on top of an empty snapshot.
+    section_bytes.push_back(
+        bytes.size() - persist::encode_snapshot(snap.last_seq, {}).size());
+  }
+  EXPECT_EQ(section_bytes[0], section_bytes[1]);
 }
 
 TEST(ClassificationService, TrainLifecycleErrors) {
